@@ -1,11 +1,11 @@
 """Command-line front end: calibrate, synth, fuse, simulate.
 
 ``simulate`` binds the whole pipeline into a reproducible batch run: it
-resolves parameters (built-in defaults < config file < flags), sweeps every
-requested scenario cell for every observation, writes the three metric CSVs,
-and drops a manifest holding the resolved parameter snapshot plus input
-digests.  Re-running with that manifest as the config reproduces the outputs
-byte for byte, at any worker count.
+resolves parameters (built-in defaults < config file < flags), sweeps all
+requested scenario cells of each observation in one pass, writes the three
+metric CSVs, and drops a manifest holding the resolved parameter snapshot
+plus input digests.  Re-running with that manifest as the config reproduces
+the outputs byte for byte, at any worker count.
 
 Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 """
@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -70,16 +71,33 @@ DEFAULT_CONFIG = {
 
 def _parse_length_m(text: str) -> float:
     """Length with optional unit suffix: '6ft' (feet) or '1.83'/'1.83m' (meters)."""
-    text = text.strip().lower()
-    if text.endswith("ft"):
-        return float(text[:-2]) * FEET_TO_M
-    if text.endswith("m"):
-        return float(text[:-1])
-    return float(text)
+    value = text.strip().lower()
+    try:
+        if value.endswith("ft"):
+            return float(value[:-2]) * FEET_TO_M
+        if value.endswith("m"):
+            return float(value[:-1])
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"length must look like 6ft or 1.83m, got {text!r}") from None
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+@contextlib.contextmanager
+def _invalid_parameters():
+    """Report a parameter object's own validation failure as a ConfigError.
+
+    The parameter classes raise ValueError (and comparisons against values of
+    the wrong JSON type raise TypeError); at the command line both are bad
+    input, not a fault of the program.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid parameter: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +105,17 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    c = CalibrationInputs(
-        r0=args.r0,
-        gamma=args.gamma,
-        n_contacts=args.contacts,
-        contact_radius=_parse_length_m(args.contact_radius),
-        contact_duration=args.contact_minutes,
-        sigma_r=args.sigma_r,
-        sigma_theta=math.radians(args.sigma_theta_deg),
-    )
+    contact_radius = _parse_length_m(args.contact_radius)
+    with _invalid_parameters():
+        c = CalibrationInputs(
+            r0=args.r0,
+            gamma=args.gamma,
+            n_contacts=args.contacts,
+            contact_radius=contact_radius,
+            contact_duration=args.contact_minutes,
+            sigma_r=args.sigma_r,
+            sigma_theta=math.radians(args.sigma_theta_deg),
+        )
     rho = daily_contact_density(c)
     beta_bar = c.r0 * c.gamma
     beta_day = calibrate_beta_max(c)
@@ -269,11 +289,23 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _workers(flag: int | None) -> int:
+    """Worker count from --workers, else $CLASSIM_WORKERS, else the CPU count."""
+    if flag is not None:
+        value, source = flag, "--workers"
+    elif os.environ.get(WORKERS_ENV):
+        source = WORKERS_ENV
+        try:
+            value = int(os.environ[WORKERS_ENV])
+        except ValueError:
+            raise ConfigError(
+                f"{WORKERS_ENV} must be an integer, got {os.environ[WORKERS_ENV]!r}"
+            ) from None
+    else:
+        return os.cpu_count() or 1
+    if value < 1:
+        raise ConfigError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def cmd_simulate(args) -> int:
@@ -295,10 +327,22 @@ def cmd_simulate(args) -> int:
     obs_paths = list(args.observations) or manifest_inputs
     if not obs_paths:
         raise ConfigError("no observation files given (and the config is not a manifest)")
-    workers = args.workers if args.workers is not None else _default_workers()
+    workers = _workers(args.workers)
 
-    kp = _kernel_params(cfg)
-    dp = _disease_params(cfg)
+    with _invalid_parameters():
+        kp = _kernel_params(cfg)
+        dp = _disease_params(cfg)
+        cells = [
+            scenario.ScenarioConfig(
+                density=scenario.SCENARIO_CELLS[name][0],
+                vaccination=scenario.SCENARIO_CELLS[name][1],
+                vaccine_efficacy=cfg["vaccine_efficacy"],
+                horizon_days=cfg["horizon_days"],
+                reps_per_patient_zero=cfg["reps"],
+                base_seed=cfg["base_seed"],
+            )
+            for name in cfg["scenarios"]
+        ]
     cfg = _merge(cfg, {"kernel": {"beta_max_per_s": kp.beta_max}})  # resolved snapshot
     observations = [
         trajectory.load_observation(p, trajectory.TrackFormat.FUSED) for p in obs_paths
@@ -314,20 +358,12 @@ def cmd_simulate(args) -> int:
         multi = len(observations) > 1
         for obs in observations:
             cal = scenario.build_calendar(cfg["horizon_days"], obs.session_length_s)
-            for cell in cfg["scenarios"]:
-                dvar, vvar = scenario.SCENARIO_CELLS[cell]
-                sc = scenario.ScenarioConfig(
-                    density=dvar,
-                    vaccination=vvar,
-                    vaccine_efficacy=cfg["vaccine_efficacy"],
-                    horizon_days=cfg["horizon_days"],
-                    reps_per_patient_zero=cfg["reps"],
-                    base_seed=cfg["base_seed"],
-                )
-                outcomes = scenario.sweep(obs, sc, kp, dp, cal=cal, workers=workers)
+            by_cell: dict[str, list] = {}
+            for outcome in scenario.sweep(obs, cells, kp, dp, cal=cal, workers=workers):
+                summary_rows.append((outcome, metrics.summarize_run(outcome)))
+                by_cell.setdefault(outcome.scenario, []).append(outcome)
+            for cell, outcomes in by_cell.items():
                 group = f"{obs.class_id}:{cell}" if multi else cell
-                for outcome in outcomes:
-                    summary_rows.append((outcome, metrics.summarize_run(outcome)))
                 curve_groups[group] = metrics.aggregate_hourly(outcomes)
                 emergence_groups[group] = outcomes
 

@@ -243,12 +243,18 @@ def rates_between(
     )
 
 
+#: Pair-seconds per time chunk of ``pairwise_rates``: each float64 temporary
+#: of a chunk stays near 0.5 MB, so a cache build's working set beyond the
+#: cache itself is a few MB for any roster.
+_CHUNK_ELEMENTS = 1 << 16
+
+
 def pairwise_rates(
     positions: np.ndarray,
     facings: np.ndarray,
     present: np.ndarray,
     p: KernelParams,
-    chunk: int = 2048,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """All-pairs instantaneous rates for a whole trajectory block.
 
@@ -258,10 +264,14 @@ def pairwise_rates(
     absent.  Distances below ``R_MIN_M`` are clamped, matching the scalar
     caller contract for coincident tags.
 
-    Work proceeds in time chunks to bound peak memory; results are identical
-    elementwise regardless of chunking.
+    Work proceeds in chunks of ``chunk`` seconds to bound peak memory; by
+    default each chunk holds about ``_CHUNK_ELEMENTS`` pair-seconds, whatever
+    the roster size.  Results are identical elementwise regardless of
+    chunking.
     """
     t_total, n, _ = positions.shape
+    if chunk is None:
+        chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n))
     out = np.zeros((t_total, n, n), dtype=np.float64)
     # Absent slots may carry NaN; substitute zeros so vector math stays clean.
     # Their rates are masked out afterwards.
@@ -295,3 +305,30 @@ def pairwise_rates(
         rate[:, idx, idx] = 0.0
         out[a:b] = rate
     return out
+
+
+def mean_pair_rate(
+    rates: np.ndarray,
+    present: np.ndarray,
+    idx: np.ndarray | None = None,
+) -> float:
+    """Mean rate over the co-present unordered pair-seconds of a roster.
+
+    ``rates`` is a (T, M, M) array from ``pairwise_rates`` and ``present`` its
+    (T, M) mask.  ``idx`` holds the roster's columns in ascending order (all
+    M by default).  The numerator sums rates[:, i, j] over roster pairs
+    i < j, which are zero wherever either person is absent; the denominator
+    counts the pairs present at each second.  The summed elements and their
+    order do not depend on whether ``rates`` covers just the roster or a
+    larger one, so the result is bitwise the same either way.  0.0 when no
+    pair is ever co-present.
+    """
+    n = rates.shape[1] if idx is None else len(idx)
+    iu0, iu1 = np.triu_indices(n, k=1)
+    if idx is not None:
+        iu0, iu1 = idx[iu0], idx[iu1]
+        present = present[:, idx]
+    total = float(rates[:, iu0, iu1].sum())
+    k = present.sum(axis=1).astype(np.int64)
+    denom = int(((k * (k - 1)) // 2).sum())
+    return total / denom if denom > 0 else 0.0

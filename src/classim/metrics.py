@@ -80,11 +80,7 @@ def transmission_likelihood(
         raise SinglePerson(f"need >= 2 people, roster has {obs.n_people}")
     if rates is None:
         rates = kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
-    iu = np.triu_indices(obs.n_people, k=1)
-    total = float(rates[:, iu[0], iu[1]].sum())
-    k = obs.present.sum(axis=1).astype(np.int64)
-    denom = int(((k * (k - 1)) // 2).sum())
-    beta_hat = total / denom if denom > 0 else 0.0
+    beta_hat = kernel.mean_pair_rate(rates, obs.present)
     t_exposure = float(obs.session_length_s) * horizon_sessions
     return beta_hat, t_exposure, beta_hat * t_exposure
 

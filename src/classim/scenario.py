@@ -17,6 +17,7 @@ across scenario cells for coupled comparisons.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from multiprocessing import Pool
@@ -142,6 +143,18 @@ def apply_half_class(
     the remaining slots are sampled uniformly from everyone else.  The room
     itself is unchanged, halving the density.
     """
+    return obs.subset(half_class_indices(obs, rng, include))
+
+
+def half_class_indices(
+    obs: Observation,
+    rng: np.random.Generator,
+    include: str | None = None,
+) -> np.ndarray:
+    """Ascending roster indices of the people ``apply_half_class`` keeps.
+
+    Same draws, in the same order, as ``apply_half_class``.
+    """
     child_idx = [k for k, p in enumerate(obs.roster) if p.role == Role.CHILD]
     teacher_idx = [k for k, p in enumerate(obs.roster) if p.role == Role.TEACHER]
     if not teacher_idx:
@@ -163,7 +176,7 @@ def apply_half_class(
     if n_sample > 0:
         chosen = rng.choice(len(pool), size=n_sample, replace=False)
         keep.extend(pool[int(c)] for c in chosen)
-    return obs.subset(keep)
+    return np.array(sorted(keep), dtype=np.intp)
 
 
 def apply_vaccination(
@@ -262,18 +275,19 @@ def run_simulation(
     rng = np.random.Generator(np.random.PCG64(seed))
 
     if sc.density == DensityVariant.HALF:
-        obs_run = apply_half_class(obs, rng, include=patient_zero)
+        col_index = half_class_indices(obs, rng, include=patient_zero)
+        obs_run = obs.subset(col_index)
     else:
+        col_index = np.arange(obs.n_people)
         obs_run = obs
     if sc.vaccination == VaccinationVariant.TEACHERS:
         immune = apply_vaccination(obs_run.roster, sc.vaccine_efficacy, rng)
     else:
         immune = frozenset()
 
-    col_index = None
-    if rates is not None:
-        col_index = np.array([obs.index_of(pid) for pid in obs_run.person_ids])
-    elif 0 < obs_run.session_length_s * obs_run.n_people**2 <= _RATE_CACHE_MAX_ELEMENTS:
+    if rates is None and (
+        0 < obs_run.session_length_s * obs_run.n_people**2 <= _RATE_CACHE_MAX_ELEMENTS
+    ):
         # the same session replays every school day; rate the pairs once
         rates = kernel.pairwise_rates(
             obs_run.positions, obs_run.facings, obs_run.present, kp
@@ -313,93 +327,111 @@ def run_simulation(
 # sweep
 # ---------------------------------------------------------------------------
 
+class _SweepRunner:
+    """What every run of one sweep shares within one process.
+
+    Building it rates every pair of the observation once (the cache) and,
+    when some cell keeps the full roster, that roster's ``beta_hat``.  Runs
+    then only index into both.
+    """
+
+    def __init__(self, obs, cells, cals, kp, dp, with_cache):
+        self.obs, self.cells, self.cals, self.kp, self.dp = obs, cells, cals, kp, dp
+        self.rates = (
+            kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
+            if with_cache else None
+        )
+        self.column = {pid: k for k, pid in enumerate(obs.person_ids)}
+        self.full_beta_hat = (
+            self._beta_hat(np.arange(obs.n_people))
+            if any(sc.density == DensityVariant.FULL for sc in cells) else None
+        )
+        self.exposure_t_s = [
+            float(cal.session_length_s * sum(
+                1 for s in cal.session_starts_s if s < sc.horizon_days * SECONDS_PER_DAY
+            ))
+            for sc, cal in zip(cells, cals)
+        ]
+
+    def _beta_hat(self, idx: np.ndarray) -> float:
+        """Mean pair rate over the roster columns ``idx`` (ascending)."""
+        obs = self.obs
+        if self.rates is not None:
+            return kernel.mean_pair_rate(self.rates, obs.present, idx)
+        rates = kernel.pairwise_rates(
+            obs.positions[:, idx], obs.facings[:, idx], obs.present[:, idx], self.kp
+        )
+        return kernel.mean_pair_rate(rates, obs.present[:, idx])
+
+    def run(self, cell: int, pz_index: int, rep: int) -> RunOutcome:
+        obs, sc, cal = self.obs, self.cells[cell], self.cals[cell]
+        seed = derive_seed(sc.base_seed, pz_index, rep)
+        pz = obs.roster[pz_index].person_id
+        outcome = run_simulation(obs, cal, sc, pz, seed, self.kp, self.dp, rates=self.rates)
+        if sc.density == DensityVariant.FULL:
+            outcome.beta_hat = self.full_beta_hat
+        else:
+            outcome.beta_hat = self._beta_hat(
+                np.array([self.column[pid] for pid in outcome.roster_ids])
+            )
+        outcome.exposure_t_s = self.exposure_t_s[cell]
+        return outcome
+
+
 _WORKER: dict = {}
 
 
-def _worker_init(obs, cal, sc, kp, dp, with_cache):
-    _WORKER["args"] = (obs, cal, sc, kp, dp)
-    _WORKER["rates"] = (
-        kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
-        if with_cache else None
-    )
+def _worker_init(*args):
+    _WORKER["runner"] = _SweepRunner(*args)
 
 
 def _worker_run(task):
-    pz_index, rep = task
-    obs, cal, sc, kp, dp = _WORKER["args"]
-    return task, _run_task(obs, cal, sc, kp, dp, _WORKER["rates"], pz_index, rep)
-
-
-def _run_task(obs, cal, sc, kp, dp, rates, pz_index, rep):
-    seed = derive_seed(sc.base_seed, pz_index, rep)
-    pz = obs.roster[pz_index].person_id
-    outcome = run_simulation(obs, cal, sc, pz, seed, kp, dp, rates=rates)
-    _attach_transmission_stats(outcome, obs, cal, sc, kp, rates)
-    return outcome
-
-
-def _attach_transmission_stats(outcome, obs, cal, sc, kp, rates):
-    """Per-run mean pair rate over the retained roster, and total class time."""
-    idx = np.array([obs.index_of(pid) for pid in outcome.roster_ids])
-    if rates is None:
-        sub = kernel.pairwise_rates(
-            obs.positions[:, idx], obs.facings[:, idx], obs.present[:, idx], kp
-        )
-    elif len(idx) == rates.shape[1]:
-        sub = rates
-    else:
-        sub = rates[:, idx[:, None], idx[None, :]]
-    present = obs.present[:, idx]
-    k = present.sum(axis=1).astype(np.int64)
-    n_pairs = (k * (k - 1)) // 2
-    iu = np.triu_indices(len(idx), k=1)
-    total = sub[:, iu[0], iu[1]].sum()
-    denom = n_pairs.sum()
-    n_sessions = sum(
-        1 for s in cal.session_starts_s if s < sc.horizon_days * SECONDS_PER_DAY
-    )
-    outcome.beta_hat = float(total / denom) if denom > 0 else 0.0
-    outcome.exposure_t_s = float(cal.session_length_s * n_sessions)
+    return task, _WORKER["runner"].run(*task)
 
 
 def sweep(
     obs: Observation,
-    sc: ScenarioConfig,
+    sc: ScenarioConfig | Sequence[ScenarioConfig],
     kp: KernelParams,
     dp: DiseaseParams,
     cal: SchoolCalendar | None = None,
     workers: int = 1,
     use_rate_cache: bool = True,
 ) -> list[RunOutcome]:
-    """Every roster member as patient zero x replicates, in a deterministic order.
+    """Every roster member as patient zero x replicates, for one or more cells.
 
-    Results are returned sorted by (patient zero index, replicate) and are
-    bitwise independent of ``workers``.  Each worker builds the all-pairs
-    rate cache once; runs then reduce to array gathers and draws.
+    ``sc`` is one scenario cell or a sequence of them; every (cell, patient
+    zero, replicate) task runs in one pass over one worker pool.  Results
+    are returned sorted by (cell order, patient zero index, replicate) and
+    are bitwise independent of ``workers``.  ``cal`` defaults to each
+    cell's own calendar over its horizon.
+
+    Each process (the caller itself at ``workers=1``, else each pool
+    worker) builds the all-pairs rate cache once per sweep; runs then
+    reduce to array gathers and draws.
     """
-    if cal is None:
-        cal = build_calendar(sc.horizon_days, obs.session_length_s)
+    cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)
+    cals = tuple(
+        cal if cal is not None else build_calendar(c.horizon_days, obs.session_length_s)
+        for c in cells
+    )
     tasks = [
-        (pz_index, rep)
+        (cell, pz_index, rep)
+        for cell, c in enumerate(cells)
         for pz_index in range(obs.n_people)
-        for rep in range(sc.reps_per_patient_zero)
+        for rep in range(c.reps_per_patient_zero)
     ]
     with_cache = (
         use_rate_cache
         and 0 < obs.session_length_s * obs.n_people**2 <= _RATE_CACHE_MAX_ELEMENTS
     )
+    args = (obs, cells, cals, kp, dp, with_cache)
     if workers <= 1 or len(tasks) <= 1:
-        rates = (
-            kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
-            if with_cache else None
-        )
-        return [_run_task(obs, cal, sc, kp, dp, rates, *t) for t in tasks]
+        runner = _SweepRunner(*args)
+        return [runner.run(*t) for t in tasks]
 
-    with Pool(
-        processes=workers,
-        initializer=_worker_init,
-        initargs=(obs, cal, sc, kp, dp, with_cache),
-    ) as pool:
+    # the parent never builds the cache: each worker does, in its initializer
+    with Pool(processes=workers, initializer=_worker_init, initargs=args) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
         tagged = list(pool.imap_unordered(_worker_run, tasks, chunksize=chunk))
     tagged.sort(key=lambda pair: pair[0])

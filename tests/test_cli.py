@@ -242,3 +242,61 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, small_obs, capsys):
                         "--out", str(tmp_path / "o"), "--workers", "1")
     assert code == 1
     assert "unknown config keys" in err
+
+
+# ---------------------------------------------------------------------------
+# bad parameters: exit 1 with one error line, no traceback
+# ---------------------------------------------------------------------------
+
+def _one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: ")
+
+
+def test_calibrate_negative_r0_exit_1(capsys):
+    code, _, err = _run(capsys, "calibrate", "--r0", "-1")
+    assert code == 1
+    _one_error_line(err)
+    assert "r0" in err
+
+
+def test_calibrate_bad_radius_exit_1(capsys):
+    code, _, err = _run(capsys, "calibrate", "--contact-radius", "six feet")
+    assert code == 1
+    _one_error_line(err)
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-2"])
+def test_simulate_bad_workers_env_exit_1(tmp_path, small_obs, capsys, monkeypatch, value):
+    monkeypatch.setenv("CLASSIM_WORKERS", value)
+    out_dir = tmp_path / "o"
+    code, _, err = _run(capsys, "simulate", str(small_obs), "--out", str(out_dir))
+    assert code == 1
+    _one_error_line(err)
+    assert "CLASSIM_WORKERS" in err
+    assert not out_dir.exists()
+
+
+def test_simulate_workers_flag_below_one_exit_1(tmp_path, small_obs, capsys):
+    code, _, err = _run(capsys, "simulate", str(small_obs), "--out", str(tmp_path / "o"),
+                        "--workers", "0")
+    assert code == 1
+    _one_error_line(err)
+    assert "--workers" in err
+
+
+@pytest.mark.parametrize("override", [
+    {"disease": {"p_symptomatic": 2}},
+    {"disease": {"p_symptomatic": "most"}},
+    {"kernel": {"sigma_r_m": -1.0}},
+    {"kernel": {"mode": "telepathic"}},
+    {"calibration": {"r0": -1}},
+])
+def test_simulate_bad_parameter_in_config_exit_1(tmp_path, small_obs, capsys, override):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    code, _, err = _run(capsys, "simulate", str(small_obs), "--config", str(cfg),
+                        "--out", str(tmp_path / "o"), "--workers", "1")
+    assert code == 1
+    _one_error_line(err)

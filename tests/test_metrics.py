@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -148,6 +149,38 @@ def test_absent_seconds_excluded_from_average():
     beta_hat, _, _ = transmission_likelihood(obs, KP, 1)
     g = relative_geometry((0, 0), (1, 0), (1, 0), (-1, 0))
     assert beta_hat == pytest.approx(pair_rate(g, KP), rel=1e-12)
+
+
+def test_sweep_beta_hat_is_transmission_likelihood_of_run_roster():
+    # the sweep reads beta_hat off the full-roster cache; it must equal the
+    # metric recomputed on the run's own roster, bit for bit
+    from classim.epidemic import DiseaseParams
+    from classim.scenario import DensityVariant, ScenarioConfig, build_calendar, sweep
+
+    rng = np.random.default_rng(11)
+    t_total, n = 90, 7
+    pos = rng.uniform(0, 6, size=(t_total, n, 2))
+    ang = rng.uniform(0, 2 * math.pi, size=(t_total, n))
+    fac = np.stack([np.cos(ang), np.sin(ang)], axis=2)
+    present = rng.random((t_total, n)) > 0.2
+    roster = tuple(Person(f"c{k}", Role.CHILD) for k in range(n - 1)) + (
+        Person("t0", Role.TEACHER),)
+    obs = Observation(class_id="bh", roster=roster, room_area_m2=36.0,
+                      positions=np.where(present[:, :, None], pos, np.nan),
+                      facings=np.where(present[:, :, None], fac, np.nan),
+                      present=present)
+    cells = [ScenarioConfig(density=d, horizon_days=3, reps_per_patient_zero=2, base_seed=2)
+             for d in (DensityVariant.FULL, DensityVariant.HALF)]
+    outs = sweep(obs, cells, KP, DiseaseParams(), workers=1)
+    assert {len(o.roster_ids) for o in outs} == {n, 4}
+    cal = build_calendar(3, t_total)
+    for o in outs:
+        sub = obs.subset([obs.index_of(pid) for pid in o.roster_ids])
+        assert o.beta_hat == transmission_likelihood(sub, KP, 1)[0]
+        # summarize_run recomputes the same value when the sweep's is absent
+        bare = dataclasses.replace(o, beta_hat=None, exposure_t_s=None)
+        s = summarize_run(bare, obs, KP, cal)
+        assert (s.beta_hat, s.exposure_t_s) == (o.beta_hat, o.exposure_t_s)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from classim import synthgen
+from classim import kernel, synthgen
 from classim.epidemic import DiseaseParams
 from classim.errors import ConfigError, NoTeacher, UnknownPerson
 from classim.kernel import KernelParams, pair_rate, relative_geometry
 from classim.scenario import (
+    SCENARIO_CELLS,
     DensityVariant,
     ScenarioConfig,
     VaccinationVariant,
@@ -308,6 +309,46 @@ def test_sweep_worker_count_invariant():
         assert a.events == b.events
         assert a.beta_hat == b.beta_hat
         assert np.array_equal(a.hourly_counts, b.hourly_counts)
+
+
+def _four_cells(**kw):
+    return [ScenarioConfig(density=d, vaccination=v, **kw) for d, v in SCENARIO_CELLS.values()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_cell_sweep_matches_single_cell_sweeps(workers):
+    obs = _roster_obs(4, 2, t_total=120)
+    kp = KernelParams(beta_max=3e-3)
+    cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=8)
+    multi = sweep(obs, cells, kp, DP, workers=workers)
+    single = [o for sc in cells for o in sweep(obs, sc, kp, DP, workers=1)]
+    assert len(multi) == len(single) == 4 * 6 * 2
+    for a, b in zip(multi, single):
+        assert a.scenario == b.scenario
+        assert a.patient_zero == b.patient_zero
+        assert a.seed == b.seed
+        assert a.roster_ids == b.roster_ids
+        assert a.immune_ids == b.immune_ids
+        assert a.events == b.events
+        assert a.beta_hat == b.beta_hat
+        assert a.exposure_t_s == b.exposure_t_s
+        assert np.array_equal(a.hourly_counts, b.hourly_counts)
+
+
+def test_multi_cell_sweep_builds_rate_cache_once(monkeypatch):
+    obs = _roster_obs(4, 2, t_total=60)
+    calls = []
+    real = kernel.pairwise_rates
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "pairwise_rates", counting)
+    cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=3)
+    outs = sweep(obs, cells, KernelParams(beta_max=3e-3), DP, workers=1)
+    assert len(outs) == 4 * 6 * 2
+    assert calls == [obs.positions.shape]
 
 
 def test_sweep_order_is_pz_then_rep():
