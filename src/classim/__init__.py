@@ -9,7 +9,6 @@ the runs to policy metrics.
 __version__ = "0.1.0"
 
 from .epidemic import (  # noqa: F401
-    AgentState,
     Compartment,
     DiseaseParams,
     EpidemicState,

@@ -1,12 +1,17 @@
-"""Per-agent SEIR state machine and the stochastic transmission step.
+"""SEIR run state held as arrays, and the stochastic transmission engine.
+
+Each person carries one transmission-clock record: infection, infectiousness,
+symptom onset, recovery and source.  ``EpidemicState`` holds these as one
+array per field (a struct of arrays, ``inf`` = never), so the engine, the
+counts and the event log read them without rebuilding anything.
 
 Compartments flow one way: Susceptible -> Exposed -> Infectious -> Recovered.
-All of an agent's future transition times are sampled the moment it is
+All of a person's future transition times are sampled the moment they are
 infected (latency is deterministic; incubation and recovery are drawn from
 the run's generator), so a compartment is always a pure function of the
-scheduled times and the current clock.  Advancing time never consumes
-randomness, which keeps runs deterministic and lets the simulation jump over
-nights and weekends in one step.
+scheduled times and the clock.  Advancing time never consumes randomness,
+which keeps runs deterministic and lets the simulation jump over nights and
+weekends in one step.
 
 Transmission happens only while the trajectory is playing.  At each second,
 every present susceptible combines the hazards of all present infectious
@@ -19,7 +24,7 @@ which is distributionally identical and orders of magnitude faster.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -96,66 +101,54 @@ class DiseaseParams:
 
 
 @dataclass
-class AgentState:
-    """One person's epidemiological record.
-
-    All t_* fields are absolute seconds since Day 0 session start and are
-    scheduled when the agent is infected; None means "never (so far)".
-    Immune agents are permanently susceptible and never acquire times.
-    """
-
-    person_id: str
-    immune: bool = False
-    t_infected: float | None = None
-    t_infectious: float | None = None
-    t_symptomatic: float | None = None
-    t_recovered: float | None = None
-    will_be_symptomatic: bool = False
-    source_id: str | None = None
-    exposure_buffer: list = field(default_factory=list)  # airborne: (t, x, y, fx, fy)
-    _last_emission_slot: int = -1
-
-    def compartment_at(self, t: float) -> Compartment:
-        if self.t_infected is None:
-            return Compartment.SUSCEPTIBLE
-        if t < self.t_infectious:
-            return Compartment.EXPOSED
-        if t < self.t_recovered:
-            return Compartment.INFECTIOUS
-        return Compartment.RECOVERED
-
-
-@dataclass
 class EpidemicState:
-    """Mutable simulation state: clock, agents, and the run's generator.
+    """Mutable simulation state: clock, generator, one record per person.
+
+    The per-person fields are arrays in roster order.  All t_* arrays hold
+    absolute seconds since Day 0 session start, scheduled when the person
+    is infected; ``inf`` means "never (so far)".  ``source`` is the roster
+    index of the infector, -1 for none.  Immune people stay susceptible and
+    never acquire times.  Airborne mode buffers each infectious person's
+    emissions, one (t, x, y, fx, fy) per slot, in ``emissions`` and keeps
+    the last slot emitted in ``last_emission_slot``.
 
     Confined to a single worker for the duration of a run; parallelism
     happens one level up, across independent runs.
     """
 
     clock: float
-    agents: list[AgentState]
     rng: np.random.Generator
-
-    @property
-    def person_ids(self) -> tuple[str, ...]:
-        return tuple(a.person_id for a in self.agents)
-
-    def agent(self, person_id: str) -> AgentState:
-        for a in self.agents:
-            if a.person_id == person_id:
-                return a
-        raise UnknownPerson(person_id)
+    person_ids: tuple[str, ...]
+    immune: np.ndarray
+    t_infected: np.ndarray
+    t_infectious: np.ndarray
+    t_symptomatic: np.ndarray
+    t_recovered: np.ndarray
+    source: np.ndarray
+    emissions: list[list[tuple]]
+    last_emission_slot: np.ndarray
 
     def counts(self, at: float | None = None) -> tuple[int, int, int, int]:
         """(S, E, I, R) counts at the given time (default: current clock)."""
-        t = self.clock if at is None else at
-        out = [0, 0, 0, 0]
-        order = (Compartment.SUSCEPTIBLE, Compartment.EXPOSED,
-                 Compartment.INFECTIOUS, Compartment.RECOVERED)
-        for a in self.agents:
-            out[order.index(a.compartment_at(t))] += 1
-        return tuple(out)
+        masks = _compartment_masks(self, self.clock if at is None else at)
+        return tuple(int(m.sum()) for m in masks)
+
+    def compartment_at(self, k: int, t: float) -> Compartment:
+        """Compartment of roster position ``k`` at time ``t``."""
+        masks = _compartment_masks(self, t)
+        return next(c for c, m in zip(Compartment, masks) if m[k])
+
+
+def _compartment_masks(state: EpidemicState, t) -> tuple[np.ndarray, ...]:
+    """Boolean (S, E, I, R) masks at time ``t``.
+
+    ``t`` is a scalar (masks of shape (n,)) or an array that broadcasts
+    against the per-person arrays, e.g. a column of times giving (times, n).
+    """
+    infected = t >= state.t_infected
+    infectious = t >= state.t_infectious
+    recovered = t >= state.t_recovered
+    return ~infected, infected & ~infectious, infectious & ~recovered, recovered
 
 
 def new_epidemic_state(
@@ -164,8 +157,21 @@ def new_epidemic_state(
     immune_ids=frozenset(),
 ) -> EpidemicState:
     """Fresh all-susceptible state at clock 0."""
-    agents = [AgentState(person_id=pid, immune=pid in immune_ids) for pid in person_ids]
-    return EpidemicState(clock=0.0, agents=agents, rng=rng)
+    ids = tuple(person_ids)
+    n = len(ids)
+    return EpidemicState(
+        clock=0.0,
+        rng=rng,
+        person_ids=ids,
+        immune=np.isin(ids, list(immune_ids)),
+        t_infected=np.full(n, math.inf),
+        t_infectious=np.full(n, math.inf),
+        t_symptomatic=np.full(n, math.inf),
+        t_recovered=np.full(n, math.inf),
+        source=np.full(n, -1),
+        emissions=[[] for _ in ids],
+        last_emission_slot=np.full(n, -1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,27 +207,28 @@ def sample_recovery(rng: np.random.Generator, dp: DiseaseParams | None = None) -
 
 def _schedule_infection(
     state: EpidemicState,
-    agent: AgentState,
+    k: int,
     t_infected: float,
-    source_id: str | None,
+    source: int,
     dp: DiseaseParams,
 ) -> None:
-    """Draw an infected agent's whole future: symptoms, infectiousness, recovery.
+    """Draw person ``k``'s whole future: symptoms, infectiousness, recovery.
 
     Draw order (symptomaticity, incubation, recovery) is part of the
-    determinism contract.
+    determinism contract.  ``source`` is the infector's roster index, -1
+    for none.
     """
     u = state.rng.random()
     incubation_days = sample_incubation(state.rng, dp)
     recovery_days = sample_recovery(state.rng, dp)
-    agent.t_infected = t_infected
-    agent.t_infectious = t_infected + dp.latency_s
-    agent.will_be_symptomatic = bool(u < dp.p_symptomatic)
-    agent.t_symptomatic = (
-        t_infected + incubation_days * SECONDS_PER_DAY if agent.will_be_symptomatic else None
+    t_infectious = t_infected + dp.latency_s
+    state.t_infected[k] = t_infected
+    state.t_infectious[k] = t_infectious
+    state.t_symptomatic[k] = (
+        t_infected + incubation_days * SECONDS_PER_DAY if u < dp.p_symptomatic else math.inf
     )
-    agent.t_recovered = agent.t_infectious + recovery_days * SECONDS_PER_DAY
-    agent.source_id = source_id
+    state.t_recovered[k] = t_infectious + recovery_days * SECONDS_PER_DAY
+    state.source[k] = source
 
 
 def seed_patient_zero(
@@ -234,10 +241,11 @@ def seed_patient_zero(
     an immune person is a no-op: that run records no transmissions at all.
     """
     dp = dp or DiseaseParams()
-    agent = state.agent(person_id)
-    if agent.immune:
-        return state
-    _schedule_infection(state, agent, -dp.latency_s, None, dp)
+    if person_id not in state.person_ids:
+        raise UnknownPerson(person_id)
+    k = state.person_ids.index(person_id)
+    if not state.immune[k]:
+        _schedule_infection(state, k, -dp.latency_s, -1, dp)
     return state
 
 
@@ -256,11 +264,11 @@ def transmission_step(
     """Advance one trajectory frame: infect susceptibles, step the clock.
 
     The frame describes the instant at the current clock (caller aligns
-    times).  One uniform is drawn per susceptible non-immune agent in roster
-    order, whether or not it can be infected this second; absent people
-    neither transmit nor receive.
+    times).  One uniform is drawn per susceptible non-immune person in
+    roster order, whether or not they can be infected this second; absent
+    people neither transmit nor receive.
     """
-    n = len(state.agents)
+    n = len(state.person_ids)
     if frame.positions.shape[0] != n:
         raise FrameRosterMismatch(
             f"frame has {frame.positions.shape[0]} people, roster has {n}"
@@ -268,25 +276,21 @@ def transmission_step(
     if dp.dt_s != 1.0:
         raise ValueError("transmission_step requires dt_s = 1.0 to match the 1 Hz grid")
     now = state.clock
-    inf_idx = [k for k, a in enumerate(state.agents)
-               if a.compartment_at(now) == Compartment.INFECTIOUS]
-    sus_idx = [k for k, a in enumerate(state.agents)
-               if a.t_infected is None and not a.immune]
+    susceptible, _, infectious, _ = _compartment_masks(state, now)
+    sus_idx = np.flatnonzero(susceptible & ~state.immune)
+    inf_idx = np.flatnonzero(infectious)
 
     if kp.mode == TransmissionMode.AIRBORNE:
         _trim_buffers(state, now)
 
-    if inf_idx and sus_idx:
+    if len(inf_idx) and len(sus_idx):
         beta = _frame_source_rates(state, frame, kp, now, sus_idx, inf_idx)
         p = _combined_infection_prob(beta, dp.dt_s)
         u = state.rng.random(len(sus_idx))
-        for pos, k in enumerate(sus_idx):
-            if u[pos] < p[pos]:
-                j = inf_idx[int(np.argmax(beta[pos]))]
-                _schedule_infection(
-                    state, state.agents[k], now, state.agents[j].person_id, dp
-                )
-    elif sus_idx:
+        for pos in np.flatnonzero(u < p):
+            j = int(inf_idx[int(np.argmax(beta[pos]))])
+            _schedule_infection(state, int(sus_idx[pos]), now, j, dp)
+    elif len(sus_idx):
         state.rng.random(len(sus_idx))  # fixed draw pattern: one per susceptible
 
     if kp.mode == TransmissionMode.AIRBORNE:
@@ -300,8 +304,8 @@ def _frame_source_rates(
     frame: TrajectoryFrame,
     kp: KernelParams,
     now: float,
-    sus_idx: list[int],
-    inf_idx: list[int],
+    sus_idx: np.ndarray,
+    inf_idx: np.ndarray,
 ) -> np.ndarray:
     """Per-source rates (n_sus, n_inf) for one frame, inc. airborne history."""
     pos = np.where(frame.present[:, None], frame.positions, 0.0)
@@ -318,7 +322,7 @@ def _frame_source_rates(
         current_slot = int(now // EMISSION_SLOT_S)
         sus_present = frame.present[sus_idx]
         for col, j in enumerate(inf_idx):
-            buf = state.agents[j].exposure_buffer
+            buf = state.emissions[j]
             past = [e for e in buf if int(e[0] // EMISSION_SLOT_S) < current_slot]
             if not past:
                 continue
@@ -335,20 +339,17 @@ def _frame_source_rates(
 def _record_emissions(state, frame, now, inf_idx) -> None:
     slot = int(now // EMISSION_SLOT_S)
     for j in inf_idx:
-        agent = state.agents[j]
-        if frame.present[j] and agent._last_emission_slot < slot:
-            agent.exposure_buffer.append(
+        if frame.present[j] and state.last_emission_slot[j] < slot:
+            state.emissions[j].append(
                 (now, float(frame.positions[j, 0]), float(frame.positions[j, 1]),
                  float(frame.facings[j, 0]), float(frame.facings[j, 1]))
             )
-            agent._last_emission_slot = slot
+            state.last_emission_slot[j] = slot
 
 
 def _trim_buffers(state: EpidemicState, now: float) -> None:
     horizon = now - EMISSION_HORIZON_S
-    for a in state.agents:
-        if a.exposure_buffer:
-            a.exposure_buffer = [e for e in a.exposure_buffer if e[0] >= horizon]
+    state.emissions = [[e for e in buf if e[0] >= horizon] for buf in state.emissions]
 
 
 def progress_offclass(state: EpidemicState, duration_s: float) -> EpidemicState:
@@ -365,10 +366,8 @@ def progress_offclass(state: EpidemicState, duration_s: float) -> EpidemicState:
 
 def is_run_complete(state: EpidemicState) -> bool:
     """True when nobody is exposed or infectious any more."""
-    return all(
-        a.compartment_at(state.clock) in (Compartment.SUSCEPTIBLE, Compartment.RECOVERED)
-        for a in state.agents
-    )
+    _, exposed, infectious, _ = _compartment_masks(state, state.clock)
+    return not (exposed | infectious).any()
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +397,7 @@ def simulate_session(
     """
     if dp.dt_s != 1.0:
         raise ValueError("simulate_session requires dt_s = 1.0 to match the 1 Hz grid")
-    n = len(state.agents)
+    n = len(state.person_ids)
     if obs.n_people != n:
         raise FrameRosterMismatch(f"observation has {obs.n_people} people, roster has {n}")
     if state.clock != session_start_s:
@@ -420,32 +419,25 @@ def simulate_session(
         raise ValueError(f"rate cache covers {rates.shape[0]} s, session is {t_total} s")
 
     dt = dp.dt_s
-    inf_t = np.array([math.inf if a.t_infectious is None else a.t_infectious
-                      for a in state.agents])
-    rec_t = np.array([math.inf if a.t_recovered is None else a.t_recovered
-                      for a in state.agents])
-    susceptible = np.array([a.t_infected is None and not a.immune for a in state.agents])
     latency_steps = max(1, int(dp.latency_s // dt))
 
     cursor = 0
     while cursor < t_total:
         now = session_start_s + cursor * dt
-        infectious = (inf_t <= now) & (now < rec_t)
-        exposed = ~susceptible & np.isfinite(inf_t) & (now < inf_t) & ~infectious
+        susceptible, exposed, infectious, _ = _compartment_masks(state, now)
 
         # segment ends at the next infectious-set change (someone turning
         # infectious or recovering), capped so no one infected inside the
         # segment could turn infectious before it ends
-        boundaries = [t_total, cursor + latency_steps]
-        for k in np.nonzero(exposed)[0]:
-            boundaries.append(_frame_of(inf_t[k], session_start_s, dt))
-        for k in np.nonzero(infectious)[0]:
-            boundaries.append(_frame_of(rec_t[k], session_start_s, dt))
-        seg_end = min(b for b in boundaries if b > cursor)
-        seg_end = min(seg_end, t_total)
+        changes = np.concatenate(
+            [state.t_infectious[exposed], state.t_recovered[infectious]]
+        )
+        frames = np.ceil((changes - session_start_s) / dt)  # first frame at/after
+        seg_end = int(min(t_total, cursor + latency_steps,
+                          frames[frames > cursor].min(initial=t_total)))
 
-        sus_idx = np.nonzero(susceptible)[0]
-        inf_idx = np.nonzero(infectious)[0]
+        sus_idx = np.flatnonzero(susceptible & ~state.immune)
+        inf_idx = np.flatnonzero(infectious)
         if len(sus_idx) == 0 or len(inf_idx) == 0:
             cursor = seg_end
             continue
@@ -470,24 +462,14 @@ def simulate_session(
         for pos in np.argsort(first, kind="stable"):
             if not hit_any[pos]:
                 continue
-            k = int(sus_idx[pos])
             t_rel = int(first[pos])
             t_abs = session_start_s + (cursor + t_rel) * dt
             j = int(inf_idx[int(np.argmax(contrib[t_rel, pos]))])
-            _schedule_infection(state, state.agents[k], t_abs,
-                                state.agents[j].person_id, dp)
-            susceptible[k] = False
-            inf_t[k] = state.agents[k].t_infectious
-            rec_t[k] = state.agents[k].t_recovered
+            _schedule_infection(state, int(sus_idx[pos]), t_abs, j, dp)
         cursor = seg_end
 
     state.clock = session_start_s + t_total * dt
     return state
-
-
-def _frame_of(t_abs: float, session_start_s: float, dt: float) -> int:
-    """First frame index at or after an absolute event time."""
-    return math.ceil((t_abs - session_start_s) / dt)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +494,16 @@ def event_log(state: EpidemicState, horizon_s: float) -> tuple[Event, ...]:
     they land after the epidemic has burnt out, as long as they fall inside
     the horizon (the observation window of every metric).
     """
+    ids = state.person_ids
+    rows = zip(ids, state.source.tolist(), state.t_infected.tolist(),
+               state.t_infectious.tolist(), state.t_symptomatic.tolist(),
+               state.t_recovered.tolist())
     events = []
-    for a in state.agents:
-        if a.t_infected is None:
-            continue
-        if a.t_infected <= horizon_s:
-            events.append(Event("infected", a.person_id, a.t_infected, a.source_id))
-        if a.t_infectious <= horizon_s:
-            events.append(Event("infectious", a.person_id, a.t_infectious))
-        if a.t_symptomatic is not None and a.t_symptomatic <= horizon_s:
-            events.append(Event("symptomatic", a.person_id, a.t_symptomatic))
-        if a.t_recovered <= horizon_s:
-            events.append(Event("recovered", a.person_id, a.t_recovered))
+    for pid, source, *times in rows:
+        for kind, t in zip(EVENT_ORDER, times):
+            if t <= horizon_s:
+                infector = ids[source] if kind == "infected" and source >= 0 else None
+                events.append(Event(kind, pid, t, infector))
     events.sort(key=lambda e: (e.t_s, EVENT_ORDER[e.kind], e.person_id))
     return tuple(events)
 
@@ -534,19 +514,5 @@ def hourly_compartment_counts(state: EpidemicState, horizon_hours: int) -> np.nd
     Returned array has shape (horizon_hours + 1, 4).
     """
     times = np.arange(horizon_hours + 1, dtype=float) * SECONDS_PER_HOUR
-    t_infd = np.array([math.inf if a.t_infected is None else a.t_infected
-                       for a in state.agents])
-    t_infs = np.array([math.inf if a.t_infectious is None else a.t_infectious
-                       for a in state.agents])
-    t_rec = np.array([math.inf if a.t_recovered is None else a.t_recovered
-                      for a in state.agents])
-    tt = times[:, None]
-    is_s = tt < t_infd[None, :]
-    is_e = (tt >= t_infd[None, :]) & (tt < t_infs[None, :])
-    is_i = (tt >= t_infs[None, :]) & (tt < t_rec[None, :])
-    is_r = tt >= t_rec[None, :]
-    out = np.stack(
-        [is_s.sum(axis=1), is_e.sum(axis=1), is_i.sum(axis=1), is_r.sum(axis=1)],
-        axis=1,
-    )
-    return out.astype(np.int64)
+    masks = _compartment_masks(state, times[:, None])
+    return np.stack([m.sum(axis=1) for m in masks], axis=1).astype(np.int64)

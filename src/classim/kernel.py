@@ -254,7 +254,6 @@ def pairwise_rates(
     facings: np.ndarray,
     present: np.ndarray,
     p: KernelParams,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """All-pairs instantaneous rates for a whole trajectory block.
 
@@ -264,14 +263,12 @@ def pairwise_rates(
     absent.  Distances below ``R_MIN_M`` are clamped, matching the scalar
     caller contract for coincident tags.
 
-    Work proceeds in chunks of ``chunk`` seconds to bound peak memory; by
-    default each chunk holds about ``_CHUNK_ELEMENTS`` pair-seconds, whatever
-    the roster size.  Results are identical elementwise regardless of
-    chunking.
+    Work proceeds in time chunks of about ``_CHUNK_ELEMENTS`` pair-seconds
+    to bound peak memory, whatever the roster size.  Results are identical
+    elementwise regardless of chunking.
     """
     t_total, n, _ = positions.shape
-    if chunk is None:
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n))
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n))
     out = np.zeros((t_total, n, n), dtype=np.float64)
     # Absent slots may carry NaN; substitute zeros so vector math stays clean.
     # Their rates are masked out afterwards.

@@ -226,6 +226,11 @@ def derive_seed(base_seed: int, patient_zero_index: int, rep: int) -> int:
 _RATE_CACHE_MAX_ELEMENTS = 50_000_000
 
 
+def _fits_rate_cache(obs: Observation) -> bool:
+    """Whether the all-pairs rate array of ``obs`` is within the cache cap."""
+    return 0 < obs.session_length_s * obs.n_people**2 <= _RATE_CACHE_MAX_ELEMENTS
+
+
 @dataclass
 class RunOutcome:
     """Everything one simulation run produced."""
@@ -285,9 +290,7 @@ def run_simulation(
     else:
         immune = frozenset()
 
-    if rates is None and (
-        0 < obs_run.session_length_s * obs_run.n_people**2 <= _RATE_CACHE_MAX_ELEMENTS
-    ):
+    if rates is None and _fits_rate_cache(obs_run):
         # the same session replays every school day; rate the pairs once
         rates = kernel.pairwise_rates(
             obs_run.positions, obs_run.facings, obs_run.present, kp
@@ -335,11 +338,11 @@ class _SweepRunner:
     then only index into both.
     """
 
-    def __init__(self, obs, cells, cals, kp, dp, with_cache):
+    def __init__(self, obs, cells, cals, kp, dp):
         self.obs, self.cells, self.cals, self.kp, self.dp = obs, cells, cals, kp, dp
         self.rates = (
             kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
-            if with_cache else None
+            if _fits_rate_cache(obs) else None
         )
         self.column = {pid: k for k, pid in enumerate(obs.person_ids)}
         self.full_beta_hat = (
@@ -396,7 +399,6 @@ def sweep(
     dp: DiseaseParams,
     cal: SchoolCalendar | None = None,
     workers: int = 1,
-    use_rate_cache: bool = True,
 ) -> list[RunOutcome]:
     """Every roster member as patient zero x replicates, for one or more cells.
 
@@ -421,11 +423,7 @@ def sweep(
         for pz_index in range(obs.n_people)
         for rep in range(c.reps_per_patient_zero)
     ]
-    with_cache = (
-        use_rate_cache
-        and 0 < obs.session_length_s * obs.n_people**2 <= _RATE_CACHE_MAX_ELEMENTS
-    )
-    args = (obs, cells, cals, kp, dp, with_cache)
+    args = (obs, cells, cals, kp, dp)
     if workers <= 1 or len(tasks) <= 1:
         runner = _SweepRunner(*args)
         return [runner.run(*t) for t in tasks]

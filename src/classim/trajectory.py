@@ -215,9 +215,9 @@ class Observation:
             class_id=self.class_id,
             roster=tuple(self.roster[k] for k in indices),
             room_area_m2=self.room_area_m2,
-            positions=self.positions[:, indices].copy(),
-            facings=self.facings[:, indices].copy(),
-            present=self.present[:, indices].copy(),
+            positions=self.positions[:, indices],  # fancy indexing copies
+            facings=self.facings[:, indices],
+            present=self.present[:, indices],
             activity=None if self.activity is None else self.activity.copy(),
             source_path=self.source_path,
         )

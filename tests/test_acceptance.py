@@ -152,7 +152,7 @@ def test_criterion_3_two_agent_oracle():
                 st = new_epidemic_state(obs.person_ids, _rng(1_000_000 * g_idx + k))
                 seed_patient_zero(st, "p0", DP)
                 simulate_session(st, obs, 0.0, kp, DP)
-                hits += st.agents[1].t_infected is not None
+                hits += math.isfinite(st.t_infected[1])
             freq = hits / n_runs
             sigma = math.sqrt(expected * (1.0 - expected) / n_runs)
             pull = abs(freq - expected) / sigma
@@ -174,12 +174,11 @@ def test_criterion_4_disease_clocks():
         for _ in range(n):
             st = new_epidemic_state(["z"], rng)
             seed_patient_zero(st, "z", DP)
-            a = st.agents[0]
-            assert a.t_infectious - a.t_infected == DP.latency_s  # hard, exact
-            durations.append((a.t_recovered - a.t_infectious) / DAY)
-            if a.will_be_symptomatic:
+            assert st.t_infectious[0] - st.t_infected[0] == DP.latency_s  # hard, exact
+            durations.append((st.t_recovered[0] - st.t_infectious[0]) / DAY)
+            if math.isfinite(st.t_symptomatic[0]):
                 symptomatic += 1
-                incubations.append((a.t_symptomatic - a.t_infected) / DAY)
+                incubations.append((st.t_symptomatic[0] - st.t_infected[0]) / DAY)
         mean_inc = float(np.mean(incubations))
         mean_dur = float(np.mean(durations))
         frac = symptomatic / n

@@ -53,11 +53,11 @@ def _pair_obs(r=1.0, t_total=600):
 def test_seed_patient_zero_basic():
     st = new_epidemic_state(["a", "b", "c"], _rng())
     seed_patient_zero(st, "a", DP)
-    assert st.agents[0].compartment_at(0.0) == Compartment.INFECTIOUS
-    assert st.agents[0].t_infected == -DP.latency_s
-    assert st.agents[0].t_infectious == 0.0
-    assert st.agents[1].compartment_at(0.0) == Compartment.SUSCEPTIBLE
-    assert st.agents[2].compartment_at(0.0) == Compartment.SUSCEPTIBLE
+    assert st.compartment_at(0, 0.0) == Compartment.INFECTIOUS
+    assert st.t_infected[0] == -DP.latency_s
+    assert st.t_infectious[0] == 0.0
+    assert st.compartment_at(1, 0.0) == Compartment.SUSCEPTIBLE
+    assert st.compartment_at(2, 0.0) == Compartment.SUSCEPTIBLE
 
 
 def test_seed_unknown_person():
@@ -69,8 +69,8 @@ def test_seed_unknown_person():
 def test_seed_immune_is_noop():
     st = new_epidemic_state(["a", "b"], _rng(), immune_ids={"a"})
     seed_patient_zero(st, "a", DP)
-    assert st.agents[0].t_infected is None
-    assert st.agents[0].compartment_at(0.0) == Compartment.SUSCEPTIBLE
+    assert st.t_infected[0] == math.inf
+    assert st.compartment_at(0, 0.0) == Compartment.SUSCEPTIBLE
     assert is_run_complete(st)
 
 
@@ -81,7 +81,7 @@ def test_seed_symptomatic_share():
     for _ in range(n):
         st = new_epidemic_state(["a"], rng)
         seed_patient_zero(st, "a", DP)
-        hits += st.agents[0].will_be_symptomatic
+        hits += math.isfinite(st.t_symptomatic[0])
     assert abs(hits / n - 0.75) <= 0.013  # 3 sigma binomial
 
 
@@ -134,17 +134,17 @@ def test_exposed_becomes_infectious_at_exactly_24h():
     seed_patient_zero(st, "a", DP)
     # infect b by hand at t=0 through the scheduler used in transmission
     from classim.epidemic import _schedule_infection
-    _schedule_infection(st, st.agents[1], 0.0, "a", DP)
+    _schedule_infection(st, 1, 0.0, 0, DP)
     progress_offclass(st, DAY)
     assert st.clock == DAY
-    assert st.agents[1].compartment_at(st.clock) == Compartment.INFECTIOUS
-    assert st.agents[1].compartment_at(st.clock - 1e-6) == Compartment.EXPOSED
+    assert st.compartment_at(1, st.clock) == Compartment.INFECTIOUS
+    assert st.compartment_at(1, st.clock - 1e-6) == Compartment.EXPOSED
 
 
 def test_progress_all_recovered_only_moves_clock():
     st = new_epidemic_state(["a"], _rng(6))
     seed_patient_zero(st, "a", DP)
-    st.agents[0].t_recovered = 10.0
+    st.t_recovered[0] = 10.0
     progress_offclass(st, 100.0)
     assert st.clock == 100.0
     assert is_run_complete(st)
@@ -164,7 +164,7 @@ def test_complete_when_patient_zero_recovered():
     st = new_epidemic_state(["a", "b"], _rng(8))
     seed_patient_zero(st, "a", DP)
     assert not is_run_complete(st)
-    st.clock = st.agents[0].t_recovered
+    st.clock = st.t_recovered[0]
     assert is_run_complete(st)
 
 
@@ -172,9 +172,9 @@ def test_incomplete_with_exposed():
     st = new_epidemic_state(["a", "b"], _rng(9))
     seed_patient_zero(st, "a", DP)
     from classim.epidemic import _schedule_infection
-    _schedule_infection(st, st.agents[1], 0.0, "a", DP)
-    st.clock = max(st.agents[0].t_recovered, 1.0)
-    if st.agents[1].t_recovered > st.clock:
+    _schedule_infection(st, 1, 0.0, 0, DP)
+    st.clock = max(st.t_recovered[0], 1.0)
+    if st.t_recovered[1] > st.clock:
         assert not is_run_complete(st)
 
 
@@ -190,10 +190,10 @@ def test_immune_only_roster_is_complete():
 def test_no_infectious_only_clock_moves():
     obs = _pair_obs(t_total=3)
     st = new_epidemic_state(obs.person_ids, _rng(11))
-    before = [a.t_infected for a in st.agents]
+    before = st.t_infected.tolist()
     transmission_step(st, obs.frame(0), KernelParams(beta_max=1.0), DP)
     assert st.clock == 1.0
-    assert [a.t_infected for a in st.agents] == before
+    assert st.t_infected.tolist() == before
 
 
 def test_absent_susceptible_cannot_be_infected():
@@ -206,7 +206,7 @@ def test_absent_susceptible_cannot_be_infected():
     seed_patient_zero(st, "p0", DP)
     for t in range(3):
         transmission_step(st, obs.frame(t), kp, DP)
-    assert st.agents[1].t_infected is None
+    assert st.t_infected[1] == math.inf
 
 
 def test_absent_infectious_cannot_transmit():
@@ -219,7 +219,7 @@ def test_absent_infectious_cannot_transmit():
     seed_patient_zero(st, "p0", DP)
     for t in range(3):
         transmission_step(st, obs.frame(t), kp, DP)
-    assert st.agents[1].t_infected is None
+    assert st.t_infected[1] == math.inf
 
 
 def test_roster_mismatch_rejected():
@@ -240,7 +240,7 @@ def _two_agent_mc(kp, obs, n_runs, seed0, stepwise):
                 transmission_step(st, obs.frame(t), kp, DP)
         else:
             simulate_session(st, obs, 0.0, kp, DP)
-        hits += st.agents[1].t_infected is not None
+        hits += math.isfinite(st.t_infected[1])
     return hits / n_runs
 
 
@@ -299,7 +299,7 @@ def test_session_engine_matches_cache_and_on_the_fly():
     seed_patient_zero(st2, "p0", DP)
     simulate_session(st2, obs, 0.0, kp, DP)
 
-    assert st1.agents[1].t_infected == st2.agents[1].t_infected
+    assert st1.t_infected[1] == st2.t_infected[1]
     assert event_log(st1, 28 * DAY) == event_log(st2, 28 * DAY)
 
 
@@ -309,15 +309,15 @@ def test_session_engine_handles_midsession_recovery():
     kp = KernelParams(beta_max=10.0)  # certain infection while infectious
     st = new_epidemic_state(obs.person_ids, _rng(22))
     seed_patient_zero(st, "p0", DP)
-    st.agents[0].t_recovered = 40.0
+    st.t_recovered[0] = 40.0
     simulate_session(st, obs, 0.0, kp, DP)
-    assert st.agents[1].t_infected == 0.0  # infected at the first opportunity
+    assert st.t_infected[1] == 0.0  # infected at the first opportunity
 
     st2 = new_epidemic_state(obs.person_ids, _rng(23))
     seed_patient_zero(st2, "p0", DP)
-    st2.agents[0].t_recovered = 0.0  # recovered before the session
+    st2.t_recovered[0] = 0.0  # recovered before the session
     simulate_session(st2, obs, 0.0, kp, DP)
-    assert st2.agents[1].t_infected is None
+    assert st2.t_infected[1] == math.inf
 
 
 def test_session_engine_midsession_infectiousness():
@@ -327,12 +327,12 @@ def test_session_engine_midsession_infectiousness():
     kp = KernelParams(beta_max=10.0)
     st = new_epidemic_state(obs.person_ids, _rng(24))
     from classim.epidemic import _schedule_infection
-    _schedule_infection(st, st.agents[0], -DP.latency_s + 50.0, None, DP)  # infectious at t=50
-    st.agents[0].t_recovered = 1e9
-    assert st.agents[0].compartment_at(0.0) == Compartment.EXPOSED
+    _schedule_infection(st, 0, -DP.latency_s + 50.0, -1, DP)  # infectious at t=50
+    st.t_recovered[0] = 1e9
+    assert st.compartment_at(0, 0.0) == Compartment.EXPOSED
     simulate_session(st, obs, 0.0, kp, DP)
-    assert st.agents[1].t_infected == 50.0  # p1 infected the second p0 turns infectious
-    assert st.agents[2].t_infected is None  # far corner never reached
+    assert st.t_infected[1] == 50.0  # p1 infected the second p0 turns infectious
+    assert st.t_infected[2] == math.inf  # far corner never reached
 
 
 def test_determinism_bitwise_event_logs():
@@ -379,9 +379,9 @@ def test_one_way_flow_and_conservation():
         core = [k for k in kinds if k in order]
         assert core == sorted(set(core), key=order.__getitem__)
     # nobody infectious before infection + latency, exactly
-    for a in st.agents:
-        if a.t_infected is not None:
-            assert a.t_infectious == a.t_infected + DP.latency_s
+    for t_infected, t_infectious in zip(st.t_infected, st.t_infectious):
+        if math.isfinite(t_infected):
+            assert t_infectious == t_infected + DP.latency_s
 
 
 def test_immune_agents_never_exposed():
@@ -390,16 +390,28 @@ def test_immune_agents_never_exposed():
     st = new_epidemic_state(obs.person_ids, _rng(32), immune_ids={"p1"})
     seed_patient_zero(st, "p0", DP)
     simulate_session(st, obs, 0.0, kp, DP)
-    assert st.agents[1].t_infected is None
-    assert st.agents[1].compartment_at(st.clock) == Compartment.SUSCEPTIBLE
+    assert st.t_infected[1] == math.inf
+    assert st.compartment_at(1, st.clock) == Compartment.SUSCEPTIBLE
+
+
+def test_counts_before_infection_agree_with_hourly_counts():
+    # someone infected at 5000 s is still susceptible at 1000 s, whichever
+    # way the counts are taken
+    st = new_epidemic_state(["a", "b"], _rng(34))
+    seed_patient_zero(st, "a", DP)
+    from classim.epidemic import _schedule_infection
+    _schedule_infection(st, 1, 5000.0, 0, DP)
+    st.clock = 6000.0
+    assert st.counts(at=1000.0) == (1, 0, 1, 0)
+    assert st.compartment_at(1, 1000.0) == Compartment.SUSCEPTIBLE
+    assert hourly_compartment_counts(st, 1)[0].tolist() == [1, 0, 1, 0]
+    assert st.counts() == (0, 1, 1, 0)
 
 
 def test_event_log_order_and_horizon_cap():
     st = new_epidemic_state(["a", "b"], _rng(33))
     seed_patient_zero(st, "a", DP)
-    a = st.agents[0]
-    a.will_be_symptomatic = True
-    a.t_symptomatic = 40 * DAY  # beyond horizon
+    st.t_symptomatic[0] = 40 * DAY  # symptomatic, but beyond horizon
     events = event_log(st, 28 * DAY)
     kinds = [e.kind for e in events]
     assert "symptomatic" not in kinds
@@ -439,7 +451,7 @@ def test_airborne_past_positions_contribute():
             st = new_epidemic_state(obs.person_ids, _rng(4000 + k))
             seed_patient_zero(st, "p0", DP)
             simulate_session(st, obs, 0.0, kp, DP)
-            hits += st.agents[1].t_infected is not None
+            hits += math.isfinite(st.t_infected[1])
         return hits / runs
 
     assert infection_prob(TransmissionMode.DROPLET, 30) == 0.0
@@ -460,7 +472,7 @@ def test_airborne_stationary_pair_bounded_by_decay_budget():
         st = new_epidemic_state(obs.person_ids, _rng(9000 + k))
         seed_patient_zero(st, "p0", DP)
         simulate_session(st, obs, 0.0, kp_air, DP)
-        hits += st.agents[1].t_infected is not None
+        hits += math.isfinite(st.t_infected[1])
     freq = hits / runs
     lo = 1.0 - (1.0 - beta0) ** t_total
     hi = 1.0 - (1.0 - 2.0 * beta0) ** t_total  # 2x budget is a safe ceiling

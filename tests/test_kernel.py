@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from classim import kernel
 from classim.errors import CoincidentPositions, ZeroArea
 from classim.kernel import (
     R_MIN_M,
@@ -250,11 +251,13 @@ def test_pairwise_rates_match_scalar_path():
                 assert rates[t, i, j] == pytest.approx(pair_rate(g, KP), rel=1e-12)
 
 
-def test_pairwise_rates_chunking_is_invisible():
+def test_pairwise_rates_chunking_is_invisible(monkeypatch):
     rng = np.random.default_rng(6)
     pos, fac, present = _random_field(rng, 50, 4)
-    a = pairwise_rates(pos, fac, present, KP, chunk=7)
-    b = pairwise_rates(pos, fac, present, KP, chunk=512)
+    monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 7 * 4 * 4)  # 7-s chunks
+    a = pairwise_rates(pos, fac, present, KP)
+    monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 512 * 4 * 4)  # one chunk
+    b = pairwise_rates(pos, fac, present, KP)
     assert np.array_equal(a, b)
 
 
