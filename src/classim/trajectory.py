@@ -20,15 +20,18 @@ Sidecar       JSON next to the CSV (``<name>.meta.json``) carrying class_id,
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from .columnar import Column, lookup_codes, parse_floats, raise_first, read_columns
 from .errors import (
     EmptyTrack,
     ParseError,
@@ -151,6 +154,23 @@ class Observation:
     # -- invariants ------------------------------------------------------
 
     def validate(self) -> None:
+        self._validate_structure()
+        if self.present.any():
+            ids = self.person_ids
+            pos_ok = np.isfinite(self.positions).all(axis=2)
+            if not pos_ok[self.present].all():
+                raise ValidationError("present person with non-finite position")
+            norms = np.linalg.norm(self.facings, axis=2)
+            bad = self.present & ~np.isclose(norms, 1.0, rtol=0, atol=1e-6)
+            if bad.any():
+                t_bad, k_bad = np.argwhere(bad)[0]
+                raise ValidationError(
+                    f"facing of {ids[k_bad]} at t={t_bad} is not unit norm "
+                    f"(|f| = {norms[t_bad, k_bad]})"
+                )
+
+    def _validate_structure(self) -> None:
+        """Shapes, room area, unique ids and activity length."""
         n = len(self.roster)
         t = self.positions.shape[0]
         if self.positions.shape != (t, n, 2) or self.facings.shape != (t, n, 2):
@@ -167,18 +187,6 @@ class Observation:
             raise ValidationError("duplicate person_id in roster")
         if self.activity is not None and self.activity.shape != (t,):
             raise ValidationError(f"activity must be (T,); got {self.activity.shape}")
-        if self.present.any():
-            pos_ok = np.isfinite(self.positions).all(axis=2)
-            if not pos_ok[self.present].all():
-                raise ValidationError("present person with non-finite position")
-            norms = np.linalg.norm(self.facings, axis=2)
-            bad = self.present & ~np.isclose(norms, 1.0, rtol=0, atol=1e-6)
-            if bad.any():
-                t_bad, k_bad = np.argwhere(bad)[0]
-                raise ValidationError(
-                    f"facing of {ids[k_bad]} at t={t_bad} is not unit norm "
-                    f"(|f| = {norms[t_bad, k_bad]})"
-                )
 
     # -- accessors -------------------------------------------------------
 
@@ -211,16 +219,16 @@ class Observation:
     def subset(self, indices) -> "Observation":
         """New Observation keeping only the given roster indices (in roster order)."""
         indices = sorted(indices)
-        return Observation(
-            class_id=self.class_id,
-            roster=tuple(self.roster[k] for k in indices),
-            room_area_m2=self.room_area_m2,
-            positions=self.positions[:, indices],  # fancy indexing copies
-            facings=self.facings[:, indices],
-            present=self.present[:, indices],
-            activity=None if self.activity is None else self.activity.copy(),
-            source_path=self.source_path,
-        )
+        # Whole columns of a valid observation keep its per-element
+        # invariants, so only the structure is checked again.
+        sub = copy.copy(self)
+        sub.roster = tuple(self.roster[k] for k in indices)
+        sub.positions = self.positions[:, indices]  # fancy indexing copies
+        sub.facings = self.facings[:, indices]
+        sub.present = self.present[:, indices]
+        sub.activity = None if self.activity is None else self.activity.copy()
+        sub._validate_structure()
+        return sub
 
 
 ACTIVITY_CODES = {Activity.UNSTRUCTURED: 0, Activity.STRUCTURED: 1}
@@ -255,6 +263,8 @@ def fuse_tags(left: list[TagSample], right: list[TagSample]) -> FusedTrack:
             raise ValidationError(f"mixed person_ids in right stream: {pid} vs {s.person_id}")
     lt = np.array([s.t for s in left], dtype=float)
     rt = np.array([s.t for s in right], dtype=float)
+    if not (np.isfinite(lt).all() and np.isfinite(rt).all()):
+        raise ValidationError(f"tag sample times for {pid} must be finite")
     if np.any(np.diff(lt) < 0) or np.any(np.diff(rt) < 0):
         raise ValidationError("tag streams must be time-sorted")
     lxy = np.array([[s.x, s.y] for s in left], dtype=float)
@@ -266,42 +276,38 @@ def fuse_tags(left: list[TagSample], right: list[TagSample]) -> FusedTrack:
         np.abs(rt[np.minimum(nearest_r + 1, len(rt) - 1)] - lt) < np.abs(rt[nearest_r] - lt)
     )
     nearest_r = nearest_r + take_next
-
-    pairs: list[tuple[int, int]] = []
-    used_r: set[int] = set()
-    for li in range(len(lt)):
-        ri = int(nearest_r[li])
-        if ri in used_r or abs(rt[ri] - lt[li]) > PAIRING_WINDOW_S:
-            continue
-        # mutual: no other left sample is closer to this right sample
-        dl = np.abs(lt - rt[ri])
-        if dl.min() < abs(lt[li] - rt[ri]) - 1e-12:
-            continue
-        pairs.append((li, ri))
-        used_r.add(ri)
-    if not pairs:
+    gap = np.abs(lt - rt[nearest_r])
+    # mutual: no left sample is closer to rt[ri]; for sorted lt the closest
+    # one is a neighbour of rt[ri]'s insertion point
+    above = np.searchsorted(lt, rt[nearest_r])
+    closest = np.minimum(
+        np.abs(lt[np.maximum(above - 1, 0)] - rt[nearest_r]),
+        np.abs(lt[np.minimum(above, len(lt) - 1)] - rt[nearest_r]),
+    )
+    ok_li = np.flatnonzero(~(gap > PAIRING_WINDOW_S) & ~(closest < gap - 1e-12))
+    # each right sample goes to the first left sample that passes
+    _, first = np.unique(nearest_r[ok_li], return_index=True)
+    li = ok_li[np.sort(first)]
+    ri = nearest_r[li]
+    if not len(li):
         raise EmptyTrack(f"no left/right pairs within {PAIRING_WINDOW_S} s for {pid}")
 
-    t_out = np.array([(lt[li] + rt[ri]) / 2.0 for li, ri in pairs])
-    pos = np.array([(lxy[li] + rxy[ri]) / 2.0 for li, ri in pairs])
-    l2r = np.array([rxy[ri] - lxy[li] for li, ri in pairs])
+    t_out = (lt[li] + rt[ri]) / 2.0
+    pos = (lxy[li] + rxy[ri]) / 2.0
+    l2r = rxy[ri] - lxy[li]
     norms = np.linalg.norm(l2r, axis=1)
     facing = np.full_like(pos, np.nan)
     ok = norms > 1e-9
     facing[ok] = _rot90_ccw(l2r[ok]) / norms[ok, None]
-    # degenerate pairs: carry previous facing, else backfill from the next
-    last = None
-    for k in range(len(facing)):
-        if ok[k]:
-            last = facing[k]
-        elif last is not None:
-            facing[k] = last
-    nxt = None
-    for k in range(len(facing) - 1, -1, -1):
-        if np.isfinite(facing[k]).all():
-            nxt = facing[k]
-        elif nxt is not None:
-            facing[k] = nxt
+    # degenerate pairs: carry the previous pair's facing, else backfill from the next
+    k = np.arange(len(facing))
+    prev = np.maximum.accumulate(np.where(ok, k, -1))
+    carry = ~ok & (prev >= 0)
+    facing[carry] = facing[prev[carry]]
+    defined = np.isfinite(facing).all(axis=1)
+    nxt = np.minimum.accumulate(np.where(defined, k, len(k))[::-1])[::-1]
+    back = ~defined & (nxt < len(k))
+    facing[back] = facing[nxt[back]]
     if not np.isfinite(facing).all():
         raise ValidationError(f"track for {pid} never defines an orientation")
     return FusedTrack(t=t_out, pos=pos, facing=facing)
@@ -468,105 +474,117 @@ def save_observation(obs: Observation, csv_path: str | Path, meta_path: str | Pa
     _write_sidecar(obs, meta_path)
 
 
-def _parse_float(text: str, what: str, line: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{what} is not a number: {text!r}", line=line) from None
+_ROLES = tuple(Role)
+_ROLE_CODES = {role.value: code for code, role in enumerate(_ROLES)}
+_SIDES = tuple(Side)
+_SIDE_CODES = {side.value: code for code, side in enumerate(_SIDES)}
 
 
-def _read_rows(csv_path: Path, expected_header: list[str]):
-    try:
-        fh = open(csv_path, encoding="utf-8", newline="")
-    except OSError as e:
-        raise ParseError(f"cannot open {csv_path}: {e}") from e
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{csv_path} is empty") from None
-        if [h.strip() for h in header] != expected_header:
-            missing = set(expected_header) - {h.strip() for h in header}
-            raise SchemaError(
-                f"{csv_path} header {header} does not match {expected_header}"
-                + (f" (missing columns: {sorted(missing)})" if missing else "")
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(
-                    f"expected {len(expected_header)} fields, found {len(row)}", line=line_no
+class _People:
+    """person_id -> column in first-seen order, with each person's first role."""
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self.first_role: list[int] = []
+
+    def codes(self, ids: np.ndarray, roles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's person code and whether its role differs from that person's first."""
+        known = len(self.index)
+        for pid in dict.fromkeys(ids):
+            self.index.setdefault(pid, len(self.index))
+        who = np.fromiter(map(self.index.__getitem__, ids), np.intp, len(ids))
+        new = np.flatnonzero(who >= known)
+        _, first = np.unique(who[new], return_index=True)
+        self.first_role.extend(roles[new[first]].tolist())
+        return who, roles != np.asarray(self.first_role, dtype=np.int8)[who]
+
+    def check_roster(self, roster: tuple[Person, ...] | None, where: str):
+        """The roster (first-seen people when ``roster`` is None) and each person's column."""
+        seen = [(pid, _ROLES[code]) for pid, code in zip(self.index, self.first_role)]
+        if roster is None:
+            roster = tuple(Person(pid, role) for pid, role in seen)
+        index = {p.person_id: k for k, p in enumerate(roster)}
+        roles = {p.person_id: p.role for p in roster}
+        for pid, role in seen:
+            if pid not in index:
+                raise ValidationError(f"person {pid} in {where} but not in roster")
+            if roles[pid] != role:
+                raise ValidationError(
+                    f"person {pid} is {role.value} in {where} but {roles[pid].value} in roster"
                 )
-            yield line_no, row
+        return roster, np.array([index[pid] for pid, _ in seen], dtype=np.intp)
+
+
+def _fused_rows(csv_path: Path, people: _People):
+    """Check every record of a fused CSV; return t_s, person code, presence and
+    the coordinates of the present rows as arrays."""
+    columns = Column(float), Column(np.intp), Column(bool), Column(float, 4)
+    for lines, cols in read_columns(csv_path, FUSED_HEADER):
+        t_txt, pid, role_txt, present_txt, *coord_txt = cols
+        t, t_nan = parse_floats(t_txt)
+        role = lookup_codes(role_txt, _ROLE_CODES)
+        is_present = present_txt == "1"
+        who, role_changed = people.codes(pid, role)
+        coords = np.empty((int(is_present.sum()), 4))
+        coord_bad = []
+        for j in range(4):
+            coords[:, j], bad = parse_floats(coord_txt[j][is_present])
+            coord_bad.append(np.zeros(len(lines), bool))
+            coord_bad[j][is_present] = bad
+        with np.errstate(invalid="ignore"):
+            t_bad = ~(np.isfinite(t) & (t >= 0) & (np.floor(t) == t))
+        raise_first(lines, [
+            (t_nan, ParseError, "t_s is not a number: {!r}", t_txt),
+            (t_bad, ValidationError,
+             "line {line}: fused t_s must be a non-negative integer, got {}", t_txt),
+            (role < 0, ParseError, "unknown role {!r}", role_txt),
+            (~is_present & (present_txt != "0"), ParseError,
+             "present must be 0 or 1, got {!r}", present_txt),
+            (role_changed, ValidationError, "line {line}: person {} changes role", pid),
+            *[(coord_bad[j], ParseError, FUSED_HEADER[4 + j] + " is not a number: {!r}",
+               coord_txt[j]) for j in range(4)],
+        ])
+        for column, values in zip(columns, (t, who, is_present, coords)):
+            column.extend(values)
+    return [column.array() for column in columns]
+
+
+def _fused_grid(t, who, is_present, coords, roster, column):
+    """Place checked fused rows on the (T, N) grid: positions, facings, presence."""
+    n = len(roster)
+    seconds = np.unique(t)
+    t_total = len(seconds)
+    if t_total and seconds[-1] - seconds[0] + 1 != t_total:
+        raise ValidationError("frame seconds are not consecutive")
+    t0 = seconds[0] if t_total else 0.0
+    cell = (t - t0).astype(np.intp) * n + column[who]  # each row's flat (second, person) index
+    filled = np.bincount(cell, minlength=t_total * n)
+    if filled.max(initial=0) > 1:
+        order = np.argsort(cell, kind="stable")
+        r = order[1:][cell[order][1:] == cell[order][:-1]].min()
+        raise ValidationError(
+            f"duplicate row for person {roster[cell[r] % n].person_id} at t={int(t[r])}"
+        )
+    if t_total and not filled.all():
+        ti, k = divmod(int(np.argmin(filled)), n)
+        raise ValidationError(f"missing row for person {roster[k].person_id} at t={ti + int(t0)}")
+
+    positions = np.full((t_total * n, 2), np.nan)
+    facings = np.full((t_total * n, 2), np.nan)
+    present = np.zeros(t_total * n, dtype=bool)
+    cell = cell[is_present]
+    positions[cell] = coords[:, :2]
+    facings[cell] = coords[:, 2:]
+    present[cell] = True
+    return (positions.reshape(t_total, n, 2), facings.reshape(t_total, n, 2),
+            present.reshape(t_total, n))
 
 
 def _load_fused(csv_path: Path, meta: dict) -> Observation:
-    roster = _roster_from_sidecar(meta)
-    rows = []
-    seen_people: dict[str, Role] = {}
-    for line_no, row in _read_rows(csv_path, FUSED_HEADER):
-        t_txt, pid, role_txt, present_txt = row[0], row[1], row[2], row[3]
-        t = _parse_float(t_txt, "t_s", line_no)
-        if t != int(t) or t < 0:
-            raise ValidationError(f"line {line_no}: fused t_s must be a non-negative integer, got {t_txt}")
-        try:
-            role = Role(role_txt)
-        except ValueError:
-            raise ParseError(f"unknown role {role_txt!r}", line=line_no) from None
-        if present_txt not in ("0", "1"):
-            raise ParseError(f"present must be 0 or 1, got {present_txt!r}", line=line_no)
-        if pid in seen_people and seen_people[pid] != role:
-            raise ValidationError(f"line {line_no}: person {pid} changes role")
-        seen_people[pid] = role
-        if present_txt == "1":
-            vals = [_parse_float(row[i], FUSED_HEADER[i], line_no) for i in range(4, 8)]
-        else:
-            vals = [math.nan] * 4
-        rows.append((int(t), pid, role, present_txt == "1", vals))
-
-    if roster is None:
-        roster = tuple(Person(pid, role) for pid, role in seen_people.items())
-    ids = [p.person_id for p in roster]
-    index = {pid: k for k, pid in enumerate(ids)}
-    roles = {p.person_id: p.role for p in roster}
-    for pid, role in seen_people.items():
-        if pid not in index:
-            raise ValidationError(f"person {pid} in frames but not in roster")
-        if roles[pid] != role:
-            raise ValidationError(
-                f"person {pid} is {role.value} in frames but {roles[pid].value} in roster"
-            )
-
-    if rows:
-        t_values = sorted({r[0] for r in rows})
-        t0, t1 = t_values[0], t_values[-1]
-        if t_values != list(range(t0, t1 + 1)):
-            raise ValidationError("frame seconds are not consecutive")
-    else:
-        t0, t1 = 0, -1
-    t_total = t1 - t0 + 1
-
-    n = len(roster)
-    positions = np.full((t_total, n, 2), np.nan)
-    facings = np.full((t_total, n, 2), np.nan)
-    present = np.zeros((t_total, n), dtype=bool)
-    filled = np.zeros((t_total, n), dtype=bool)
-    for t, pid, _role, is_present, vals in rows:
-        k = index[pid]
-        ti = t - t0
-        if filled[ti, k]:
-            raise ValidationError(f"duplicate row for person {pid} at t={t}")
-        filled[ti, k] = True
-        if is_present:
-            positions[ti, k] = vals[0], vals[1]
-            facings[ti, k] = vals[2], vals[3]
-            present[ti, k] = True
-    if t_total and not filled.all():
-        ti, k = np.argwhere(~filled)[0]
-        raise ValidationError(f"missing row for person {ids[k]} at t={ti + t0}")
-
+    people = _People()
+    rows = _fused_rows(csv_path, people)
+    roster, column = people.check_roster(_roster_from_sidecar(meta), "frames")
+    positions, facings, present = _fused_grid(*rows, roster, column)
     return Observation(
         class_id=str(meta.get("class_id", csv_path.stem)),
         roster=roster,
@@ -574,7 +592,7 @@ def _load_fused(csv_path: Path, meta: dict) -> Observation:
         positions=positions,
         facings=facings,
         present=present,
-        activity=_activity_from_sidecar(meta, t_total),
+        activity=_activity_from_sidecar(meta, len(positions)),
         source_path=str(csv_path),
     )
 
@@ -583,50 +601,56 @@ def _load_fused(csv_path: Path, meta: dict) -> Observation:
 # raw-tag CSV
 # ---------------------------------------------------------------------------
 
+def _raw_rows(csv_path: Path, people: _People):
+    """Check every record of a raw-tag CSV; return t_s, person code, side, x and y
+    as arrays."""
+    columns = Column(float), Column(np.intp), Column(np.int8), Column(float), Column(float)
+    for lines, cols in read_columns(csv_path, RAW_HEADER):
+        t_txt, pid, role_txt, side_txt, x_txt, y_txt = cols
+        t, t_nan = parse_floats(t_txt)
+        role = lookup_codes(role_txt, _ROLE_CODES)
+        side = lookup_codes(side_txt, _SIDE_CODES)
+        who, role_changed = people.codes(pid, role)
+        x, x_nan = parse_floats(x_txt)
+        y, y_nan = parse_floats(y_txt)
+        with np.errstate(invalid="ignore"):
+            raise_first(lines, [
+                (t_nan, ParseError, "t_s is not a number: {!r}", t_txt),
+                (role < 0, ParseError, "unknown role {!r}", role_txt),
+                (side < 0, ParseError, "side must be L or R, got {!r}", side_txt),
+                (role_changed, ValidationError, "line {line}: person {} changes role", pid),
+                (x_nan, ParseError, "x_m is not a number: {!r}", x_txt),
+                (y_nan, ParseError, "y_m is not a number: {!r}", y_txt),
+                (t < 0, ValidationError, "tag sample time must be >= 0, got {}", t),
+                (~(np.isfinite(x) & np.isfinite(y)), ValidationError,
+                 "non-finite tag coordinates ({}, {})", x, y),
+                (~np.isfinite(t), ValidationError,
+                 "line {line}: t_s must be a finite number, got {}", t_txt),
+            ])
+        for column, values in zip(columns, (t, who, side, x, y)):
+            column.extend(values)
+    return [column.array() for column in columns]
+
+
 def _load_raw(csv_path: Path, meta: dict) -> Observation:
-    roster = _roster_from_sidecar(meta)
-    streams: dict[str, dict[Side, list[TagSample]]] = {}
-    seen_people: dict[str, Role] = {}
-    for line_no, row in _read_rows(csv_path, RAW_HEADER):
-        t = _parse_float(row[0], "t_s", line_no)
-        pid = row[1]
-        try:
-            role = Role(row[2])
-        except ValueError:
-            raise ParseError(f"unknown role {row[2]!r}", line=line_no) from None
-        try:
-            side = Side(row[3])
-        except ValueError:
-            raise ParseError(f"side must be L or R, got {row[3]!r}", line=line_no) from None
-        if pid in seen_people and seen_people[pid] != role:
-            raise ValidationError(f"line {line_no}: person {pid} changes role")
-        seen_people[pid] = role
-        x = _parse_float(row[4], "x_m", line_no)
-        y = _parse_float(row[5], "y_m", line_no)
-        streams.setdefault(pid, {Side.LEFT: [], Side.RIGHT: []})[side].append(
-            TagSample(t=t, person_id=pid, side=side, x=x, y=y)
-        )
-
-    if roster is None:
-        roster = tuple(Person(pid, role) for pid, role in seen_people.items())
-    index = {p.person_id: k for k, p in enumerate(roster)}
-    roles = {p.person_id: p.role for p in roster}
-    for pid, role in seen_people.items():
-        if pid not in index:
-            raise ValidationError(f"person {pid} in tag rows but not in roster")
-        if roles[pid] != role:
-            raise ValidationError(
-                f"person {pid} is {role.value} in tag rows but {roles[pid].value} in roster"
-            )
-
-    fused: dict[str, FusedTrack] = {}
-    for pid, sides in streams.items():
-        for side in (Side.LEFT, Side.RIGHT):
-            sides[side].sort(key=lambda s: s.t)
-        fused[pid] = fuse_tags(sides[Side.LEFT], sides[Side.RIGHT])
-
-    if not fused:
+    people = _People()
+    t, who, side, x, y = _raw_rows(csv_path, people)
+    roster, column = people.check_roster(_roster_from_sidecar(meta), "tag rows")
+    if not len(t):
         raise EmptyTrack(f"{csv_path} contains no tag samples")
+    # rows of each (person, side) stream in time order; equal times keep file order
+    order = np.lexsort((t, side, who))
+    stream = who[order] * 2 + side[order]
+    streams = np.split(order, np.searchsorted(stream, np.arange(1, 2 * len(people.index))))
+    fused: dict[str, FusedTrack] = {}
+    for code, pid in enumerate(people.index):
+        left, right = (
+            list(map(TagSample, t[rows].tolist(), repeat(pid), repeat(s), x[rows].tolist(),
+                     y[rows].tolist()))
+            for s, rows in zip(_SIDES, streams[2 * code:2 * code + 2])
+        )
+        fused[pid] = fuse_tags(left, right)
+
     t_max = max(track.t[-1] for track in fused.values())
     grid = np.arange(0, math.floor(t_max) + 1, dtype=float)
 
@@ -634,8 +658,8 @@ def _load_raw(csv_path: Path, meta: dict) -> Observation:
     positions = np.full((len(grid), n, 2), np.nan)
     facings = np.full((len(grid), n, 2), np.nan)
     present = np.zeros((len(grid), n), dtype=bool)
-    for pid, track in fused.items():
-        k = index[pid]
+    for code, track in enumerate(fused.values()):
+        k = column[code]
         u = resample(track, grid)
         positions[:, k] = u.pos
         facings[:, k] = u.facing

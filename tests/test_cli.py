@@ -300,3 +300,38 @@ def test_simulate_bad_parameter_in_config_exit_1(tmp_path, small_obs, capsys, ov
                         "--out", str(tmp_path / "o"), "--workers", "1")
     assert code == 1
     _one_error_line(err)
+
+
+# ---------------------------------------------------------------------------
+# non-finite timestamps: exit 1 with one error line naming the line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_t_exit_1(tmp_path, capsys, t):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t_s,person_id,role,present,x_m,y_m,facing_x,facing_y\n"
+                   "0,a,child,1,0.0,0.0,1.0,0.0\n"
+                   f"{t},a,child,1,0.0,0.0,1.0,0.0\n")
+    (tmp_path / "bad.meta.json").write_text('{"room_area_m2": 10.0}')
+    code, _, err = _run(capsys, "simulate", str(bad), "--out", str(tmp_path / "o"),
+                        "--workers", "1")
+    assert code == 1
+    _one_error_line(err)
+    assert "line 3" in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_fuse_non_finite_t_exit_1(tmp_path, capsys, t):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "t_s,person_id,role,side,x_m,y_m\n"
+        "0.0,p1,child,L,-0.2,0.0\n"
+        "0.0,p1,child,R,0.2,0.0\n"
+        f"{t},p1,child,L,0.8,1.0\n"
+        f"{t},p1,child,R,1.2,1.0\n"
+    )
+    (tmp_path / "raw.meta.json").write_text('{"room_area_m2": 12.0}')
+    code, _, err = _run(capsys, "fuse", "--input", str(raw), "--out", str(tmp_path / "f.csv"))
+    assert code == 1
+    _one_error_line(err)
+    assert "line 4" in err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from classim.errors import (
     ValidationError,
 )
 from classim.trajectory import (
+    FUSED_HEADER,
+    RAW_HEADER,
     Activity,
     FusedTrack,
     Observation,
@@ -25,6 +28,7 @@ from classim.trajectory import (
     resample,
     save_observation,
 )
+from reference_trajectory import fuse_tags_loop, load_rowwise
 
 
 def _tag(t, side, x, y, pid="p1"):
@@ -346,3 +350,381 @@ def test_subset_keeps_order_and_data():
     assert sub.person_ids == ("b",)
     assert np.array_equal(sub.positions[:, 0], obs.positions[:, 1])
     assert sub.room_area_m2 == obs.room_area_m2
+
+
+# ---------------------------------------------------------------------------
+# loader contract: error table, raw-tag errors, bitwise round trip
+# ---------------------------------------------------------------------------
+
+_FUSED_ROWS = [
+    "0,a,child,1,0.0,0.0,1.0,0.0",        # line 2
+    "0,b,teacher,0,,,,",                   # line 3
+    "1,a,child,1,0.5,0.0,1.0,0.0",        # line 4
+    "1,b,teacher,1,2.0,0.0,-1.0,0.0",     # line 5
+]
+
+
+def _write_csv(tmp_path, header, rows, meta=None, name="obs.csv"):
+    path = tmp_path / name
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8", newline="")
+    sidecar = {"room_area_m2": 10.0, **(meta or {})}
+    path.with_suffix(".meta.json").write_text(json.dumps(sidecar))
+    return path
+
+
+def _fused_with(**replace):
+    """The valid rows with some replaced (by 0-based row index) or dropped (None)."""
+    rows = list(_FUSED_ROWS)
+    for key, row in replace.items():
+        rows[int(key[1:])] = row
+    return [r for r in rows if r is not None]
+
+
+def test_fused_contract_rows_load(tmp_path):
+    obs = load_observation(_write_csv(tmp_path, ",".join(FUSED_HEADER), _FUSED_ROWS))
+    assert obs.person_ids == ("a", "b")
+    assert [p.role for p in obs.roster] == [Role.CHILD, Role.TEACHER]
+    assert obs.present.tolist() == [[True, False], [True, True]]
+    assert obs.positions[1, 0].tolist() == [0.5, 0.0]
+
+
+def test_fused_absent_row_ignores_coordinate_fields(tmp_path):
+    rows = _fused_with(r1="0,b,teacher,0,zz,,nan,")
+    obs = load_observation(_write_csv(tmp_path, ",".join(FUSED_HEADER), rows))
+    assert not obs.present[0, 1]
+    assert np.isnan(obs.positions[0, 1]).all()
+
+
+_FUSED_ERRORS = [
+    # id, rows, sidecar, exception, message, err.line
+    ("field_count", _fused_with(r1="0,b,teacher,0,,,"), None,
+     ParseError, "line 3: expected 8 fields, found 7", 3),
+    ("t_not_number", _fused_with(r0="x,a,child,1,0.0,0.0,1.0,0.0"), None,
+     ParseError, "line 2: t_s is not a number: 'x'", 2),
+    ("t_not_integer", _fused_with(r2="0.5,a,child,1,0.5,0.0,1.0,0.0"), None,
+     ValidationError, "line 4: fused t_s must be a non-negative integer, got 0.5", None),
+    ("t_negative", _fused_with(r0="-1,a,child,1,0.0,0.0,1.0,0.0"), None,
+     ValidationError, "line 2: fused t_s must be a non-negative integer, got -1", None),
+    ("unknown_role", _fused_with(r1="0,b,adult,0,,,,"), None,
+     ParseError, "line 3: unknown role 'adult'", 3),
+    ("present_not_01", _fused_with(r1="0,b,teacher,yes,,,,"), None,
+     ParseError, "line 3: present must be 0 or 1, got 'yes'", 3),
+    ("role_change", _fused_with(r3="1,b,child,1,2.0,0.0,-1.0,0.0"), None,
+     ValidationError, "line 5: person b changes role", None),
+    ("bad_coordinate", _fused_with(r2="1,a,child,1,0.5,0.0,east,0.0"), None,
+     ParseError, "line 4: facing_x is not a number: 'east'", 4),
+    ("duplicate_row", _fused_with(r3="1,a,child,1,0.5,0.0,1.0,0.0"), None,
+     ValidationError, "duplicate row for person a at t=1", None),
+    ("first_duplicate_wins", _FUSED_ROWS + ["0,b,teacher,0,,,,", "0,a,child,0,,,,"], None,
+     ValidationError, "duplicate row for person b at t=0", None),
+    ("missing_row", _fused_with(r3=None), None,
+     ValidationError, "missing row for person b at t=1", None),
+    ("non_consecutive", [r.replace("1,", "2,", 1) if r.startswith("1,") else r
+                         for r in _FUSED_ROWS], None,
+     ValidationError, "frame seconds are not consecutive", None),
+    ("not_in_roster", _FUSED_ROWS, {"roster": [{"person_id": "a", "role": "child"}]},
+     ValidationError, "person b in frames but not in roster", None),
+    ("roster_role", _FUSED_ROWS, {"roster": [{"person_id": "a", "role": "teacher"},
+                                             {"person_id": "b", "role": "teacher"}]},
+     ValidationError, "person a is child in frames but teacher in roster", None),
+    ("blank_lines_counted", [_FUSED_ROWS[0], "", "", "x,b,teacher,0,,,,"], None,
+     ParseError, "line 5: t_s is not a number: 'x'", 5),
+    ("lower_line_wins", _fused_with(r1="0,b,teacher,2,,,,", r3="1,b,teacher,1,2.0"), None,
+     ParseError, "line 3: present must be 0 or 1, got '2'", 3),
+    ("first_check_in_row_wins", _fused_with(r1="zero,b,adult,2,,,,"), None,
+     ParseError, "line 3: t_s is not a number: 'zero'", 3),
+    ("row_fault_before_duplicate",
+     _fused_with(r3="0,a,child,1,0.5,0.0,1.0,0.0", r2="1,a,kid,1,,,,"), None,
+     ParseError, "line 4: unknown role 'kid'", 4),
+]
+
+
+@pytest.mark.parametrize("rows, meta, exc, message, line",
+                         [c[1:] for c in _FUSED_ERRORS], ids=[c[0] for c in _FUSED_ERRORS])
+def test_fused_error_table(tmp_path, rows, meta, exc, message, line):
+    path = _write_csv(tmp_path, ",".join(FUSED_HEADER), rows, meta)
+    with pytest.raises(exc) as info:
+        load_observation(path)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+    assert getattr(info.value, "line", None) == line
+
+
+_RAW_ROWS = [
+    "0.0,p1,child,L,-0.2,0.0",
+    "0.0,p1,child,R,0.2,0.0",
+    "1.0,p1,child,L,0.8,1.0",
+    "1.0,p1,child,R,1.2,1.0",
+]
+
+_RAW_ERRORS = [
+    ("bad_side", ["0.0,p1,child,X,0,0"], ParseError, "line 2: side must be L or R, got 'X'", 2),
+    ("bad_role", _RAW_ROWS[:2] + ["1.0,p1,pupil,L,0.8,1.0"],
+     ParseError, "line 4: unknown role 'pupil'", 4),
+    ("bad_number", _RAW_ROWS[:1] + ["0.0,p1,child,R,abc,0.0"],
+     ParseError, "line 3: x_m is not a number: 'abc'", 3),
+    ("lower_line_wins", _RAW_ROWS[:1] + ["0.0,p1,child,R,1.0,def", "0.0,p1,chld,R,abc,0"],
+     ParseError, "line 3: y_m is not a number: 'def'", 3),
+    ("first_number_in_row_wins", _RAW_ROWS[:1] + ["0.0,p1,child,R,abc,def"],
+     ParseError, "line 3: x_m is not a number: 'abc'", 3),
+    ("negative_t", _RAW_ROWS[:3] + ["-1,p1,child,R,1.2,1.0"],
+     ValidationError, "tag sample time must be >= 0, got -1.0", None),
+]
+
+
+@pytest.mark.parametrize("rows, exc, message, line",
+                         [c[1:] for c in _RAW_ERRORS], ids=[c[0] for c in _RAW_ERRORS])
+def test_raw_error_table(tmp_path, rows, exc, message, line):
+    path = _write_csv(tmp_path, ",".join(RAW_HEADER), rows, name="raw.csv")
+    with pytest.raises(exc) as info:
+        load_observation(path, TrackFormat.RAW_TAGS)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+    assert getattr(info.value, "line", None) == line
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                   0.1, 1 / 3, 123456.78901234567, -9.876543210987654e-05]
+_coordinate = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                        st.floats(allow_nan=False, allow_infinity=False))
+_UNIT_FACINGS = [(1.0, 0.0), (1.0, -0.0), (-0.0, -1.0), (1.0, 5e-324), (0.6, 0.8)]
+_facing = st.one_of(
+    st.sampled_from(_UNIT_FACINGS),
+    st.floats(-7.0, 7.0).map(lambda a: (math.cos(a), math.sin(a))),
+)
+# a quote, comma or line feed inside a person_id makes csv quote the field
+_person_id = st.text(alphabet='ab,"\n 7', min_size=1, max_size=5)
+
+
+@st.composite
+def _observations(draw):
+    ids = draw(st.lists(_person_id, min_size=1, max_size=3, unique=True))
+    t_total = draw(st.integers(0, 5))
+    n = len(ids)
+    present = np.array(draw(st.lists(st.booleans(), min_size=t_total * n, max_size=t_total * n)),
+                       dtype=bool).reshape(t_total, n)
+    cells = t_total * n
+    xy = draw(st.lists(_coordinate, min_size=2 * cells, max_size=2 * cells))
+    fac = draw(st.lists(_facing, min_size=cells, max_size=cells))
+    positions = np.array(xy, dtype=float).reshape(t_total, n, 2)
+    facings = np.array(fac, dtype=float).reshape(t_total, n, 2)
+    positions[~present] = np.nan
+    facings[~present] = np.nan
+    activity = None
+    if t_total and draw(st.booleans()):
+        activity = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=t_total,
+                                          max_size=t_total)), dtype=np.uint8)
+    roles = draw(st.lists(st.sampled_from(list(Role)), min_size=n, max_size=n))
+    return Observation(
+        class_id=draw(st.sampled_from(["c1", "room 4"])),
+        roster=tuple(Person(i, r) for i, r in zip(ids, roles)),
+        room_area_m2=draw(st.sampled_from([12.5, 60.0])),
+        positions=positions, facings=facings, present=present, activity=activity,
+    )
+
+
+def _assert_bitwise_equal(back, obs):
+    assert back.roster == obs.roster
+    assert back.class_id == obs.class_id
+    assert back.room_area_m2 == obs.room_area_m2
+    for name in ("positions", "facings", "present"):
+        a, b = getattr(back, name), getattr(obs, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    if obs.activity is None:
+        assert back.activity is None
+    else:
+        assert back.activity.tobytes() == obs.activity.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(obs=_observations(), crlf=st.booleans())
+def test_save_load_round_trip_bitwise(tmp_path_factory, obs, crlf):
+    path = tmp_path_factory.mktemp("rt") / "obs.csv"
+    save_observation(obs, path)
+    if crlf:
+        # CRLF record ends; skipped when an id holds a line feed, which this would rewrite
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        if not any("\n" in p.person_id for p in obs.roster):
+            path.write_text(text.replace("\n", "\r\n"), encoding="utf-8", newline="")
+    _assert_bitwise_equal(load_observation(path), obs)
+
+
+# ---------------------------------------------------------------------------
+# array code against the row-by-row reference
+# ---------------------------------------------------------------------------
+
+def _random_streams(rng):
+    """Seeded left/right streams with tied times, gaps and coincident tags."""
+    steps = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.5000000000001, 0.75, 2.0, 7.0])
+    streams = []
+    for _ in range(2):
+        k = int(rng.integers(1, 40))
+        t = rng.uniform(0.0, 0.6) + np.cumsum(rng.choice(steps, size=k))
+        if rng.random() < 0.3:
+            t = np.round(t, 1)  # exact ties across the two streams
+        streams.append(t)
+    draw = rng.random()
+    if draw < 0.25:
+        streams[1] = streams[0][: len(streams[1])].copy()  # simultaneous reports
+    elif draw < 0.5 and len(streams[0]) > 1:
+        # right reports halfway between two left ones, up to the 1e-12 tie tolerance
+        mid = (streams[0][:-1] + streams[0][1:]) / 2.0
+        streams[1] = np.sort(mid + rng.choice([-4e-13, 0.0, 4e-13], size=len(mid)))
+    lt, rt = streams
+    lxy = rng.uniform(-3.0, 3.0, size=(len(lt), 2))
+    rxy = lxy[np.minimum(np.arange(len(rt)), len(lt) - 1)] + rng.uniform(-0.3, 0.3, (len(rt), 2))
+    coincide = rng.random(len(rt)) < 0.2
+    rxy[coincide] = lxy[np.minimum(np.flatnonzero(coincide), len(lt) - 1)]
+    left = [_tag(float(t), Side.LEFT, float(x), float(y)) for t, (x, y) in zip(lt, lxy)]
+    right = [_tag(float(t), Side.RIGHT, float(x), float(y)) for t, (x, y) in zip(rt, rxy)]
+    return left, right
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except (EmptyTrack, ParseError, SchemaError, ValidationError) as e:
+        return None, (type(e), str(e), getattr(e, "line", None))
+
+
+def test_fuse_tags_matches_loop_reference():
+    paired = 0
+    for seed in range(300):
+        left, right = _random_streams(np.random.default_rng(seed))
+        got, got_err = _outcome(fuse_tags, left, right)
+        want, want_err = _outcome(fuse_tags_loop, left, right)
+        assert got_err == want_err, seed
+        if want is not None:
+            paired += 1
+            for name in ("t", "pos", "facing"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)
+    assert paired > 250
+
+
+def test_raw_loader_ties_keep_file_order(tmp_path):
+    # many reports share a timestamp; which one pairs first follows file order
+    rng = np.random.default_rng(5)
+    rows = [f"{t!r},{pid},child,{side},{x!r},{y!r}"
+            for pid in ("p1", "p2") for side in "LR"
+            for t, x, y in zip(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0], size=60).tolist(),
+                               rng.uniform(-2, 2, 60).tolist(), rng.uniform(-2, 2, 60).tolist())]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    path = _write_csv(tmp_path, ",".join(RAW_HEADER), rows, name="raw.csv")
+    _assert_bitwise_equal(load_observation(path, TrackFormat.RAW_TAGS),
+                          load_rowwise(path, TrackFormat.RAW_TAGS))
+
+
+def test_fuse_tags_rejects_non_finite_times():
+    with pytest.raises(ValidationError, match="finite"):
+        fuse_tags([_tag(math.nan, Side.LEFT, 0, 0)], [_tag(0.0, Side.RIGHT, 1, 0)])
+
+
+# fields a mutation may write; t_s only takes finite ones, because the row
+# reference let a non-finite t_s through (it is rejected now, see test_cli.py)
+_T_TOKENS = ["", "x", "0.5", "-1", "-0", "1_0", " 2", "3", "1e1", "+1"]
+_TOKENS = _T_TOKENS + [
+    "nan", "inf", "-inf", "0", "1", "2", "child", "teacher", "adult", "L", "R", "p1",
+    "p2", '"p,1"', '"p""2"', '"p\n3"', "0.6", "0.8", "-0.0", "5e-324", "1e308",
+]
+
+
+@st.composite
+def _csv_files(draw):
+    """A fused or raw-tag file from valid rows, then damaged in a few places."""
+    raw = draw(st.booleans())
+    ids = draw(st.lists(st.sampled_from(["p1", "p2", "p,1", 'p"2', "p\n3"]),
+                        min_size=1, max_size=3, unique=True))
+    roles = draw(st.lists(st.sampled_from(["child", "teacher"]), min_size=len(ids),
+                          max_size=len(ids)))
+    quoted = [f'"{i.replace(chr(34), chr(34) * 2)}"' if set(i) & set(',"\n') else i for i in ids]
+    rows = []
+    if raw:
+        for pid, role in zip(quoted, roles):
+            for side in "LR":
+                t = draw(st.sampled_from([0.0, 0.1, 0.3]))
+                for _ in range(draw(st.integers(1, 6))):
+                    x, y = draw(st.floats(-5, 5)), draw(st.floats(-5, 5))
+                    rows.append([repr(t), pid, role, side, repr(x), repr(y)])
+                    t += draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 6.0]))
+        rows = draw(st.permutations(rows))
+    else:
+        for t in range(draw(st.integers(0, 4))):
+            for pid, role in zip(quoted, roles):
+                if draw(st.booleans()):
+                    x, y, a = draw(st.floats(-5, 5)), draw(st.floats(-5, 5)), draw(st.floats(-4, 4))
+                    rows.append([str(t), pid, role, "1", repr(x), repr(y),
+                                 repr(math.cos(a)), repr(math.sin(a))])
+                else:
+                    rows.append([str(t), pid, role, "0", "", "", "", ""])
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        k = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(["field", "field", "drop", "copy", "blank", "short", "long"]))
+        if op == "field" and rows[k]:
+            j = draw(st.integers(0, len(rows[k]) - 1))
+            rows[k][j] = draw(st.sampled_from(_T_TOKENS if j == 0 else _TOKENS))
+        elif op == "drop":
+            del rows[k]
+        elif op == "copy":
+            rows.insert(k, list(rows[k]))
+        elif op == "blank":
+            rows.insert(k, [])
+        elif op == "short":
+            rows[k] = rows[k][:-1]
+        else:
+            rows[k] = rows[k] + ["z"]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = ",".join(RAW_HEADER if raw else FUSED_HEADER)
+    text = header + eol + "".join(",".join(r) + eol for r in rows)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    meta = {"room_area_m2": 10.0}
+    if draw(st.booleans()):
+        meta["roster"] = [{"person_id": i, "role": r} for i, r in zip(ids, roles)]
+        meta["roster"] = meta["roster"][: draw(st.integers(0, len(ids)))]
+    return raw, text, meta
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_csv_files())
+def test_loader_matches_rowwise_reference(tmp_path_factory, case):
+    raw, text, meta = case
+    path = tmp_path_factory.mktemp("diff") / "obs.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    path.with_suffix(".meta.json").write_text(json.dumps(meta))
+    fmt = TrackFormat.RAW_TAGS if raw else TrackFormat.FUSED
+    got, got_err = _outcome(load_observation, path, fmt)
+    want, want_err = _outcome(load_rowwise, path, fmt)
+    assert got_err == want_err
+    if want is not None:
+        _assert_bitwise_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(obs=_observations(), data=st.data())
+def test_subset_is_valid_and_gathers_columns(obs, data):
+    idx = data.draw(st.lists(st.integers(0, obs.n_people - 1), unique=True))
+    sub = obs.subset(idx)
+    sub.validate()
+    keep = sorted(idx)
+    assert sub.roster == tuple(obs.roster[k] for k in keep)
+    assert sub.positions.tobytes() == obs.positions[:, keep].tobytes()
+    assert sub.facings.tobytes() == obs.facings[:, keep].tobytes()
+    assert sub.present.tobytes() == obs.present[:, keep].tobytes()
+    assert (sub.activity is None) == (obs.activity is None)
+    if obs.activity is not None:
+        assert sub.activity.tobytes() == obs.activity.tobytes()
+        assert sub.activity is not obs.activity
+    assert (sub.class_id, sub.room_area_m2, sub.source_path) == (
+        obs.class_id, obs.room_area_m2, obs.source_path)
+
+
+def test_subset_still_checks_structure():
+    obs = _obs_two_people()
+    obs.roster = (obs.roster[0], obs.roster[0])
+    with pytest.raises(ValidationError, match="duplicate person_id"):
+        obs.subset([0, 1])
