@@ -230,6 +230,8 @@ def _load_config(path: str | None) -> tuple[dict, list[str]]:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON in {path}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not valid UTF-8 text ({e.reason})") from None
         if "parameters" in raw:  # a manifest doubles as a config
             manifest_inputs = [entry["path"] for entry in raw.get("inputs", [])]
             raw = raw["parameters"]

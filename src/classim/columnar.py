@@ -46,6 +46,8 @@ def _split_fields(lines) -> np.ndarray | None:
         try:
             return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
                               dtype=object, max_rows=_BLOCK_ROWS, ndmin=2)
+        except UnicodeDecodeError:  # a ValueError, but not a field count
+            raise
         except ValueError:
             return None
 
@@ -64,46 +66,56 @@ def read_columns(csv_path: Path, expected_header: list[str]):
     ``np.loadtxt`` splits the fields (quotes as ``csv`` reads them).  Where a
     block's lines and records do not pair one to one (blank lines, quoted
     line breaks) or a field count is off, ``csv.reader`` re-reads the block's
-    lines to number its records and check their widths exactly.
+    lines to number its records and check their widths exactly.  Bytes that
+    are not UTF-8 raise ParseError naming the file.
     """
     try:
         fh = open(csv_path, encoding="utf-8", newline="")
     except OSError as e:
         raise ParseError(f"cannot open {csv_path}: {e}") from e
+    try:
+        yield from _read_blocks(fh, csv_path, expected_header)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{csv_path} is not valid UTF-8 text ({e.reason})") from None
+    finally:
+        fh.close()
+
+
+def _read_blocks(fh, csv_path: Path, expected_header: list[str]):
+    """The body of ``read_columns`` on an open file."""
     width = len(expected_header)
-    with fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise SchemaError(f"{csv_path} is empty") from None
-        if [h.strip() for h in header] != expected_header:
-            missing = set(expected_header) - {h.strip() for h in header}
-            raise SchemaError(
-                f"{csv_path} header {header} does not match {expected_header}"
-                + (f" (missing columns: {sorted(missing)})" if missing else "")
-            )
-        last_line = 1
-        while True:
-            taken: list[str] = []
-            block = _split_fields(_tee(fh, taken))
-            if not taken:
-                return
-            if block is not None and block.shape == (len(taken), width):
-                lines = np.arange(last_line + 1, last_line + 1 + len(taken))
-                last_line += len(taken)
-                yield lines, list(block.T)
-                continue
-            records = list(csv.reader(taken))
-            numbered = [(last_line + 1 + i, rec) for i, rec in enumerate(records) if rec]
-            last_line += len(records)
-            bad = next((k for k, (_, rec) in enumerate(numbered) if len(rec) != width), None)
-            good = numbered if bad is None else numbered[:bad]
-            if good:
-                cols = np.array([rec for _, rec in good], dtype=object).reshape(len(good), width)
-                yield np.array([line for line, _ in good]), list(cols.T)
-            if bad is not None:
-                line, rec = numbered[bad]
-                raise ParseError(f"expected {width} fields, found {len(rec)}", line=line)
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise SchemaError(f"{csv_path} is empty") from None
+    if [h.strip() for h in header] != expected_header:
+        missing = set(expected_header) - {h.strip() for h in header}
+        raise SchemaError(
+            f"{csv_path} header {header} does not match {expected_header}"
+            + (f" (missing columns: {sorted(missing)})" if missing else "")
+        )
+    last_line = 1
+    while True:
+        taken: list[str] = []
+        block = _split_fields(_tee(fh, taken))
+        if not taken:
+            return
+        if block is not None and block.shape == (len(taken), width):
+            lines = np.arange(last_line + 1, last_line + 1 + len(taken))
+            last_line += len(taken)
+            yield lines, list(block.T)
+            continue
+        records = list(csv.reader(taken))
+        numbered = [(last_line + 1 + i, rec) for i, rec in enumerate(records) if rec]
+        last_line += len(records)
+        bad = next((k for k, (_, rec) in enumerate(numbered) if len(rec) != width), None)
+        good = numbered if bad is None else numbered[:bad]
+        if good:
+            cols = np.array([rec for _, rec in good], dtype=object).reshape(len(good), width)
+            yield np.array([line for line, _ in good]), list(cols.T)
+        if bad is not None:
+            line, rec = numbered[bad]
+            raise ParseError(f"expected {width} fields, found {len(rec)}", line=line)
 
 
 def parse_floats(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,10 +15,25 @@ weekends in one step.
 
 Transmission happens only while the trajectory is playing.  At each second,
 every present susceptible combines the hazards of all present infectious
-neighbours as  p = 1 - prod_j (1 - min(beta_ij * dt, 1))  and draws once.
-``transmission_step`` applies this to a single frame; ``simulate_session``
-runs a whole session vectorized over segments between transition events,
-which is distributionally identical and orders of magnitude faster.
+neighbours as  p = 1 - prod_j (1 - min(beta_ij * dt, 1)).  Written as a
+hazard,  h = -log(1 - p) = sum_j -log1p(-min(beta_ij * dt, 1)),  so the
+chance of escaping every second a..b is  exp(-(h_a + ... + h_b)).
+
+``transmission_step`` applies the per-second rule to a single frame and
+draws one uniform per susceptible.  ``simulate_session`` replays a whole
+session in segments between changes of the infectious set (temporal
+Gillespie: Vestergaard & Genois, PLoS Comput Biol 11:e1004579, 2015).  Each
+susceptible draws one Exp(1) threshold E per segment and is infected at the
+first second at which its accrued hazard exceeds E.  Since
+P(E > H) = exp(-H), that reproduces the per-second escape probability
+exactly, so the engine is exact in distribution, not an approximation.
+Per-second draws are independent, so a fresh threshold per segment is as
+exact as one per session.  The
+hazards come as a running sum over time per pair
+(``kernel.cumulative_hazard``), so a segment's total is one difference per
+(susceptible, source) pair.  A certain contact (p = 1) has infinite hazard;
+it is capped at ``kernel.HAZARD_CAP`` = 40, whose escape chance exp(-40) is
+below the resolution of a double-precision uniform.
 """
 
 from __future__ import annotations
@@ -374,23 +389,40 @@ def is_run_complete(state: EpidemicState) -> bool:
 # vectorized session engine
 # ---------------------------------------------------------------------------
 
+def _accrued(cum: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Hazard accrued since ``base``, summed over sources (the last axis).
+
+    Sources are added strictly left to right (an accumulate, not numpy's
+    shape-dependent pairwise sum), so a susceptible's segment total and the
+    last entry of its series over the segment's seconds agree to the bit.
+    """
+    return np.cumsum(cum - base, axis=-1)[..., -1]
+
+
 def simulate_session(
     state: EpidemicState,
     obs: Observation,
     session_start_s: float,
     kp: KernelParams,
     dp: DiseaseParams,
-    rates: np.ndarray | None = None,
+    hazard: np.ndarray | None = None,
     col_index: np.ndarray | None = None,
 ) -> EpidemicState:
     """Replay one full session of the observation against the state.
 
-    Equivalent in distribution to calling ``transmission_step`` on every
-    frame, but evaluated in segments between transition events of the
-    infectious set, with all hazards and uniforms drawn as arrays.  ``rates``
-    may carry precomputed all-pairs rates for the source observation (shape
+    Equal in distribution to calling ``transmission_step`` on every frame,
+    but evaluated in segments between transition events of the infectious
+    set.  Within a segment each present susceptible draws one Exp(1)
+    threshold and is infected at the first second at which its cumulative
+    hazard from the infectious people, counted from the segment start,
+    exceeds it (see the module docstring for why this is exact).  The
+    infector is the source with the largest hazard at that second.
+
+    ``hazard`` may carry the precomputed cumulative hazard of the source
+    observation, ``kernel.cumulative_hazard`` of its all-pairs rates (shape
     (T, M, M)); ``col_index`` maps this state's roster positions into its
-    columns, enabling half-class runs to reuse a full-roster cache.
+    columns, so half-class runs reuse a full-roster cache.  Without it,
+    each segment rates its own seconds and accumulates them the same way.
 
     Airborne mode falls back to the per-frame step, which maintains the
     emission buffers.
@@ -415,8 +447,8 @@ def simulate_session(
         col_index = np.arange(n)
     else:
         col_index = np.asarray(col_index)
-    if rates is not None and rates.shape[0] != t_total:
-        raise ValueError(f"rate cache covers {rates.shape[0]} s, session is {t_total} s")
+    if hazard is not None and hazard.shape[0] != t_total:
+        raise ValueError(f"hazard cache covers {hazard.shape[0]} s, session is {t_total} s")
 
     dt = dp.dt_s
     latency_steps = max(1, int(dp.latency_s // dt))
@@ -442,29 +474,33 @@ def simulate_session(
             cursor = seg_end
             continue
 
-        if rates is not None:
-            block = rates[cursor:seg_end, col_index[sus_idx][:, None],
-                          col_index[inf_idx][None, :]]
+        if hazard is not None:
+            cum, lo, rows, srcs = hazard, cursor, col_index[sus_idx], col_index[inf_idx]
         else:
-            block = kernel.pairwise_rates(
+            rates = kernel.pairwise_rates(
                 obs.positions[cursor:seg_end],
                 obs.facings[cursor:seg_end],
                 obs.present[cursor:seg_end],
                 kp,
-            )[:, sus_idx[:, None], inf_idx[None, :]]
-        contrib = np.clip(block * dt, 0.0, 1.0)
-        p = 1.0 - np.prod(1.0 - contrib, axis=2)       # (seg_len, n_sus)
-        u = state.rng.random(p.shape)
-        hits = u < p
-        hit_any = hits.any(axis=0)
-        first = np.argmax(hits, axis=0)
-
-        for pos in np.argsort(first, kind="stable"):
-            if not hit_any[pos]:
-                continue
-            t_rel = int(first[pos])
+            )[:, sus_idx[:, None], inf_idx]
+            cum, lo = kernel.cumulative_hazard(rates, dt), 0
+            rows, srcs = np.arange(len(sus_idx)), np.arange(len(inf_idx))
+        hi = lo + seg_end - cursor
+        base = (cum[lo - 1, rows[:, None], srcs] if lo > 0
+                else np.zeros((len(sus_idx), len(inf_idx))))
+        total = _accrued(cum[hi - 1, rows[:, None], srcs], base)
+        thresholds = state.rng.standard_exponential(len(sus_idx))
+        hits = []
+        for pos in np.flatnonzero(thresholds < total):
+            series = _accrued(cum[lo:hi, rows[pos], srcs], base[pos])  # ends at total[pos]
+            t = lo + int(np.searchsorted(series, thresholds[pos], side="right"))
+            src = 0
+            if len(srcs) > 1:  # the source with the largest hazard that second
+                step = cum[t, rows[pos], srcs] - (cum[t - 1, rows[pos], srcs] if t > 0 else 0.0)
+                src = int(np.argmax(step))
+            hits.append((t - lo, int(pos), int(inf_idx[src])))
+        for t_rel, pos, j in sorted(hits):
             t_abs = session_start_s + (cursor + t_rel) * dt
-            j = int(inf_idx[int(np.argmax(contrib[t_rel, pos]))])
             _schedule_infection(state, int(sus_idx[pos]), t_abs, j, dp)
         cursor = seg_end
 

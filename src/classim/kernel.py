@@ -19,7 +19,11 @@ rate) via the average-rate identity
 where rho is a contact density in persons per square meter; see
 ``calibrate_beta_max``.
 
-All functions here are pure and safe to call concurrently.
+The session engine reads the rates as a cumulative hazard
+(``cumulative_hazard``), summed over time per ordered pair.
+
+All functions here are safe to call concurrently on separate arrays; all
+but ``cumulative_hazard``, which converts its argument in place, are pure.
 """
 
 from __future__ import annotations
@@ -281,14 +285,16 @@ def pairwise_rates(
         b = min(a + chunk, t_total)
         pc = pos[a:b]
         fc = fac[a:b]
-        d = pc[:, None, :, :] - pc[:, :, None, :]          # (C, i, j, 2): i -> j
-        r2 = np.einsum("tijk,tijk->tij", d, d)
-        r = np.sqrt(r2)
+        # (C, i, j) separation i -> j; the dot products are written out, which
+        # costs a fraction of einsum's per-call overhead on small blocks
+        dx = pc[:, None, :, 0] - pc[:, :, None, 0]
+        dy = pc[:, None, :, 1] - pc[:, :, None, 1]
+        r = np.sqrt(dx * dx + dy * dy)
         # Angles use the true separation direction; exactly coincident pairs
         # get the neutral theta = pi/2 (cos = 0 after the safe division).
         r_safe = np.maximum(r, 1e-12)
-        cos_i = np.einsum("tik,tijk->tij", fc, d) / r_safe
-        cos_j = -np.einsum("tjk,tijk->tij", fc, d) / r_safe
+        cos_i = (fc[:, :, None, 0] * dx + fc[:, :, None, 1] * dy) / r_safe
+        cos_j = -(fc[:, None, :, 0] * dx + fc[:, None, :, 1] * dy) / r_safe
         th_i = np.arccos(np.clip(cos_i, -1.0, 1.0))
         th_j = np.arccos(np.clip(cos_j, -1.0, 1.0))
         # The distance term clamps sub-resolution separations up to R_MIN_M.
@@ -296,36 +302,72 @@ def pairwise_rates(
         rate = p.beta_max * np.exp(
             -(r_eff * r_eff) * inv_2sr2 - (th_i * th_i + th_j * th_j) * inv_2st2
         )
-        both = present[a:b, :, None] & present[a:b, None, :]
-        rate[~both] = 0.0
+        rate *= present[a:b, :, None] & present[a:b, None, :]   # 0 unless both present
         idx = np.arange(n)
         rate[:, idx, idx] = 0.0
         out[a:b] = rate
     return out
 
 
+#: Largest per-pair hazard of one second.  A pair rated p = 1 gets this
+#: instead of -log(0) = inf: exp(-40) is below the 2**-53 resolution of a
+#: uniform draw, so the cap is unobservable and the cache stays finite.
+HAZARD_CAP = 40.0
+
+
+def cumulative_hazard(rates: np.ndarray, dt_s: float) -> np.ndarray:
+    """Turn rates from ``pairwise_rates`` into their cumulative hazard, in place.
+
+    ``rates`` is a (T, ...) array of per-second rates, such as the (T, N, N)
+    array of ``pairwise_rates`` or a block of its columns.  Entry [t, i, j]
+    becomes  sum_{s <= t} -log1p(-min(rates[s, i, j] * dt_s, 1)),  each term
+    capped at ``HAZARD_CAP``: the hazard from j to i accumulated through
+    second t.  One second's term is the hazard of the per-second
+    Bernoulli(min(beta dt, 1)) contact, so  exp(-(C[b] - C[a-1]))  is the
+    probability that pair contact (j -> i) transmits in none of the seconds
+    a..b.  The running sum is strictly sequential in t, so the result does
+    not depend on the time chunks the work proceeds in.  Returns ``rates``.
+    """
+    t_total = rates.shape[0]
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, rates[:1].size))
+    for a in range(0, t_total, chunk):
+        c = rates[a:a + chunk]
+        np.multiply(c, dt_s, out=c)
+        np.minimum(c, 1.0, out=c)
+        np.negative(c, out=c)
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf, capped below
+            np.log1p(c, out=c)
+        np.negative(c, out=c)
+        np.minimum(c, HAZARD_CAP, out=c)
+        if a:
+            c[0] += rates[a - 1]
+        np.cumsum(c, axis=0, out=c)
+    return rates
+
+
 def mean_pair_rate(
-    rates: np.ndarray,
+    rate_sums: np.ndarray,
     present: np.ndarray,
     idx: np.ndarray | None = None,
 ) -> float:
     """Mean rate over the co-present unordered pair-seconds of a roster.
 
-    ``rates`` is a (T, M, M) array from ``pairwise_rates`` and ``present`` its
-    (T, M) mask.  ``idx`` holds the roster's columns in ascending order (all
-    M by default).  The numerator sums rates[:, i, j] over roster pairs
-    i < j, which are zero wherever either person is absent; the denominator
-    counts the pairs present at each second.  The summed elements and their
-    order do not depend on whether ``rates`` covers just the roster or a
-    larger one, so the result is bitwise the same either way.  0.0 when no
-    pair is ever co-present.
+    ``rate_sums`` is the (M, M) time sum ``rates.sum(axis=0)`` of a
+    ``pairwise_rates`` array and ``present`` that array's (T, M) mask.
+    ``idx`` holds the roster's columns in ascending order (all M by
+    default).  The numerator sums rate_sums[i, j] over roster pairs i < j
+    (rates are zero wherever either person is absent); the denominator
+    counts the pairs present at each second.  A time sum adds the seconds
+    one by one in order, so rate_sums[i, j] is bitwise the same whether it
+    came from a roster's own rates or a larger roster's, and so is the
+    result.  0.0 when no pair is ever co-present.
     """
-    n = rates.shape[1] if idx is None else len(idx)
+    n = rate_sums.shape[0] if idx is None else len(idx)
     iu0, iu1 = np.triu_indices(n, k=1)
     if idx is not None:
         iu0, iu1 = idx[iu0], idx[iu1]
         present = present[:, idx]
-    total = float(rates[:, iu0, iu1].sum())
+    total = float(rate_sums[iu0, iu1].sum())
     k = present.sum(axis=1).astype(np.int64)
     denom = int(((k * (k - 1)) // 2).sum())
     return total / denom if denom > 0 else 0.0

@@ -80,7 +80,7 @@ def transmission_likelihood(
         raise SinglePerson(f"need >= 2 people, roster has {obs.n_people}")
     if rates is None:
         rates = kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
-    beta_hat = kernel.mean_pair_rate(rates, obs.present)
+    beta_hat = kernel.mean_pair_rate(rates.sum(axis=0), obs.present)
     t_exposure = float(obs.session_length_s) * horizon_sessions
     return beta_hat, t_exposure, beta_hat * t_exposure
 

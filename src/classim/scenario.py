@@ -257,13 +257,14 @@ def run_simulation(
     seed: int,
     kp: KernelParams,
     dp: DiseaseParams,
-    rates: np.ndarray | None = None,
+    hazard: np.ndarray | None = None,
 ) -> RunOutcome:
     """One complete seeded run of a scenario cell.
 
     Draw order per run: half-class subset, vaccination flags, patient-zero
-    clocks, then transmission.  ``rates`` may hold precomputed all-pairs
-    rates for the *full* observation; half-class runs index into it.
+    clocks, then transmission.  ``hazard`` may hold the precomputed
+    cumulative hazard (``kernel.cumulative_hazard``) of the *full*
+    observation's all-pairs rates; half-class runs index into it.
 
     The trajectory replays identically for every session in the calendar;
     between sessions the clock jumps with no transmission.  The run stops
@@ -290,10 +291,11 @@ def run_simulation(
     else:
         immune = frozenset()
 
-    if rates is None and _fits_rate_cache(obs_run):
+    if hazard is None and _fits_rate_cache(obs_run):
         # the same session replays every school day; rate the pairs once
-        rates = kernel.pairwise_rates(
-            obs_run.positions, obs_run.facings, obs_run.present, kp
+        hazard = kernel.cumulative_hazard(
+            kernel.pairwise_rates(obs_run.positions, obs_run.facings, obs_run.present, kp),
+            dp.dt_s,
         )
         col_index = np.arange(obs_run.n_people)
 
@@ -307,7 +309,7 @@ def run_simulation(
         if state.clock < start:
             epidemic.progress_offclass(state, start - state.clock)
         epidemic.simulate_session(state, obs_run, start, kp, dp,
-                                  rates=rates, col_index=col_index)
+                                  hazard=hazard, col_index=col_index)
     if state.clock < horizon_s:
         epidemic.progress_offclass(state, horizon_s - state.clock)
 
@@ -333,17 +335,19 @@ def run_simulation(
 class _SweepRunner:
     """What every run of one sweep shares within one process.
 
-    Building it rates every pair of the observation once (the cache) and,
-    when some cell keeps the full roster, that roster's ``beta_hat``.  Runs
-    then only index into both.
+    Building it rates every pair of the observation once, keeps each pair's
+    time sum for ``beta_hat`` and then turns the rates, in place, into the
+    cumulative hazard the session engine reads (the cache).  Runs only
+    index into both.
     """
 
     def __init__(self, obs, cells, cals, kp, dp):
         self.obs, self.cells, self.cals, self.kp, self.dp = obs, cells, cals, kp, dp
-        self.rates = (
-            kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
-            if _fits_rate_cache(obs) else None
-        )
+        self.rate_sums = self.hazard = None
+        if _fits_rate_cache(obs):
+            rates = kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
+            self.rate_sums = rates.sum(axis=0)
+            self.hazard = kernel.cumulative_hazard(rates, dp.dt_s)
         self.column = {pid: k for k, pid in enumerate(obs.person_ids)}
         self.full_beta_hat = (
             self._beta_hat(np.arange(obs.n_people))
@@ -359,18 +363,18 @@ class _SweepRunner:
     def _beta_hat(self, idx: np.ndarray) -> float:
         """Mean pair rate over the roster columns ``idx`` (ascending)."""
         obs = self.obs
-        if self.rates is not None:
-            return kernel.mean_pair_rate(self.rates, obs.present, idx)
+        if self.rate_sums is not None:
+            return kernel.mean_pair_rate(self.rate_sums, obs.present, idx)
         rates = kernel.pairwise_rates(
             obs.positions[:, idx], obs.facings[:, idx], obs.present[:, idx], self.kp
         )
-        return kernel.mean_pair_rate(rates, obs.present[:, idx])
+        return kernel.mean_pair_rate(rates.sum(axis=0), obs.present[:, idx])
 
     def run(self, cell: int, pz_index: int, rep: int) -> RunOutcome:
         obs, sc, cal = self.obs, self.cells[cell], self.cals[cell]
         seed = derive_seed(sc.base_seed, pz_index, rep)
         pz = obs.roster[pz_index].person_id
-        outcome = run_simulation(obs, cal, sc, pz, seed, self.kp, self.dp, rates=self.rates)
+        outcome = run_simulation(obs, cal, sc, pz, seed, self.kp, self.dp, hazard=self.hazard)
         if sc.density == DensityVariant.FULL:
             outcome.beta_hat = self.full_beta_hat
         else:
@@ -409,7 +413,7 @@ def sweep(
     cell's own calendar over its horizon.
 
     Each process (the caller itself at ``workers=1``, else each pool
-    worker) builds the all-pairs rate cache once per sweep; runs then
+    worker) builds the cumulative-hazard cache once per sweep; runs then
     reduce to array gathers and draws.
     """
     cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)

@@ -385,6 +385,8 @@ def _load_sidecar(meta_path: Path) -> dict:
             meta = json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON in {meta_path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{meta_path} is not valid UTF-8 text ({e.reason})") from None
     if "room_area_m2" not in meta:
         raise SchemaError(f"{meta_path} missing required key room_area_m2")
     if not isinstance(meta["room_area_m2"], (int, float)) or meta["room_area_m2"] <= 0:

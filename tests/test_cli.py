@@ -335,3 +335,56 @@ def test_fuse_non_finite_t_exit_1(tmp_path, capsys, t):
     assert code == 1
     _one_error_line(err)
     assert "line 4" in err
+
+
+# ---------------------------------------------------------------------------
+# bytes that are not UTF-8: exit 1 with one error line naming the file
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows_before", [0, 2000], ids=["header_block", "later_block"])
+def test_simulate_non_utf8_csv_exit_1(tmp_path, capsys, rows_before):
+    # 2000 rows put the bad byte past the first blocks the reader decodes
+    good = b"".join(b"%d,a,child,1,0.0,0.0,1.0,0.0\n" % t for t in range(rows_before + 1))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t_s,person_id,role,present,x_m,y_m,facing_x,facing_y\n" + good
+                    + b"%d,\xffb,child,1,1.0,0.0,-1.0,0.0\n" % rows_before)
+    (tmp_path / "bad.meta.json").write_text('{"room_area_m2": 10.0}')
+    code, _, err = _run(capsys, "simulate", str(bad), "--out", str(tmp_path / "o"),
+                        "--workers", "1")
+    assert code == 1
+    _one_error_line(err)
+    assert "bad.csv" in err and "UTF-8" in err
+
+
+def test_fuse_non_utf8_csv_exit_1(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(b"t_s,person_id,role,side,x_m,y_m\n"
+                    b"0.0,p1,child,L,-0.2,0.0\n"
+                    b"0.0,p\xff1,child,R,0.2,0.0\n")
+    (tmp_path / "raw.meta.json").write_text('{"room_area_m2": 12.0}')
+    code, _, err = _run(capsys, "fuse", "--input", str(raw), "--out", str(tmp_path / "f.csv"))
+    assert code == 1
+    _one_error_line(err)
+    assert "raw.csv" in err and "UTF-8" in err
+
+
+def test_simulate_non_utf8_sidecar_exit_1(tmp_path, capsys):
+    obs = tmp_path / "class.csv"
+    obs.write_text("t_s,person_id,role,present,x_m,y_m,facing_x,facing_y\n"
+                   "0,a,child,1,0.0,0.0,1.0,0.0\n")
+    (tmp_path / "class.meta.json").write_bytes(b'{"room_area_m2": 10.0, "class_id": "\xff"}')
+    code, _, err = _run(capsys, "simulate", str(obs), "--out", str(tmp_path / "o"),
+                        "--workers", "1")
+    assert code == 1
+    _one_error_line(err)
+    assert "class.meta.json" in err and "UTF-8" in err
+
+
+def test_simulate_non_utf8_config_exit_1(tmp_path, small_obs, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"kernel": {"mode": "\xff"}}')
+    code, _, err = _run(capsys, "simulate", str(small_obs), "--config", str(cfg),
+                        "--out", str(tmp_path / "o"), "--workers", "1")
+    assert code == 1
+    _one_error_line(err)
+    assert "cfg.json" in err and "UTF-8" in err

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from classim.epidemic import (
     Compartment,
@@ -20,7 +23,14 @@ from classim.epidemic import (
     transmission_step,
 )
 from classim.errors import FrameRosterMismatch, UnknownPerson
-from classim.kernel import KernelParams, TransmissionMode, pair_rate, relative_geometry
+from classim.kernel import (
+    KernelParams,
+    TransmissionMode,
+    cumulative_hazard,
+    pair_rate,
+    pairwise_rates,
+    relative_geometry,
+)
 from classim.trajectory import Observation, Person, Role
 
 DP = DiseaseParams()
@@ -286,14 +296,14 @@ def test_two_agent_oracle_random_geometries():
 # ---------------------------------------------------------------------------
 
 def test_session_engine_matches_cache_and_on_the_fly():
-    from classim.kernel import pairwise_rates
     obs = _pair_obs(r=0.8, t_total=200)
     kp = KernelParams(beta_max=1e-3)
     rates = pairwise_rates(obs.positions, obs.facings, obs.present, kp)
 
     st1 = new_epidemic_state(obs.person_ids, _rng(21))
     seed_patient_zero(st1, "p0", DP)
-    simulate_session(st1, obs, 0.0, kp, DP, rates=rates, col_index=np.arange(2))
+    simulate_session(st1, obs, 0.0, kp, DP, hazard=cumulative_hazard(rates, DP.dt_s),
+                     col_index=np.arange(2))
 
     st2 = new_epidemic_state(obs.person_ids, _rng(21))
     seed_patient_zero(st2, "p0", DP)
@@ -333,6 +343,154 @@ def test_session_engine_midsession_infectiousness():
     simulate_session(st, obs, 0.0, kp, DP)
     assert st.t_infected[1] == 50.0  # p1 infected the second p0 turns infectious
     assert st.t_infected[2] == math.inf  # far corner never reached
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hst.data())
+def test_session_engine_infections_are_feasible(data):
+    # small random rooms with presence gaps, people turning infectious or
+    # recovering mid-session (several segments) and rates up to p = 1
+    from classim.epidemic import _schedule_infection
+    n = data.draw(hst.integers(2, 4), label="n")
+    t_total = data.draw(hst.integers(1, 40), label="t_total")
+    beta_max = data.draw(hst.sampled_from([1e-3, 0.1, 2.0, 50.0]), label="beta_max")
+    cached = data.draw(hst.booleans(), label="cached")
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+    present = rng.random((t_total, n)) < 0.7
+    ang = rng.uniform(0, 2 * math.pi, size=(t_total, n))
+    fac = np.stack([np.cos(ang), np.sin(ang)], axis=2)
+    pos = rng.uniform(0, 2, size=(t_total, n, 2))
+    roster = tuple(Person(f"p{k}", Role.CHILD) for k in range(n))
+    obs = Observation(class_id="prop", roster=roster, room_area_m2=4.0,
+                      positions=np.where(present[:, :, None], pos, np.nan),
+                      facings=np.where(present[:, :, None], fac, np.nan),
+                      present=present)
+    kp = KernelParams(beta_max=beta_max)
+    rates = pairwise_rates(obs.positions, obs.facings, obs.present, kp)
+
+    st = new_epidemic_state(obs.person_ids, _rng(data.draw(hst.integers(0, 2**32 - 1))))
+    for k in range(n):
+        role = data.draw(hst.sampled_from(["S", "S", "I", "E"]), label=f"role{k}")
+        if role == "S":
+            continue
+        t_on = 0 if role == "I" else data.draw(hst.integers(1, t_total), label=f"on{k}")
+        _schedule_infection(st, k, t_on - DP.latency_s, -1, DP)
+        st.t_recovered[k] = data.draw(hst.integers(t_on, t_total + 5), label=f"off{k}")
+    new = np.isinf(st.t_infected)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        hazard = cumulative_hazard(rates.copy(), DP.dt_s) if cached else None
+        simulate_session(st, obs, 0.0, kp, DP, hazard=hazard)
+    assert st.clock == t_total
+    for k in np.flatnonzero(new & np.isfinite(st.t_infected)):
+        t, j = st.t_infected[k], int(st.source[k])
+        assert t == int(t) and 0 <= t < t_total
+        assert j >= 0 and j != k
+        t = int(t)
+        assert present[t, k] and present[t, j]
+        assert st.t_infectious[j] <= t < st.t_recovered[j]
+        assert rates[t, k, j] > 0.0
+        # the recorded source is the strongest infectious source that second
+        live = np.flatnonzero((st.t_infectious <= t) & (t < st.t_recovered))
+        strongest = np.minimum(rates[t, k, live], 1.0).max()
+        assert min(rates[t, k, j], 1.0) == pytest.approx(strongest, rel=1e-9)
+
+
+def test_accrued_total_is_last_entry_of_series():
+    # numpy's pairwise sum over the last axis rounds differently for an
+    # (S, I) block than for an (seconds, I) one once I >= 8; the engine's
+    # sum over sources must not, or searchsorted could run off a segment
+    from classim.epidemic import _accrued
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        t_total, m = rng.integers(2, 40), rng.integers(2, 32)
+        cum = np.cumsum(rng.random((t_total, m, m)) * rng.choice([1e-6, 1e-3, 1.0, 40.0]),
+                        axis=0)
+        rows = rng.choice(m, rng.integers(1, m))
+        srcs = rng.choice(m, rng.integers(1, m))
+        lo = rng.integers(0, t_total - 1)
+        hi = rng.integers(lo + 1, t_total + 1)
+        base = cum[lo - 1, rows[:, None], srcs] if lo > 0 else np.zeros((len(rows), len(srcs)))
+        total = _accrued(cum[hi - 1, rows[:, None], srcs], base)
+        for pos, row in enumerate(rows):
+            series = _accrued(cum[lo:hi, row, srcs], base[pos])
+            assert series[-1] == total[pos]
+            assert (np.diff(series) >= 0).all()
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "on_the_fly"])
+def test_segment_boundary_oracle(cached):
+    # p0 is infectious throughout; p2 turns infectious at t_on, which splits
+    # the session into two segments.  p1's chance of infection has the
+    # closed form 1 - (1 - b01)^T (1 - b21)^(T - t_on), and of infection
+    # before t_on  1 - (1 - b01)^t_on.
+    from classim.epidemic import _schedule_infection
+    t_total, t_on, n_runs = 300, 120, 4000
+    coords = [(0, 0), (1.2, 0), (1.2, 1.2)]
+    facings = [(1, 0), (0, 1), (0, -1)]
+    obs = _stationary_obs(coords, facings, t_total)
+    kp = KernelParams(beta_max=5e-3)
+    b01 = pair_rate(relative_geometry(coords[1], facings[1], coords[0], facings[0]), kp)
+    b21 = pair_rate(relative_geometry(coords[1], facings[1], coords[2], facings[2]), kp)
+    hazard = (cumulative_hazard(pairwise_rates(obs.positions, obs.facings, obs.present, kp),
+                                DP.dt_s) if cached else None)
+    assert b21 > b01
+    hits = early = 0
+    for k in range(n_runs):
+        st = new_epidemic_state(obs.person_ids, _rng(5000 + k))
+        seed_patient_zero(st, "p0", DP)
+        _schedule_infection(st, 2, t_on - DP.latency_s, -1, DP)
+        simulate_session(st, obs, 0.0, kp, DP, hazard=hazard)
+        hits += math.isfinite(st.t_infected[1])
+        early += st.t_infected[1] < t_on
+        if math.isfinite(st.t_infected[1]):  # the stronger source once both transmit
+            assert st.source[1] == (0 if st.t_infected[1] < t_on else 2)
+    for count, p in ((hits, 1.0 - (1.0 - b01) ** t_total * (1.0 - b21) ** (t_total - t_on)),
+                     (early, 1.0 - (1.0 - b01) ** t_on)):
+        z = (count / n_runs - p) / math.sqrt(p * (1.0 - p) / n_runs)
+        assert abs(z) <= 5.0, (count, n_runs, p, z)
+
+
+def test_moving_room_oracle():
+    # two sources (one recovers mid-session, one turns infectious
+    # mid-session), moving people and presence gaps.  Nobody infected during
+    # a session becomes infectious in it, so each susceptible escapes with
+    # probability prod over seconds and present sources of (1 - min(b, 1)),
+    # taken here from the scalar kernel.
+    from classim.epidemic import _schedule_infection
+    t_total, n, n_runs = 60, 5, 3000
+    rng = np.random.default_rng(17)
+    present = rng.random((t_total, n)) < 0.8
+    pos = np.cumsum(rng.normal(0.0, 0.15, size=(t_total, n, 2)), axis=0) + rng.uniform(0, 2, (n, 2))
+    ang = rng.uniform(0, 2 * math.pi, size=(t_total, n))
+    fac = np.stack([np.cos(ang), np.sin(ang)], axis=2)
+    roster = tuple(Person(f"p{k}", Role.CHILD) for k in range(n))
+    obs = Observation(class_id="room", roster=roster, room_area_m2=9.0,
+                      positions=np.where(present[:, :, None], pos, np.nan),
+                      facings=np.where(present[:, :, None], fac, np.nan), present=present)
+    kp = KernelParams(beta_max=0.15)
+    t_on, t_off = 25, 40                       # p1 turns infectious, p0 recovers
+    infectious = {0: range(0, t_off), 1: range(t_on, t_total)}
+    escape = np.ones(n)
+    for k in range(2, n):
+        for j, seconds in infectious.items():
+            for t in seconds:
+                if present[t, k] and present[t, j]:
+                    g = relative_geometry(pos[t, k], fac[t, k], pos[t, j], fac[t, j])
+                    escape[k] *= 1.0 - min(pair_rate(g, kp), 1.0)
+    hits = np.zeros(n)
+    for r in range(n_runs):
+        st = new_epidemic_state(obs.person_ids, _rng(7000 + r))
+        seed_patient_zero(st, "p0", DP)
+        st.t_recovered[0] = float(t_off)
+        _schedule_infection(st, 1, t_on - DP.latency_s, -1, DP)
+        simulate_session(st, obs, 0.0, kp, DP)
+        hits += np.isfinite(st.t_infected)
+    for k in range(2, n):
+        p = 1.0 - escape[k]
+        z = (hits[k] / n_runs - p) / math.sqrt(p * (1.0 - p) / n_runs)
+        assert abs(z) <= 5.0, (k, hits[k], p, z)
 
 
 def test_determinism_bitwise_event_logs():

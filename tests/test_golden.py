@@ -18,8 +18,8 @@ import json
 from classim.cli import main
 
 DROPLET_DIGESTS = {
-    "curves.csv": "99346dca905e59e5a7411bea0b28747bfc65042264cf9f7bc54c337fe7c78dec",
-    "emergence.csv": "962f94b459faf4a21e754ced49f23ffced083ed17b2aeb7682596f47eb372b9e",
+    "curves.csv": "c8167c10996fa66054afaa683f7328cc058d5754ca6c66d7153a7decb157eb7b",
+    "emergence.csv": "a1e13d67c0535ef3aad33208cca8abe74082543c6c8e6f2ffc92a2f01dfc0bfc",
 }
 AIRBORNE_DIGESTS = {
     "curves.csv": "0e4228c91b84f93553876f294fc6fc93948faaa71627be2150c6e303e716776d",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from classim.kernel import (
     CalibrationInputs,
     KernelParams,
     PairGeometry,
+    HAZARD_CAP,
     airborne_decay,
     calibrate_beta_max,
+    cumulative_hazard,
     daily_contact_density,
     density,
     pair_rate,
@@ -251,6 +254,42 @@ def test_pairwise_rates_match_scalar_path():
                 assert rates[t, i, j] == pytest.approx(pair_rate(g, KP), rel=1e-12)
 
 
+def _pairwise_rates_einsum(positions, facings, present, p):
+    """The rate field with its dot products as einsum calls: the reference
+    that the written-out products must reproduce bit for bit."""
+    n = positions.shape[1]
+    pc = np.where(present[:, :, None], positions, 0.0)
+    fc = np.where(present[:, :, None], facings, 0.0)
+    d = pc[:, None, :, :] - pc[:, :, None, :]
+    r = np.sqrt(np.einsum("tijk,tijk->tij", d, d))
+    r_safe = np.maximum(r, 1e-12)
+    th_i = np.arccos(np.clip(np.einsum("tik,tijk->tij", fc, d) / r_safe, -1.0, 1.0))
+    th_j = np.arccos(np.clip(-np.einsum("tjk,tijk->tij", fc, d) / r_safe, -1.0, 1.0))
+    r_eff = np.maximum(r, R_MIN_M)
+    rate = p.beta_max * np.exp(
+        -(r_eff * r_eff) * (1.0 / (2.0 * p.sigma_r * p.sigma_r))
+        - (th_i * th_i + th_j * th_j) * (1.0 / (2.0 * p.sigma_theta * p.sigma_theta))
+    )
+    rate[~(present[:, :, None] & present[:, None, :])] = 0.0
+    rate[:, np.arange(n), np.arange(n)] = 0.0
+    return rate
+
+
+def test_pairwise_rates_bitwise_equal_einsum_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        t, n = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+        pos, fac, present = _random_field(rng, t, n)
+        pos *= rng.choice([1e-7, 1.0, 50.0])
+        pos[:, : n // 2] = pos[:, :1]  # coincident tags
+        pos = np.where(present[:, :, None], pos, np.nan)
+        fac = np.where(present[:, :, None], fac, np.nan)
+        kp = KernelParams(beta_max=float(rng.uniform(0.01, 5.0)),
+                          sigma_r=float(rng.uniform(0.5, 3.0)))
+        assert np.array_equal(pairwise_rates(pos, fac, present, kp),
+                              _pairwise_rates_einsum(pos, fac, present, kp))
+
+
 def test_pairwise_rates_chunking_is_invisible(monkeypatch):
     rng = np.random.default_rng(6)
     pos, fac, present = _random_field(rng, 50, 4)
@@ -286,6 +325,42 @@ def test_coincident_pair_clamped_not_infinite():
     expected = pair_rate(PairGeometry(R_MIN_M, math.pi / 2, math.pi / 2), KP)
     assert rates[0, 0, 1] == pytest.approx(expected, rel=1e-12)
     assert rates[0, 0, 1] <= KP.beta_max
+
+
+def test_cumulative_hazard_is_running_sum_of_capped_hazards(monkeypatch):
+    rng = np.random.default_rng(13)
+    pos, fac, present = _random_field(rng, 50, 4)
+    rates = pairwise_rates(pos, fac, present, KernelParams(beta_max=3.0))
+    rates[7, 0, 1] = 1.0   # certain contact: hazard capped, not inf
+    rates[9, 1, 0] = 7.5   # beta dt above 1 counts as p = 1
+    with np.errstate(divide="ignore"):
+        h = np.minimum(-np.log1p(-np.minimum(rates, 1.0)), HAZARD_CAP)
+    expected = np.zeros_like(h)
+    running = np.zeros(h.shape[1:])
+    for t in range(len(h)):  # sequential in t, one second after another
+        running = running + h[t]
+        expected[t] = running
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 7 * 4 * 4)  # 7-s chunks
+        chunked = cumulative_hazard(rates.copy(), 1.0)
+        monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 512 * 4 * 4)  # one chunk
+        whole = cumulative_hazard(rates.copy(), 1.0)
+    assert np.array_equal(chunked, expected) and np.array_equal(whole, expected)
+    assert np.isfinite(whole).all()
+    assert whole[7, 0, 1] - whole[6, 0, 1] == HAZARD_CAP
+    assert whole[9, 1, 0] - whole[8, 1, 0] == HAZARD_CAP
+
+
+def test_cumulative_hazard_in_place_on_column_blocks():
+    rng = np.random.default_rng(14)
+    pos, fac, present = _random_field(rng, 30, 5)
+    rates = pairwise_rates(pos, fac, present, KP)
+    rows, cols = np.array([1, 3])[:, None], np.array([0, 2, 4])
+    block = rates[:, rows, cols]
+    full = cumulative_hazard(rates, 1.0)
+    assert cumulative_hazard(block, 1.0) is block
+    assert np.array_equal(block, full[:, rows, cols])
 
 
 def test_kernel_params_validation():
