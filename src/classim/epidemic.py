@@ -38,6 +38,7 @@ below the resolution of a double-precision uniform.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -393,8 +394,10 @@ def _accrued(cum: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Hazard accrued since ``base``, summed over sources (the last axis).
 
     Sources are added strictly left to right (an accumulate, not numpy's
-    shape-dependent pairwise sum), so a susceptible's segment total and the
-    last entry of its series over the segment's seconds agree to the bit.
+    shape-dependent pairwise sum), so a susceptible's segment total and its
+    accrued hazard at the segment's last second agree to the bit.  The
+    result never falls as the second advances: each source's running sum
+    only grows, and rounding preserves order.
     """
     return np.cumsum(cum - base, axis=-1)[..., -1]
 
@@ -492,11 +495,16 @@ def simulate_session(
         thresholds = state.rng.standard_exponential(len(sus_idx))
         hits = []
         for pos in np.flatnonzero(thresholds < total):
-            series = _accrued(cum[lo:hi, rows[pos], srcs], base[pos])  # ends at total[pos]
-            t = lo + int(np.searchsorted(series, thresholds[pos], side="right"))
+            row, since = rows[pos], base[pos]
+            # first second whose accrued hazard passes the threshold; it is
+            # found by bisection, so no (seconds, sources) series is built
+            t = lo + bisect.bisect_right(
+                range(lo, hi), thresholds[pos],
+                key=lambda s: _accrued(cum[s, row, srcs], since),
+            )
             src = 0
             if len(srcs) > 1:  # the source with the largest hazard that second
-                step = cum[t, rows[pos], srcs] - (cum[t - 1, rows[pos], srcs] if t > 0 else 0.0)
+                step = cum[t, row, srcs] - (cum[t - 1, row, srcs] if t > 0 else 0.0)
                 src = int(np.argmax(step))
             hits.append((t - lo, int(pos), int(inf_idx[src])))
         for t_rel, pos, j in sorted(hits):

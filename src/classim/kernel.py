@@ -248,9 +248,11 @@ def rates_between(
 
 
 #: Pair-seconds per time chunk of ``pairwise_rates``: each float64 temporary
-#: of a chunk stays near 0.5 MB, so a cache build's working set beyond the
-#: cache itself is a few MB for any roster.
-_CHUNK_ELEMENTS = 1 << 16
+#: of a chunk stays near 128 kB, so a cache build's working set beyond the
+#: cache itself is about 1 MB for any roster.  Whether the C library hands
+#: freed heap memory back depends on the heap's layout; a small working set
+#: keeps a worker's peak RSS the same either way.
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def pairwise_rates(
@@ -274,17 +276,16 @@ def pairwise_rates(
     t_total, n, _ = positions.shape
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n))
     out = np.zeros((t_total, n, n), dtype=np.float64)
-    # Absent slots may carry NaN; substitute zeros so vector math stays clean.
-    # Their rates are masked out afterwards.
-    pos = np.where(present[:, :, None], positions, 0.0)
-    fac = np.where(present[:, :, None], facings, 0.0)
     inv_2sr2 = 1.0 / (2.0 * p.sigma_r * p.sigma_r)
     inv_2st2 = 1.0 / (2.0 * p.sigma_theta * p.sigma_theta)
 
     for a in range(0, t_total, chunk):
         b = min(a + chunk, t_total)
-        pc = pos[a:b]
-        fc = fac[a:b]
+        # Absent slots may carry NaN; substitute zeros so vector math stays
+        # clean.  Their rates are masked out afterwards.
+        here = present[a:b, :, None]
+        pc = np.where(here, positions[a:b], 0.0)
+        fc = np.where(here, facings[a:b], 0.0)
         # (C, i, j) separation i -> j; the dot products are written out, which
         # costs a fraction of einsum's per-call overhead on small blocks
         dx = pc[:, None, :, 0] - pc[:, :, None, 0]

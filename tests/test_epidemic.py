@@ -400,7 +400,8 @@ def test_session_engine_infections_are_feasible(data):
 def test_accrued_total_is_last_entry_of_series():
     # numpy's pairwise sum over the last axis rounds differently for an
     # (S, I) block than for an (seconds, I) one once I >= 8; the engine's
-    # sum over sources must not, or searchsorted could run off a segment
+    # sum over sources must not, or its bisection could run off a segment.
+    # The bisection reads one second at a time, so that must agree too.
     from classim.epidemic import _accrued
     rng = np.random.default_rng(9)
     for _ in range(300):
@@ -417,6 +418,8 @@ def test_accrued_total_is_last_entry_of_series():
             series = _accrued(cum[lo:hi, row, srcs], base[pos])
             assert series[-1] == total[pos]
             assert (np.diff(series) >= 0).all()
+            at = [_accrued(cum[t, row, srcs], base[pos]) for t in range(lo, hi)]
+            assert np.array_equal(at, series)
 
 
 @pytest.mark.parametrize("cached", [True, False], ids=["cache", "on_the_fly"])
