@@ -29,7 +29,7 @@ P(E > H) = exp(-H), that reproduces the per-second escape probability
 exactly, so the engine is exact in distribution, not an approximation.
 Per-second draws are independent, so a fresh threshold per segment is as
 exact as one per session.  The
-hazards come as a running sum over time per pair
+hazards come as a running sum over time per unordered pair
 (``kernel.cumulative_hazard``), so a segment's total is one difference per
 (susceptible, source) pair.  A certain contact (p = 1) has infinite hazard;
 it is capped at ``kernel.HAZARD_CAP`` = 40, whose escape chance exp(-40) is
@@ -175,11 +175,12 @@ def new_epidemic_state(
     """Fresh all-susceptible state at clock 0."""
     ids = tuple(person_ids)
     n = len(ids)
+    immune = set(immune_ids)
     return EpidemicState(
         clock=0.0,
         rng=rng,
         person_ids=ids,
-        immune=np.isin(ids, list(immune_ids)),
+        immune=np.array([pid in immune for pid in ids], dtype=bool),
         t_infected=np.full(n, math.inf),
         t_infectious=np.full(n, math.inf),
         t_symptomatic=np.full(n, math.inf),
@@ -409,7 +410,7 @@ def simulate_session(
     kp: KernelParams,
     dp: DiseaseParams,
     hazard: np.ndarray | None = None,
-    col_index: np.ndarray | None = None,
+    pairs: np.ndarray | None = None,
 ) -> EpidemicState:
     """Replay one full session of the observation against the state.
 
@@ -422,10 +423,15 @@ def simulate_session(
     infector is the source with the largest hazard at that second.
 
     ``hazard`` may carry the precomputed cumulative hazard of the source
-    observation, ``kernel.cumulative_hazard`` of its all-pairs rates (shape
-    (T, M, M)); ``col_index`` maps this state's roster positions into its
-    columns, so half-class runs reuse a full-roster cache.  Without it,
-    each segment rates its own seconds and accumulates them the same way.
+    observation, ``kernel.cumulative_hazard`` of its pair triangle
+    (``kernel.pair_rates``, shape (T, M(M-1)/2)).  ``pairs`` is the (n, n)
+    map from a pair of this state's roster positions to that pair's
+    column, ``kernel.pair_index(M)`` restricted to the roster, so half-class
+    runs reuse a full-roster cache; it defaults to ``kernel.pair_index(n)``,
+    a cache of this roster itself.  Without a cache, each segment rates only
+    its own (susceptible, source) pairs over its own seconds and accumulates
+    them the same way.  The rates are bitwise symmetric in the pair, so
+    both paths read the same bits.
 
     Airborne mode falls back to the per-frame step, which maintains the
     emission buffers.
@@ -446,12 +452,13 @@ def simulate_session(
             transmission_step(state, obs.frame(t), kp, dp)
         return state
 
-    if col_index is None:
-        col_index = np.arange(n)
-    else:
-        col_index = np.asarray(col_index)
-    if hazard is not None and hazard.shape[0] != t_total:
-        raise ValueError(f"hazard cache covers {hazard.shape[0]} s, session is {t_total} s")
+    if hazard is not None:
+        if hazard.ndim != 2:
+            raise ValueError(f"hazard cache must be (seconds, pairs), got shape {hazard.shape}")
+        if hazard.shape[0] != t_total:
+            raise ValueError(f"hazard cache covers {hazard.shape[0]} s, session is {t_total} s")
+        if pairs is None:
+            pairs = kernel.pair_index(n)
 
     dt = dp.dt_s
     latency_steps = max(1, int(dp.latency_s // dt))
@@ -477,34 +484,33 @@ def simulate_session(
             cursor = seg_end
             continue
 
+        # cols[s, i]: the hazard column of susceptible s and source i
         if hazard is not None:
-            cum, lo, rows, srcs = hazard, cursor, col_index[sus_idx], col_index[inf_idx]
+            cum, lo, cols = hazard, cursor, pairs[sus_idx[:, None], inf_idx]
         else:
-            rates = kernel.pairwise_rates(
-                obs.positions[cursor:seg_end],
-                obs.facings[cursor:seg_end],
-                obs.present[cursor:seg_end],
-                kp,
-            )[:, sus_idx[:, None], inf_idx]
+            seconds = slice(cursor, seg_end)
+            rates = kernel.pair_rates(
+                obs.positions[seconds], obs.facings[seconds], obs.present[seconds], kp,
+                (np.repeat(sus_idx, len(inf_idx)), np.tile(inf_idx, len(sus_idx))),
+            )
             cum, lo = kernel.cumulative_hazard(rates, dt), 0
-            rows, srcs = np.arange(len(sus_idx)), np.arange(len(inf_idx))
+            cols = np.arange(rates.shape[1]).reshape(len(sus_idx), len(inf_idx))
         hi = lo + seg_end - cursor
-        base = (cum[lo - 1, rows[:, None], srcs] if lo > 0
-                else np.zeros((len(sus_idx), len(inf_idx))))
-        total = _accrued(cum[hi - 1, rows[:, None], srcs], base)
+        base = cum[lo - 1][cols] if lo > 0 else np.zeros(cols.shape)
+        total = _accrued(cum[hi - 1][cols], base)
         thresholds = state.rng.standard_exponential(len(sus_idx))
         hits = []
         for pos in np.flatnonzero(thresholds < total):
-            row, since = rows[pos], base[pos]
+            col, since = cols[pos], base[pos]
             # first second whose accrued hazard passes the threshold; it is
             # found by bisection, so no (seconds, sources) series is built
             t = lo + bisect.bisect_right(
                 range(lo, hi), thresholds[pos],
-                key=lambda s: _accrued(cum[s, row, srcs], since),
+                key=lambda s: _accrued(cum[s, col], since),
             )
             src = 0
-            if len(srcs) > 1:  # the source with the largest hazard that second
-                step = cum[t, row, srcs] - (cum[t - 1, row, srcs] if t > 0 else 0.0)
+            if len(col) > 1:  # the source with the largest hazard that second
+                step = cum[t, col] - (cum[t - 1, col] if t > 0 else 0.0)
                 src = int(np.argmax(step))
             hits.append((t - lo, int(pos), int(inf_idx[src])))
         for t_rel, pos, j in sorted(hits):

@@ -19,8 +19,15 @@ rate) via the average-rate identity
 where rho is a contact density in persons per square meter; see
 ``calibrate_beta_max``.
 
-The session engine reads the rates as a cumulative hazard
-(``cumulative_hazard``), summed over time per ordered pair.
+The rate is symmetric in the pair, bit for bit, so every block routine
+rates each unordered pair once.  ``pair_rates`` is the one vectorized
+formula: it rates a list of pairs (a, b) over a trajectory block, by
+default the triangle of every pair i < j, one column per pair in
+``pair_index`` order.  ``pairwise_rates`` mirrors that triangle into the
+full (T, N, N) matrix, and ``pair_rate_sums`` sums it over time chunk by
+chunk.  The session engine reads the rates as a cumulative hazard
+(``cumulative_hazard``), summed over time per pair column; a cache of the
+whole recording holds T * N(N-1)/2 floats.
 
 All functions here are safe to call concurrently on separate arrays; all
 but ``cumulative_hazard``, which converts its argument in place, are pure.
@@ -247,12 +254,90 @@ def rates_between(
     )
 
 
-#: Pair-seconds per time chunk of ``pairwise_rates``: each float64 temporary
-#: of a chunk stays near 128 kB, so a cache build's working set beyond the
-#: cache itself is about 1 MB for any roster.  Whether the C library hands
-#: freed heap memory back depends on the heap's layout; a small working set
-#: keeps a worker's peak RSS the same either way.
+#: Pair-seconds per time chunk of the kernel's block routines: each float64
+#: temporary of a chunk stays near 128 kB, so a cache build's working set
+#: beyond the cache itself is about 1 MB for any roster.  Whether the C
+#: library hands freed heap memory back depends on the heap's layout; a small
+#: working set keeps a worker's peak RSS the same either way.
 _CHUNK_ELEMENTS = 1 << 14
+
+
+def pair_index(n: int) -> np.ndarray:
+    """(n, n) map from a pair of roster positions to its column in a triangle.
+
+    A triangle holds one column per unordered pair i < j, in the row-major
+    order of ``np.triu_indices(n, k=1)``: (0, 1), (0, 2), ..., (1, 2), ...
+    Entry [i, j] and entry [j, i] both name the column of {i, j}; the
+    diagonal, which names no pair, is -1.
+    """
+    i, j = np.triu_indices(n, k=1)
+    index = np.full((n, n), -1, dtype=np.intp)
+    index[i, j] = index[j, i] = np.arange(len(i))
+    return index
+
+
+def pair_rates(
+    positions: np.ndarray,
+    facings: np.ndarray,
+    present: np.ndarray,
+    p: KernelParams,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Instantaneous rates of a list of pairs over a whole trajectory block.
+
+    positions and facings have shape (T, N, 2); present is a (T, N) boolean
+    mask.  ``pairs`` is (a, b), two equal-length arrays of roster positions;
+    by default every unordered pair a < b, in ``pair_index`` column order.
+    Returns a (T, P) array whose column k is the rate from b[k] to a[k] at
+    each second: zero where a[k] == b[k] or either person is absent.
+    Distances below ``R_MIN_M`` are clamped, matching the scalar caller
+    contract for coincident tags.
+
+    The rate is bitwise symmetric in the pair: swapping a and b only
+    negates the separation and swaps the two angle terms of a sum.  So
+    column k is entry [:, a[k], b[k]] of ``pairwise_rates`` bit for bit.
+    Work proceeds in time chunks of about ``_CHUNK_ELEMENTS`` pair-seconds
+    to bound peak memory; results do not depend on the chunking.
+    """
+    t_total, n, _ = positions.shape
+    if pairs is None:
+        pairs = np.triu_indices(n, k=1)
+    a, b = (np.asarray(side, dtype=np.intp) for side in pairs)
+    distinct = a != b
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, len(a)))
+    out = np.empty((t_total, len(a)), dtype=np.float64)
+    inv_2sr2 = 1.0 / (2.0 * p.sigma_r * p.sigma_r)
+    inv_2st2 = 1.0 / (2.0 * p.sigma_theta * p.sigma_theta)
+
+    for s in range(0, t_total, chunk):
+        e = min(s + chunk, t_total)
+        here = present[s:e]
+        # Absent slots may carry NaN; substitute zeros so vector math stays
+        # clean.  Their rates are masked out afterwards.
+        x, y, fx, fy = (
+            np.where(here, block[:, :, k], 0.0)
+            for block in (positions[s:e], facings[s:e]) for k in (0, 1)
+        )
+        # (C, P) separation a -> b
+        dx = x[:, b] - x[:, a]
+        dy = y[:, b] - y[:, a]
+        r = np.sqrt(dx * dx + dy * dy)
+        # Angles use the true separation direction; exactly coincident pairs
+        # get the neutral theta = pi/2 (cos = 0 after the safe division).
+        r_safe = np.maximum(r, 1e-12)
+        cos_a = (fx[:, a] * dx + fy[:, a] * dy) / r_safe
+        cos_b = -(fx[:, b] * dx + fy[:, b] * dy) / r_safe
+        th_a = np.arccos(np.clip(cos_a, -1.0, 1.0))
+        th_b = np.arccos(np.clip(cos_b, -1.0, 1.0))
+        # The distance term clamps sub-resolution separations up to R_MIN_M.
+        r_eff = np.maximum(r, R_MIN_M)
+        rate = p.beta_max * np.exp(
+            -(r_eff * r_eff) * inv_2sr2 - (th_a * th_a + th_b * th_b) * inv_2st2
+        )
+        # 0 unless both present and two different people
+        rate *= here[:, a] & here[:, b] & distinct
+        out[s:e] = rate
+    return out
 
 
 def pairwise_rates(
@@ -266,47 +351,15 @@ def pairwise_rates(
     positions and facings have shape (T, N, 2); present is a (T, N) boolean
     mask.  Returns a (T, N, N) array where entry [t, i, j] is the rate from j
     to i at second t, zero on the diagonal and wherever either person is
-    absent.  Distances below ``R_MIN_M`` are clamped, matching the scalar
-    caller contract for coincident tags.
-
-    Work proceeds in time chunks of about ``_CHUNK_ELEMENTS`` pair-seconds
-    to bound peak memory, whatever the roster size.  Results are identical
-    elementwise regardless of chunking.
+    absent.  Each unordered pair is rated once by ``pair_rates`` and
+    mirrored, which the rate's bitwise symmetry makes exact.
     """
     t_total, n, _ = positions.shape
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n * n))
+    i, j = np.triu_indices(n, k=1)
+    triangle = pair_rates(positions, facings, present, p)
     out = np.zeros((t_total, n, n), dtype=np.float64)
-    inv_2sr2 = 1.0 / (2.0 * p.sigma_r * p.sigma_r)
-    inv_2st2 = 1.0 / (2.0 * p.sigma_theta * p.sigma_theta)
-
-    for a in range(0, t_total, chunk):
-        b = min(a + chunk, t_total)
-        # Absent slots may carry NaN; substitute zeros so vector math stays
-        # clean.  Their rates are masked out afterwards.
-        here = present[a:b, :, None]
-        pc = np.where(here, positions[a:b], 0.0)
-        fc = np.where(here, facings[a:b], 0.0)
-        # (C, i, j) separation i -> j; the dot products are written out, which
-        # costs a fraction of einsum's per-call overhead on small blocks
-        dx = pc[:, None, :, 0] - pc[:, :, None, 0]
-        dy = pc[:, None, :, 1] - pc[:, :, None, 1]
-        r = np.sqrt(dx * dx + dy * dy)
-        # Angles use the true separation direction; exactly coincident pairs
-        # get the neutral theta = pi/2 (cos = 0 after the safe division).
-        r_safe = np.maximum(r, 1e-12)
-        cos_i = (fc[:, :, None, 0] * dx + fc[:, :, None, 1] * dy) / r_safe
-        cos_j = -(fc[:, None, :, 0] * dx + fc[:, None, :, 1] * dy) / r_safe
-        th_i = np.arccos(np.clip(cos_i, -1.0, 1.0))
-        th_j = np.arccos(np.clip(cos_j, -1.0, 1.0))
-        # The distance term clamps sub-resolution separations up to R_MIN_M.
-        r_eff = np.maximum(r, R_MIN_M)
-        rate = p.beta_max * np.exp(
-            -(r_eff * r_eff) * inv_2sr2 - (th_i * th_i + th_j * th_j) * inv_2st2
-        )
-        rate *= present[a:b, :, None] & present[a:b, None, :]   # 0 unless both present
-        idx = np.arange(n)
-        rate[:, idx, idx] = 0.0
-        out[a:b] = rate
+    out[:, i, j] = triangle
+    out[:, j, i] = triangle
     return out
 
 
@@ -317,17 +370,17 @@ HAZARD_CAP = 40.0
 
 
 def cumulative_hazard(rates: np.ndarray, dt_s: float) -> np.ndarray:
-    """Turn rates from ``pairwise_rates`` into their cumulative hazard, in place.
+    """Turn per-second rates into their cumulative hazard, in place.
 
-    ``rates`` is a (T, ...) array of per-second rates, such as the (T, N, N)
-    array of ``pairwise_rates`` or a block of its columns.  Entry [t, i, j]
-    becomes  sum_{s <= t} -log1p(-min(rates[s, i, j] * dt_s, 1)),  each term
-    capped at ``HAZARD_CAP``: the hazard from j to i accumulated through
-    second t.  One second's term is the hazard of the per-second
-    Bernoulli(min(beta dt, 1)) contact, so  exp(-(C[b] - C[a-1]))  is the
-    probability that pair contact (j -> i) transmits in none of the seconds
-    a..b.  The running sum is strictly sequential in t, so the result does
-    not depend on the time chunks the work proceeds in.  Returns ``rates``.
+    ``rates`` is a (T, ...) array of per-second rates, such as the (T, P)
+    array of ``pair_rates``.  Entry [t, k] becomes
+    sum_{s <= t} -log1p(-min(rates[s, k] * dt_s, 1)),  each term capped at
+    ``HAZARD_CAP``: the hazard of pair k accumulated through second t.  One
+    second's term is the hazard of the per-second Bernoulli(min(beta dt, 1))
+    contact, so  exp(-(C[b] - C[a-1]))  is the probability that the pair's
+    contact transmits in none of the seconds a..b.  The running sum is
+    strictly sequential in t, so the result does not depend on the time
+    chunks the work proceeds in.  Returns ``rates``.
     """
     t_total = rates.shape[0]
     chunk = max(1, _CHUNK_ELEMENTS // max(1, rates[:1].size))
@@ -346,6 +399,46 @@ def cumulative_hazard(rates: np.ndarray, dt_s: float) -> np.ndarray:
     return rates
 
 
+def time_sums(rates: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """Sum a (T, ...) block over time, adding its seconds one by one in order.
+
+    ``start`` is the running sum carried in from earlier seconds (zeros by
+    default).  numpy's own ``sum(axis=0)`` adds row by row only while the
+    rows hold more than one element; a single pair's column would get its
+    pairwise summation instead.  A running sum is sequential at any shape,
+    so a pair's time sum is bitwise the same whatever block it came in.
+    """
+    total = np.zeros(rates.shape[1:]) if start is None else start
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, rates[:1].size))
+    for a in range(0, rates.shape[0], chunk):
+        c = rates[a:a + chunk].copy()
+        c[0] += total
+        total = np.cumsum(c, axis=0, out=c)[-1]
+    return total
+
+
+def pair_rate_sums(
+    positions: np.ndarray,
+    facings: np.ndarray,
+    present: np.ndarray,
+    p: KernelParams,
+) -> np.ndarray:
+    """Time sums of ``pair_rates`` over every unordered pair, in column order.
+
+    The rates are made and summed one time chunk at a time, so only the
+    (N(N-1)/2,) sums are held, never the (T, N(N-1)/2) block; the sums are
+    bitwise those of ``time_sums`` over the whole block.
+    """
+    t_total, n, _ = positions.shape
+    total = np.zeros(n * (n - 1) // 2)
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, len(total)))
+    for a in range(0, t_total, chunk):
+        b = a + chunk
+        block = pair_rates(positions[a:b], facings[a:b], present[a:b], p)
+        total = time_sums(block, total)
+    return total
+
+
 def mean_pair_rate(
     rate_sums: np.ndarray,
     present: np.ndarray,
@@ -353,22 +446,22 @@ def mean_pair_rate(
 ) -> float:
     """Mean rate over the co-present unordered pair-seconds of a roster.
 
-    ``rate_sums`` is the (M, M) time sum ``rates.sum(axis=0)`` of a
-    ``pairwise_rates`` array and ``present`` that array's (T, M) mask.
-    ``idx`` holds the roster's columns in ascending order (all M by
-    default).  The numerator sums rate_sums[i, j] over roster pairs i < j
-    (rates are zero wherever either person is absent); the denominator
-    counts the pairs present at each second.  A time sum adds the seconds
-    one by one in order, so rate_sums[i, j] is bitwise the same whether it
-    came from a roster's own rates or a larger roster's, and so is the
-    result.  0.0 when no pair is ever co-present.
+    ``rate_sums`` is the (M(M-1)/2,) time sum (``time_sums`` or
+    ``pair_rate_sums``) of the ``pair_rates`` triangle of M people, and
+    ``present`` their (T, M) mask.  ``idx`` holds the roster's columns in
+    ascending order (all M by default).  The numerator adds the sums of the
+    roster's pairs i < j in row-major order (rates are zero wherever either
+    person is absent); the denominator counts the pairs present at each
+    second.  A pair's time sum is bitwise the same whether it came from a
+    roster's own rates or a larger roster's, and so is the result.  0.0 when
+    no pair is ever co-present.
     """
-    n = rate_sums.shape[0] if idx is None else len(idx)
-    iu0, iu1 = np.triu_indices(n, k=1)
-    if idx is not None:
-        iu0, iu1 = idx[iu0], idx[iu1]
+    if idx is None:
+        total = float(rate_sums.sum())
+    else:
+        iu0, iu1 = np.triu_indices(len(idx), k=1)
+        total = float(rate_sums[pair_index(present.shape[1])[idx[iu0], idx[iu1]]].sum())
         present = present[:, idx]
-    total = float(rate_sums[iu0, iu1].sum())
     k = present.sum(axis=1).astype(np.int64)
     denom = int(((k * (k - 1)) // 2).sum())
     return total / denom if denom > 0 else 0.0

@@ -67,7 +67,6 @@ def transmission_likelihood(
     obs: Observation,
     kp: KernelParams,
     horizon_sessions: int,
-    rates: np.ndarray | None = None,
 ) -> tuple[float, float, float]:
     """(beta_hat, T, beta_hat * T) for an observation.
 
@@ -78,9 +77,8 @@ def transmission_likelihood(
     """
     if obs.n_people < 2:
         raise SinglePerson(f"need >= 2 people, roster has {obs.n_people}")
-    if rates is None:
-        rates = kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
-    beta_hat = kernel.mean_pair_rate(rates.sum(axis=0), obs.present)
+    rate_sums = kernel.pair_rate_sums(obs.positions, obs.facings, obs.present, kp)
+    beta_hat = kernel.mean_pair_rate(rate_sums, obs.present)
     t_exposure = float(obs.session_length_s) * horizon_sessions
     return beta_hat, t_exposure, beta_hat * t_exposure
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import epidemic, kernel
 from .epidemic import DiseaseParams, Event
 from .errors import ConfigError, NoTeacher, UnknownPerson
-from .kernel import KernelParams
+from .kernel import KernelParams, TransmissionMode
 from .trajectory import Observation, Role
 
 SECONDS_PER_DAY = 86400.0
@@ -221,14 +221,16 @@ def derive_seed(base_seed: int, patient_zero_index: int, rep: int) -> int:
 # one run
 # ---------------------------------------------------------------------------
 
-#: Above this size (seconds x people^2), runs fall back to computing rates
-#: segment by segment instead of holding the whole all-pairs array.
+#: Above this many stored elements (seconds x unordered pairs, 400 MB of
+#: float64), runs fall back to rating each segment's own pairs instead of
+#: holding the cumulative-hazard cache of the whole session.
 _RATE_CACHE_MAX_ELEMENTS = 50_000_000
 
 
 def _fits_rate_cache(obs: Observation) -> bool:
-    """Whether the all-pairs rate array of ``obs`` is within the cache cap."""
-    return 0 < obs.session_length_s * obs.n_people**2 <= _RATE_CACHE_MAX_ELEMENTS
+    """Whether the pair-triangle cache of ``obs`` is within the cache cap."""
+    n = obs.n_people
+    return 0 < obs.session_length_s * (n * (n - 1) // 2) <= _RATE_CACHE_MAX_ELEMENTS
 
 
 @dataclass
@@ -264,7 +266,9 @@ def run_simulation(
     Draw order per run: half-class subset, vaccination flags, patient-zero
     clocks, then transmission.  ``hazard`` may hold the precomputed
     cumulative hazard (``kernel.cumulative_hazard``) of the *full*
-    observation's all-pairs rates; half-class runs index into it.
+    observation's pair triangle (``kernel.pair_rates``, shape
+    (T, M(M-1)/2)); half-class runs index into it.  Without it, a droplet
+    run within the cache cap builds its own roster's cache.
 
     The trajectory replays identically for every session in the calendar;
     between sessions the clock jumps with no transmission.  The run stops
@@ -281,23 +285,25 @@ def run_simulation(
     rng = np.random.Generator(np.random.PCG64(seed))
 
     if sc.density == DensityVariant.HALF:
-        col_index = half_class_indices(obs, rng, include=patient_zero)
-        obs_run = obs.subset(col_index)
+        idx = half_class_indices(obs, rng, include=patient_zero)
+        obs_run = obs.subset(idx)
     else:
-        col_index = np.arange(obs.n_people)
+        idx = np.arange(obs.n_people)
         obs_run = obs
     if sc.vaccination == VaccinationVariant.TEACHERS:
         immune = apply_vaccination(obs_run.roster, sc.vaccine_efficacy, rng)
     else:
         immune = frozenset()
 
-    if hazard is None and _fits_rate_cache(obs_run):
+    pairs = None
+    if hazard is not None:
+        pairs = kernel.pair_index(obs.n_people)[np.ix_(idx, idx)]
+    elif kp.mode == TransmissionMode.DROPLET and _fits_rate_cache(obs_run):
         # the same session replays every school day; rate the pairs once
         hazard = kernel.cumulative_hazard(
-            kernel.pairwise_rates(obs_run.positions, obs_run.facings, obs_run.present, kp),
+            kernel.pair_rates(obs_run.positions, obs_run.facings, obs_run.present, kp),
             dp.dt_s,
         )
-        col_index = np.arange(obs_run.n_people)
 
     state = epidemic.new_epidemic_state(obs_run.person_ids, rng, immune)
     epidemic.seed_patient_zero(state, patient_zero, dp)
@@ -308,8 +314,7 @@ def run_simulation(
             break
         if state.clock < start:
             epidemic.progress_offclass(state, start - state.clock)
-        epidemic.simulate_session(state, obs_run, start, kp, dp,
-                                  hazard=hazard, col_index=col_index)
+        epidemic.simulate_session(state, obs_run, start, kp, dp, hazard=hazard, pairs=pairs)
     if state.clock < horizon_s:
         epidemic.progress_offclass(state, horizon_s - state.clock)
 
@@ -335,22 +340,26 @@ def run_simulation(
 class _SweepRunner:
     """What every run of one sweep shares within one process.
 
-    Building it rates every pair of the observation once, keeps each pair's
-    time sum for ``beta_hat`` and then turns the rates, in place, into the
-    cumulative hazard the session engine reads (the cache).  Runs only
-    index into both.
+    Building it rates each unordered pair of the observation once
+    (``kernel.pair_rates``), keeps each pair's time sum for ``beta_hat`` and
+    then turns the rates, in place, into the cumulative hazard the session
+    engine reads (the cache, T * N(N-1)/2 floats).  Runs only index into
+    both.  In airborne mode, which reads no cache, and past the cache cap,
+    only the time sums are made, one time chunk at a time.
     """
 
     def __init__(self, obs, cells, cals, kp, dp):
         self.obs, self.cells, self.cals, self.kp, self.dp = obs, cells, cals, kp, dp
-        self.rate_sums = self.hazard = None
-        if _fits_rate_cache(obs):
-            rates = kernel.pairwise_rates(obs.positions, obs.facings, obs.present, kp)
-            self.rate_sums = rates.sum(axis=0)
+        self.hazard = None
+        if kp.mode == TransmissionMode.DROPLET and _fits_rate_cache(obs):
+            rates = kernel.pair_rates(obs.positions, obs.facings, obs.present, kp)
+            self.rate_sums = kernel.time_sums(rates)
             self.hazard = kernel.cumulative_hazard(rates, dp.dt_s)
+        else:
+            self.rate_sums = kernel.pair_rate_sums(obs.positions, obs.facings, obs.present, kp)
         self.column = {pid: k for k, pid in enumerate(obs.person_ids)}
         self.full_beta_hat = (
-            self._beta_hat(np.arange(obs.n_people))
+            kernel.mean_pair_rate(self.rate_sums, obs.present)
             if any(sc.density == DensityVariant.FULL for sc in cells) else None
         )
         self.exposure_t_s = [
@@ -360,16 +369,6 @@ class _SweepRunner:
             for sc, cal in zip(cells, cals)
         ]
 
-    def _beta_hat(self, idx: np.ndarray) -> float:
-        """Mean pair rate over the roster columns ``idx`` (ascending)."""
-        obs = self.obs
-        if self.rate_sums is not None:
-            return kernel.mean_pair_rate(self.rate_sums, obs.present, idx)
-        rates = kernel.pairwise_rates(
-            obs.positions[:, idx], obs.facings[:, idx], obs.present[:, idx], self.kp
-        )
-        return kernel.mean_pair_rate(rates.sum(axis=0), obs.present[:, idx])
-
     def run(self, cell: int, pz_index: int, rep: int) -> RunOutcome:
         obs, sc, cal = self.obs, self.cells[cell], self.cals[cell]
         seed = derive_seed(sc.base_seed, pz_index, rep)
@@ -378,8 +377,9 @@ class _SweepRunner:
         if sc.density == DensityVariant.FULL:
             outcome.beta_hat = self.full_beta_hat
         else:
-            outcome.beta_hat = self._beta_hat(
-                np.array([self.column[pid] for pid in outcome.roster_ids])
+            outcome.beta_hat = kernel.mean_pair_rate(
+                self.rate_sums, obs.present,
+                np.array([self.column[pid] for pid in outcome.roster_ids]),
             )
         outcome.exposure_t_s = self.exposure_t_s[cell]
         return outcome
@@ -413,8 +413,8 @@ def sweep(
     cell's own calendar over its horizon.
 
     Each process (the caller itself at ``workers=1``, else each pool
-    worker) builds the cumulative-hazard cache once per sweep; runs then
-    reduce to array gathers and draws.
+    worker) builds the cumulative-hazard cache of the pair triangle once
+    per sweep; runs then reduce to array gathers and draws.
     """
     cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)
     cals = tuple(

@@ -218,14 +218,14 @@ class Observation:
 
     def subset(self, indices) -> "Observation":
         """New Observation keeping only the given roster indices (in roster order)."""
-        indices = sorted(indices)
+        indices = np.sort(np.asarray(indices, dtype=np.intp))
         # Whole columns of a valid observation keep its per-element
         # invariants, so only the structure is checked again.
         sub = copy.copy(self)
         sub.roster = tuple(self.roster[k] for k in indices)
-        sub.positions = self.positions[:, indices]  # fancy indexing copies
-        sub.facings = self.facings[:, indices]
-        sub.present = self.present[:, indices]
+        sub.positions = np.take(self.positions, indices, axis=1)  # copies
+        sub.facings = np.take(self.facings, indices, axis=1)
+        sub.present = np.take(self.present, indices, axis=1)
         sub.activity = None if self.activity is None else self.activity.copy()
         sub._validate_structure()
         return sub

@@ -27,7 +27,9 @@ from classim.kernel import (
     KernelParams,
     TransmissionMode,
     cumulative_hazard,
+    pair_index,
     pair_rate,
+    pair_rates,
     pairwise_rates,
     relative_geometry,
 )
@@ -298,12 +300,12 @@ def test_two_agent_oracle_random_geometries():
 def test_session_engine_matches_cache_and_on_the_fly():
     obs = _pair_obs(r=0.8, t_total=200)
     kp = KernelParams(beta_max=1e-3)
-    rates = pairwise_rates(obs.positions, obs.facings, obs.present, kp)
+    rates = pair_rates(obs.positions, obs.facings, obs.present, kp)
 
     st1 = new_epidemic_state(obs.person_ids, _rng(21))
     seed_patient_zero(st1, "p0", DP)
     simulate_session(st1, obs, 0.0, kp, DP, hazard=cumulative_hazard(rates, DP.dt_s),
-                     col_index=np.arange(2))
+                     pairs=pair_index(2))
 
     st2 = new_epidemic_state(obs.person_ids, _rng(21))
     seed_patient_zero(st2, "p0", DP)
@@ -311,6 +313,54 @@ def test_session_engine_matches_cache_and_on_the_fly():
 
     assert st1.t_infected[1] == st2.t_infected[1]
     assert event_log(st1, 28 * DAY) == event_log(st2, 28 * DAY)
+
+
+def test_session_engine_rejects_full_matrix_cache():
+    obs = _pair_obs(r=0.8, t_total=50)
+    kp = KernelParams(beta_max=1e-3)
+    full = cumulative_hazard(pairwise_rates(obs.positions, obs.facings, obs.present, kp),
+                             DP.dt_s)
+    st = new_epidemic_state(obs.person_ids, _rng(3))
+    seed_patient_zero(st, "p0", DP)
+    with pytest.raises(ValueError, match="seconds, pairs"):
+        simulate_session(st, obs, 0.0, kp, DP, hazard=full)
+
+
+def test_half_roster_cache_matches_on_the_fly():
+    # a half roster whose columns are not contiguous in the full recording
+    # reads the full-roster triangle cache through its pair map; it must
+    # draw exactly what rating only its own segment pairs draws
+    from classim.epidemic import _schedule_infection
+    t_total, n = 90, 7
+    rng = np.random.default_rng(31)
+    present = rng.random((t_total, n)) < 0.8
+    pos = rng.uniform(0, 2, size=(t_total, n, 2))
+    ang = rng.uniform(0, 2 * math.pi, size=(t_total, n))
+    fac = np.stack([np.cos(ang), np.sin(ang)], axis=2)
+    roster = tuple(Person(f"p{k}", Role.CHILD) for k in range(n))
+    obs = Observation(class_id="half", roster=roster, room_area_m2=4.0,
+                      positions=np.where(present[:, :, None], pos, np.nan),
+                      facings=np.where(present[:, :, None], fac, np.nan), present=present)
+    kp = KernelParams(beta_max=0.05)
+    idx = np.array([0, 2, 3, 6])
+    sub = obs.subset(idx)
+    hazard = cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp), DP.dt_s)
+    pairs = pair_index(n)[np.ix_(idx, idx)]
+    infected = 0
+    for seed in range(40):
+        states = []
+        for cache in (True, False):
+            st = new_epidemic_state(sub.person_ids, _rng(seed))
+            seed_patient_zero(st, "p0", DP)
+            _schedule_infection(st, 2, 30.0 - DP.latency_s, -1, DP)  # a second source
+            simulate_session(st, sub, 0.0, kp, DP, hazard=hazard if cache else None,
+                             pairs=pairs if cache else None)
+            states.append(st)
+        a, b = states
+        for field in ("t_infected", "t_infectious", "t_symptomatic", "t_recovered", "source"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (seed, field)
+        infected += int(np.isfinite(a.t_infected).sum()) - 2
+    assert infected > 0
 
 
 def test_session_engine_handles_midsession_recovery():
@@ -380,7 +430,8 @@ def test_session_engine_infections_are_feasible(data):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        hazard = cumulative_hazard(rates.copy(), DP.dt_s) if cached else None
+        hazard = (cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp),
+                                    DP.dt_s) if cached else None)
         simulate_session(st, obs, 0.0, kp, DP, hazard=hazard)
     assert st.clock == t_total
     for k in np.flatnonzero(new & np.isfinite(st.t_infected)):
@@ -436,7 +487,7 @@ def test_segment_boundary_oracle(cached):
     kp = KernelParams(beta_max=5e-3)
     b01 = pair_rate(relative_geometry(coords[1], facings[1], coords[0], facings[0]), kp)
     b21 = pair_rate(relative_geometry(coords[1], facings[1], coords[2], facings[2]), kp)
-    hazard = (cumulative_hazard(pairwise_rates(obs.positions, obs.facings, obs.present, kp),
+    hazard = (cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp),
                                 DP.dt_s) if cached else None)
     assert b21 > b01
     hits = early = 0

@@ -19,11 +19,17 @@ from classim.kernel import (
     cumulative_hazard,
     daily_contact_density,
     density,
+    mean_pair_rate,
+    pair_index,
     pair_rate,
+    pair_rate_sums,
+    pair_rates,
     pairwise_rates,
     rates_between,
     relative_geometry,
+    time_sums,
 )
+from reference_kernel import pairwise_rates as reference_rates
 
 KP = KernelParams(beta_max=1.0)
 
@@ -275,27 +281,61 @@ def _pairwise_rates_einsum(positions, facings, present, p):
     return rate
 
 
+def _hard_field(rng, t, n, scale):
+    """A field with coincident tags and NaN coordinates while absent."""
+    pos, fac, present = _random_field(rng, t, n)
+    pos *= scale
+    pos[:, : n // 2] = pos[:, :1]  # coincident tags
+    pos = np.where(present[:, :, None], pos, np.nan)
+    fac = np.where(present[:, :, None], fac, np.nan)
+    return pos, fac, present
+
+
 def test_pairwise_rates_bitwise_equal_einsum_reference():
     rng = np.random.default_rng(12)
     for _ in range(40):
         t, n = int(rng.integers(1, 60)), int(rng.integers(1, 9))
-        pos, fac, present = _random_field(rng, t, n)
-        pos *= rng.choice([1e-7, 1.0, 50.0])
-        pos[:, : n // 2] = pos[:, :1]  # coincident tags
-        pos = np.where(present[:, :, None], pos, np.nan)
-        fac = np.where(present[:, :, None], fac, np.nan)
+        pos, fac, present = _hard_field(rng, t, n, rng.choice([1e-7, 1.0, 50.0]))
         kp = KernelParams(beta_max=float(rng.uniform(0.01, 5.0)),
                           sigma_r=float(rng.uniform(0.5, 3.0)))
-        assert np.array_equal(pairwise_rates(pos, fac, present, kp),
-                              _pairwise_rates_einsum(pos, fac, present, kp))
+        full = reference_rates(pos, fac, present, kp)
+        assert np.array_equal(full, _pairwise_rates_einsum(pos, fac, present, kp))
+        assert np.array_equal(pairwise_rates(pos, fac, present, kp), full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.integers(1, 40),
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-7, 1e-3, 1.0, 100.0]),
+    beta_max=st.floats(1e-3, 50.0),
+    sigma_r=st.floats(0.2, 4.0),
+    sigma_theta=st.floats(0.1, 3.0),
+    data=st.data(),
+)
+def test_pair_rates_equal_full_matrix_reference(t, n, seed, scale, beta_max, sigma_r,
+                                               sigma_theta, data):
+    # any pair list: a > b, a == b and repeats included, in any order
+    rng = np.random.default_rng(seed)
+    pos, fac, present = _hard_field(rng, t, n, scale)
+    kp = KernelParams(beta_max=beta_max, sigma_r=sigma_r, sigma_theta=sigma_theta)
+    people = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(people, people), max_size=30), label="pairs")
+    a = np.array([p[0] for p in pairs], dtype=np.intp)
+    b = np.array([p[1] for p in pairs], dtype=np.intp)
+    full = reference_rates(pos, fac, present, kp)
+    assert np.array_equal(pair_rates(pos, fac, present, kp, (a, b)), full[:, a, b])
+    i, j = np.triu_indices(n, k=1)
+    assert np.array_equal(pair_rates(pos, fac, present, kp), full[:, i, j])
 
 
 def test_pairwise_rates_chunking_is_invisible(monkeypatch):
     rng = np.random.default_rng(6)
     pos, fac, present = _random_field(rng, 50, 4)
-    monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 7 * 4 * 4)  # 7-s chunks
+    monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 7 * 6)  # 7-s chunks of 6 pairs
     a = pairwise_rates(pos, fac, present, KP)
-    monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 512 * 4 * 4)  # one chunk
+    monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 512 * 6)  # one chunk
     b = pairwise_rates(pos, fac, present, KP)
     assert np.array_equal(a, b)
 
@@ -303,8 +343,55 @@ def test_pairwise_rates_chunking_is_invisible(monkeypatch):
 def test_pairwise_rates_symmetric_in_people():
     rng = np.random.default_rng(7)
     pos, fac, present = _random_field(rng, 20, 6)
-    rates = pairwise_rates(pos, fac, present, KP)
-    assert np.allclose(rates, rates.transpose(0, 2, 1), rtol=1e-12, atol=0)
+    rates = reference_rates(pos, fac, present, KP)
+    assert np.array_equal(rates, rates.transpose(0, 2, 1))
+    assert np.array_equal(pairwise_rates(pos, fac, present, KP), rates)
+
+
+def test_pair_index_names_each_unordered_pair_once():
+    index = pair_index(5)
+    i, j = np.triu_indices(5, k=1)
+    assert np.array_equal(index[i, j], np.arange(10))
+    assert np.array_equal(index, index.T)
+    assert (np.diag(index) == -1).all()
+
+
+def test_time_sums_add_seconds_in_order(monkeypatch):
+    # numpy's sum(axis=0) of a single column is a pairwise sum, which rounds
+    # differently from the second-by-second sum of the full-matrix kernel
+    rng = np.random.default_rng(15)
+    rates = rng.random((700, 1)) * rng.choice([1e-9, 1.0, 1e6], size=(700, 1))
+    running = np.zeros(1)
+    for row in rates:
+        running = running + row
+    assert not np.array_equal(rates.sum(axis=0), running)  # the trap is real
+    monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 37)  # many chunks
+    assert np.array_equal(time_sums(rates), running)
+    assert np.array_equal(time_sums(rates[300:], time_sums(rates[:300])), running)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_pair_rate_sums_match_full_matrix_time_sums(monkeypatch, n):
+    # beta_hat's numerator: every route to a pair's time sum gives the bits
+    # of the full-matrix kernel's rates.sum(axis=0)
+    rng = np.random.default_rng(16 + n)
+    pos, fac, present = _hard_field(rng, 300, n, 1.0)
+    kp = KernelParams(beta_max=0.7)
+    i, j = np.triu_indices(n, k=1)
+    full_sums = reference_rates(pos, fac, present, kp).sum(axis=0)
+    monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 19)  # many chunks
+    chunked = pair_rate_sums(pos, fac, present, kp)
+    whole = time_sums(pair_rates(pos, fac, present, kp))
+    assert np.array_equal(chunked, full_sums[i, j])
+    assert np.array_equal(whole, full_sums[i, j])
+    idx = np.arange(0, n, 2) if n > 2 else np.arange(n)
+    expected_all = full_sums[i, j].sum() / ((present.sum(axis=1) * (present.sum(axis=1) - 1))
+                                            // 2).sum()
+    assert mean_pair_rate(whole, present) == expected_all
+    sub = reference_rates(pos[:, idx], fac[:, idx], present[:, idx], kp).sum(axis=0)
+    si, sj = np.triu_indices(len(idx), k=1)
+    k = present[:, idx].sum(axis=1)
+    assert mean_pair_rate(whole, present, idx) == sub[si, sj].sum() / ((k * (k - 1)) // 2).sum()
 
 
 def test_rates_between_agrees_with_pairwise():

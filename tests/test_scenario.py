@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from classim import kernel, synthgen
+from classim import kernel, scenario, synthgen
 from classim.epidemic import DiseaseParams
 from classim.errors import ConfigError, NoTeacher, UnknownPerson
-from classim.kernel import KernelParams, pair_rate, relative_geometry
+from classim.kernel import KernelParams, TransmissionMode, pair_rate, relative_geometry
+from classim.metrics import transmission_likelihood
 from classim.scenario import (
     SCENARIO_CELLS,
     DensityVariant,
@@ -335,20 +336,57 @@ def test_multi_cell_sweep_matches_single_cell_sweeps(workers):
         assert np.array_equal(a.hourly_counts, b.hourly_counts)
 
 
-def test_multi_cell_sweep_builds_rate_cache_once(monkeypatch):
-    obs = _roster_obs(4, 2, t_total=60)
+def _count_calls(monkeypatch, name):
     calls = []
-    real = kernel.pairwise_rates
+    real = getattr(kernel, name)
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "pairwise_rates", counting)
+    monkeypatch.setattr(kernel, name, counting)
+    return calls
+
+
+def test_multi_cell_sweep_builds_rate_cache_once(monkeypatch):
+    obs = _roster_obs(4, 2, t_total=60)
+    calls = _count_calls(monkeypatch, "pair_rates")
     cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=3)
     outs = sweep(obs, cells, KernelParams(beta_max=3e-3), DP, workers=1)
     assert len(outs) == 4 * 6 * 2
     assert calls == [obs.positions.shape]
+
+
+def test_sweep_past_cache_cap_matches_cached_sweep(monkeypatch):
+    # past the cap no cache is built: each segment rates its own pairs and
+    # beta_hat comes from time sums made chunk by chunk; nothing may move
+    obs = _roster_obs(4, 2, t_total=60)
+    kp = KernelParams(beta_max=3e-2)
+    cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=4)
+    cached = sweep(obs, cells, kp, DP, workers=1)
+    monkeypatch.setattr(scenario, "_RATE_CACHE_MAX_ELEMENTS", 0)
+    hazards = _count_calls(monkeypatch, "cumulative_hazard")
+    uncached = sweep(obs, cells, kp, DP, workers=1)
+    # segment blocks only: S x I pairs, never the 15-pair triangle of a cache
+    assert hazards and all(shape[1] < 15 for shape in hazards)
+    assert sum(len(o.events) for o in cached) > 2 * len(cached)  # infections happen
+    for a, b in zip(cached, uncached):
+        assert a.events == b.events
+        assert a.beta_hat == b.beta_hat
+
+
+def test_airborne_sweep_builds_no_hazard_cache(monkeypatch):
+    obs = _roster_obs(2, 1, t_total=30)
+    kp = KernelParams(beta_max=3e-2, mode=TransmissionMode.AIRBORNE)
+    hazards = _count_calls(monkeypatch, "cumulative_hazard")
+    cells = [ScenarioConfig(horizon_days=1, reps_per_patient_zero=1),
+             ScenarioConfig(density=DensityVariant.HALF, horizon_days=1,
+                            reps_per_patient_zero=1)]
+    outs = sweep(obs, cells, kp, DP, workers=1)
+    assert hazards == []
+    for o in outs:
+        sub = obs.subset([obs.index_of(pid) for pid in o.roster_ids])
+        assert o.beta_hat == transmission_likelihood(sub, kp, 1)[0]
 
 
 def test_sweep_order_is_pz_then_rep():
