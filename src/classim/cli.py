@@ -90,13 +90,13 @@ def _fmt(x: float) -> str:
 def _invalid_parameters():
     """Report a parameter object's own validation failure as a ConfigError.
 
-    The parameter classes raise ValueError (and comparisons against values of
-    the wrong JSON type raise TypeError); at the command line both are bad
-    input, not a fault of the program.
+    The parameter classes raise ValueError, values of the wrong JSON type
+    TypeError, and derived parameters can overflow or divide by zero; at
+    the command line all are bad input, not a fault of the program.
     """
     try:
         yield
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ArithmeticError) as e:
         raise ConfigError(f"invalid parameter: {e}") from None
 
 
@@ -232,14 +232,22 @@ def _load_config(path: str | None) -> tuple[dict, list[str]]:
             raise ConfigError(f"invalid JSON in {path}: {e}") from e
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path} is not valid UTF-8 text ({e.reason})") from None
-        if "parameters" in raw:  # a manifest doubles as a config
-            manifest_inputs = [entry["path"] for entry in raw.get("inputs", [])]
+        if isinstance(raw, dict) and "parameters" in raw:  # a manifest doubles as a config
+            inputs = raw.get("inputs", [])
+            if not isinstance(inputs, list) or not all(
+                    isinstance(e, dict) and isinstance(e.get("path"), str) for e in inputs):
+                raise ConfigError(f"manifest inputs in {path} must be objects with a path")
+            manifest_inputs = [entry["path"] for entry in inputs]
             raw = raw["parameters"]
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
         unknown = set(raw) - set(DEFAULT_CONFIG)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for section in ("kernel", "disease", "calibration"):
-            bad = set(raw.get(section) or {}) - set(DEFAULT_CONFIG[section])
+            if not isinstance(raw.get(section, {}), dict):
+                raise ConfigError(f"config {section} must be a JSON object")
+            bad = set(raw.get(section, {})) - set(DEFAULT_CONFIG[section])
             if bad:
                 raise ConfigError(f"unknown {section} config keys: {sorted(bad)}")
         resolved = _merge(DEFAULT_CONFIG, raw)
@@ -320,8 +328,10 @@ def cmd_simulate(args) -> int:
         cfg = _merge(cfg, {"base_seed": args.base_seed})
     if args.scenarios is not None:
         cfg = _merge(cfg, {"scenarios": args.scenarios.split(",")})
+    if not isinstance(cfg["scenarios"], list):
+        raise ConfigError(f"scenarios must be a list of names, got {cfg['scenarios']!r}")
     for name in cfg["scenarios"]:
-        if name not in scenario.SCENARIO_CELLS:
+        if not isinstance(name, str) or name not in scenario.SCENARIO_CELLS:
             raise ConfigError(
                 f"unknown scenario {name!r}; pick from {sorted(scenario.SCENARIO_CELLS)}"
             )
@@ -359,9 +369,8 @@ def cmd_simulate(args) -> int:
         emergence_groups: dict[str, list] = {}
         multi = len(observations) > 1
         for obs in observations:
-            cal = scenario.build_calendar(cfg["horizon_days"], obs.session_length_s)
             by_cell: dict[str, list] = {}
-            for outcome in scenario.sweep(obs, cells, kp, dp, cal=cal, workers=workers):
+            for outcome in scenario.sweep(obs, cells, kp, dp, workers=workers):
                 summary_rows.append((outcome, metrics.summarize_run(outcome)))
                 by_cell.setdefault(outcome.scenario, []).append(outcome)
             for cell, outcomes in by_cell.items():
@@ -402,8 +411,15 @@ def cmd_simulate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="classim",
         description="Agent-based classroom transmission simulator",
     )
@@ -460,7 +476,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ClassimError as e:
+    except (ClassimError, OSError) as e:  # bad input, or a file the command cannot read or write
         print(f"error: {e}", file=sys.stderr)
         return 1
 

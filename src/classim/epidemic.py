@@ -84,7 +84,7 @@ class DiseaseParams:
     p_symptomatic: probability an infected person ever develops symptoms.
     mean_incubation_days: mean infection -> symptom-onset waiting time.
     gamma_per_day: recovery rate; mean infectious duration = 1/gamma.
-    dt_s: transmission step size; must match the 1 Hz trajectory grid.
+    dt_s: transmission step size; must be 1.0, the 1 Hz trajectory grid.
 
     incubation_model picks exponential waiting times (default) or
     integer Poisson-distributed days; recovery_model picks exponential
@@ -102,10 +102,19 @@ class DiseaseParams:
     def __post_init__(self):
         if not 0.0 <= self.p_symptomatic <= 1.0:
             raise ValueError(f"p_symptomatic must be in [0, 1], got {self.p_symptomatic}")
-        for name in ("latency_h", "mean_incubation_days", "gamma_per_day", "dt_s"):
+        for name in ("latency_h", "mean_incubation_days", "gamma_per_day"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.dt_s != 1.0:
+            raise ValueError(f"dt_s must be 1.0, the 1 Hz trajectory grid, got {self.dt_s}")
+        if self.latency_s == math.inf:
+            raise ValueError(f"latency_h must be finite in seconds, got {self.latency_h}")
+        if self.recovery_model == RecoveryModel.GEOMETRIC_STEPS and self.gamma_per_day > 86400:
+            raise ValueError(f"geometric_steps needs gamma_per_day <= 86400, got {self.gamma_per_day}")
+        if self.incubation_model == IncubationModel.POISSON_DAYS and self.mean_incubation_days > 1e18:
+            raise ValueError(
+                f"poisson_days needs mean_incubation_days <= 1e18, got {self.mean_incubation_days}")
 
     @property
     def latency_s(self) -> float:
@@ -195,26 +204,24 @@ def new_epidemic_state(
 # disease clocks
 # ---------------------------------------------------------------------------
 
-def sample_incubation(rng: np.random.Generator, dp: DiseaseParams | None = None) -> float:
+def sample_incubation(rng: np.random.Generator, dp: DiseaseParams) -> float:
     """Infection -> symptom-onset waiting time in days.
 
     The default is an exponential waiting time (the inter-arrival time of a
     unit-rate Poisson process) with the configured mean; the alternative
     model draws whole Poisson-distributed days for sensitivity runs.
     """
-    dp = dp or DiseaseParams()
     if dp.incubation_model == IncubationModel.POISSON_DAYS:
         return float(rng.poisson(dp.mean_incubation_days))
     return float(rng.exponential(dp.mean_incubation_days))
 
 
-def sample_recovery(rng: np.random.Generator, dp: DiseaseParams | None = None) -> float:
+def sample_recovery(rng: np.random.Generator, dp: DiseaseParams) -> float:
     """Infectious-duration draw in days, mean 1/gamma.
 
     The geometric model is the exact law of per-step Bernoulli(gamma * dt)
     recovery draws, sampled in closed form.
     """
-    dp = dp or DiseaseParams()
     if dp.recovery_model == RecoveryModel.GEOMETRIC_STEPS:
         p_step = dp.gamma_per_day * dp.dt_s / SECONDS_PER_DAY
         steps = rng.geometric(p_step)
@@ -248,16 +255,13 @@ def _schedule_infection(
     state.source[k] = source
 
 
-def seed_patient_zero(
-    state: EpidemicState, person_id: str, dp: DiseaseParams | None = None
-) -> EpidemicState:
+def seed_patient_zero(state: EpidemicState, person_id: str, dp: DiseaseParams) -> EpidemicState:
     """Make one person infectious at clock 0.
 
     Infection is back-dated by the latency so that infectiousness starts
     exactly at 0 and the symptom/recovery clocks are well defined.  Seeding
     an immune person is a no-op: that run records no transmissions at all.
     """
-    dp = dp or DiseaseParams()
     if person_id not in state.person_ids:
         raise UnknownPerson(person_id)
     k = state.person_ids.index(person_id)
@@ -290,8 +294,6 @@ def transmission_step(
         raise FrameRosterMismatch(
             f"frame has {frame.positions.shape[0]} people, roster has {n}"
         )
-    if dp.dt_s != 1.0:
-        raise ValueError("transmission_step requires dt_s = 1.0 to match the 1 Hz grid")
     now = state.clock
     susceptible, _, infectious, _ = _compartment_masks(state, now)
     sus_idx = np.flatnonzero(susceptible & ~state.immune)
@@ -436,8 +438,6 @@ def simulate_session(
     Airborne mode falls back to the per-frame step, which maintains the
     emission buffers.
     """
-    if dp.dt_s != 1.0:
-        raise ValueError("simulate_session requires dt_s = 1.0 to match the 1 Hz grid")
     n = len(state.person_ids)
     if obs.n_people != n:
         raise FrameRosterMismatch(f"observation has {obs.n_people} people, roster has {n}")

@@ -19,15 +19,16 @@ rate) via the average-rate identity
 where rho is a contact density in persons per square meter; see
 ``calibrate_beta_max``.
 
-The rate is symmetric in the pair, bit for bit, so every block routine
-rates each unordered pair once.  ``pair_rates`` is the one vectorized
-formula: it rates a list of pairs (a, b) over a trajectory block, by
-default the triangle of every pair i < j, one column per pair in
-``pair_index`` order.  ``pairwise_rates`` mirrors that triangle into the
-full (T, N, N) matrix, and ``pair_rate_sums`` sums it over time chunk by
-chunk.  The session engine reads the rates as a cumulative hazard
-(``cumulative_hazard``), summed over time per pair column; a cache of the
-whole recording holds T * N(N-1)/2 floats.
+The formula is written out once in vectorized form, ``_rate``; ``pair_rate``
+is its scalar reference.  The rate is symmetric in the pair, bit for bit, so
+every block routine rates each unordered pair once.  ``pair_rates`` rates a
+list of pairs (a, b) over a trajectory block, by default the triangle of
+every pair i < j, one column per pair in ``pair_index`` order.
+``pairwise_rates`` mirrors that triangle into the full (T, N, N) matrix,
+``pair_rate_sums`` sums it over time chunk by chunk, and ``rates_between``
+rates every pair of two point sets.  The session engine reads the rates as
+a cumulative hazard (``cumulative_hazard``), summed over time per pair
+column; a cache of the whole recording holds T * N(N-1)/2 floats.
 
 All functions here are safe to call concurrently on separate arrays; all
 but ``cumulative_hazard``, which converts its argument in place, are pure.
@@ -77,12 +78,12 @@ class KernelParams:
     mode: TransmissionMode = TransmissionMode.DROPLET
 
     def __post_init__(self):
-        if not self.beta_max > 0:
-            raise ValueError(f"beta_max must be > 0, got {self.beta_max}")
-        if not self.sigma_r > 0:
-            raise ValueError(f"sigma_r must be > 0, got {self.sigma_r}")
-        if not self.sigma_theta > 0:
-            raise ValueError(f"sigma_theta must be > 0, got {self.sigma_theta}")
+        if not 0 < self.beta_max <= 1e200:  # far past certainty; sums of rates stay finite
+            raise ValueError(f"beta_max must be in (0, 1e200], got {self.beta_max}")
+        for name in ("sigma_r", "sigma_theta"):
+            value = getattr(self, name)
+            if not (value > 0 and value * value > 0):  # the kernel divides by 2 sigma^2
+                raise ValueError(f"{name} must be > 0 with a nonzero square, got {value}")
         if self.lambda_decay < 0:
             raise ValueError(f"lambda_decay must be >= 0, got {self.lambda_decay}")
 
@@ -228,6 +229,28 @@ def density(n_people: int, area: float) -> float:
     return n_people / area
 
 
+def _rate(dx, dy, fax, fay, fbx, fby, p: KernelParams) -> np.ndarray:
+    """The kernel, elementwise, from separation a -> b and both facings.
+
+    The arrays broadcast against each other.  Every vectorized rate comes
+    from here, so two routines that rate the same pair agree to the bit.
+    Distances below ``R_MIN_M`` are clamped in the distance term; the angles
+    use the true direction, and a coincident pair gets theta = pi/2.
+    """
+    r = np.sqrt(dx * dx + dy * dy)
+    r_safe = np.maximum(r, 1e-12)
+    cos_a = (fax * dx + fay * dy) / r_safe
+    cos_b = -(fbx * dx + fby * dy) / r_safe
+    th_a = np.arccos(np.clip(cos_a, -1.0, 1.0))
+    th_b = np.arccos(np.clip(cos_b, -1.0, 1.0))
+    r_eff = np.maximum(r, R_MIN_M)
+    inv_2sr2 = 1.0 / (2.0 * p.sigma_r * p.sigma_r)
+    inv_2st2 = 1.0 / (2.0 * p.sigma_theta * p.sigma_theta)
+    return p.beta_max * np.exp(
+        -(r_eff * r_eff) * inv_2sr2 - (th_a * th_a + th_b * th_b) * inv_2st2
+    )
+
+
 def rates_between(
     pos_a: np.ndarray,
     fac_a: np.ndarray,
@@ -237,20 +260,12 @@ def rates_between(
 ) -> np.ndarray:
     """Rate matrix between two point sets: entry [a, b] is the rate from b to a.
 
-    pos_a/fac_a are (A, 2), pos_b/fac_b are (B, 2).  Same distance clamp and
-    coincident-pair angle convention as ``pairwise_rates``.
+    pos_a/fac_a are (A, 2), pos_b/fac_b are (B, 2).  Entry [a, b] is bitwise
+    the rate ``pair_rates`` gives the pair (a, b) at the same positions.
     """
-    d = pos_b[None, :, :] - pos_a[:, None, :]              # (A, B, 2): a -> b
-    r = np.sqrt(np.einsum("abk,abk->ab", d, d))
-    r_safe = np.maximum(r, 1e-12)
-    cos_a = np.einsum("ak,abk->ab", fac_a, d) / r_safe
-    cos_b = -np.einsum("bk,abk->ab", fac_b, d) / r_safe
-    th_a = np.arccos(np.clip(cos_a, -1.0, 1.0))
-    th_b = np.arccos(np.clip(cos_b, -1.0, 1.0))
-    r_eff = np.maximum(r, R_MIN_M)
-    return p.beta_max * np.exp(
-        -(r_eff * r_eff) / (2.0 * p.sigma_r * p.sigma_r)
-        - (th_a * th_a + th_b * th_b) / (2.0 * p.sigma_theta * p.sigma_theta)
+    return _rate(
+        pos_b[None, :, 0] - pos_a[:, None, 0], pos_b[None, :, 1] - pos_a[:, None, 1],
+        fac_a[:, None, 0], fac_a[:, None, 1], fac_b[None, :, 0], fac_b[None, :, 1], p,
     )
 
 
@@ -306,9 +321,6 @@ def pair_rates(
     distinct = a != b
     chunk = max(1, _CHUNK_ELEMENTS // max(1, len(a)))
     out = np.empty((t_total, len(a)), dtype=np.float64)
-    inv_2sr2 = 1.0 / (2.0 * p.sigma_r * p.sigma_r)
-    inv_2st2 = 1.0 / (2.0 * p.sigma_theta * p.sigma_theta)
-
     for s in range(0, t_total, chunk):
         e = min(s + chunk, t_total)
         here = present[s:e]
@@ -318,22 +330,8 @@ def pair_rates(
             np.where(here, block[:, :, k], 0.0)
             for block in (positions[s:e], facings[s:e]) for k in (0, 1)
         )
-        # (C, P) separation a -> b
-        dx = x[:, b] - x[:, a]
-        dy = y[:, b] - y[:, a]
-        r = np.sqrt(dx * dx + dy * dy)
-        # Angles use the true separation direction; exactly coincident pairs
-        # get the neutral theta = pi/2 (cos = 0 after the safe division).
-        r_safe = np.maximum(r, 1e-12)
-        cos_a = (fx[:, a] * dx + fy[:, a] * dy) / r_safe
-        cos_b = -(fx[:, b] * dx + fy[:, b] * dy) / r_safe
-        th_a = np.arccos(np.clip(cos_a, -1.0, 1.0))
-        th_b = np.arccos(np.clip(cos_b, -1.0, 1.0))
-        # The distance term clamps sub-resolution separations up to R_MIN_M.
-        r_eff = np.maximum(r, R_MIN_M)
-        rate = p.beta_max * np.exp(
-            -(r_eff * r_eff) * inv_2sr2 - (th_a * th_a + th_b * th_b) * inv_2st2
-        )
+        rate = _rate(x[:, b] - x[:, a], y[:, b] - y[:, a],
+                     fx[:, a], fy[:, a], fx[:, b], fy[:, b], p)
         # 0 unless both present and two different people
         rate *= here[:, a] & here[:, b] & distinct
         out[s:e] = rate

@@ -23,7 +23,7 @@ import numpy as np
 from . import kernel
 from .errors import EmptyCollection, MixedCohorts, SinglePerson
 from .kernel import KernelParams
-from .scenario import RunOutcome, SchoolCalendar
+from .scenario import RunOutcome
 from .trajectory import Observation
 
 SECONDS_PER_DAY = 86400.0
@@ -157,30 +157,11 @@ def aggregate_hourly(outcomes) -> HourlyAggregate:
     )
 
 
-def summarize_run(
-    outcome: RunOutcome,
-    obs: Observation | None = None,
-    kp: KernelParams | None = None,
-    cal: SchoolCalendar | None = None,
-) -> OutcomeSummary:
-    """Scalar summary of one run.
-
-    Transmission stats attached by the sweep are reused; otherwise they are
-    recomputed from the observation restricted to the run's roster.
-    """
-    beta_hat = outcome.beta_hat
-    t_exposure = outcome.exposure_t_s
+def summarize_run(outcome: RunOutcome) -> OutcomeSummary:
+    """Scalar summary of one run, from the transmission stats the sweep attached."""
+    beta_hat, t_exposure = outcome.beta_hat, outcome.exposure_t_s
     if beta_hat is None or t_exposure is None:
-        if obs is None or kp is None or cal is None:
-            raise ValueError(
-                "outcome carries no transmission stats; obs, kp and cal are required"
-            )
-        sub = obs.subset([obs.index_of(pid) for pid in outcome.roster_ids])
-        n_sessions = sum(
-            1 for s in cal.session_starts_s
-            if s < outcome.horizon_days * SECONDS_PER_DAY
-        )
-        beta_hat, t_exposure, _ = transmission_likelihood(sub, kp, n_sessions)
+        raise ValueError("outcome carries no transmission stats (beta_hat, exposure_t_s)")
     return OutcomeSummary(
         saturation=saturation(outcome),
         beta_hat=beta_hat,
@@ -239,14 +220,14 @@ def write_curves_csv(path: str | Path, aggregates: dict[str, HourlyAggregate]) -
                 ])
 
 
-def write_emergence_csv(path: str | Path, groups: dict[str, list], ns=(1, 2, 3)) -> None:
+def write_emergence_csv(path: str | Path, groups: dict[str, list]) -> None:
     """groups: scenario name -> outcomes of that scenario."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(EMERGENCE_HEADER)
         for scenario in sorted(groups):
             outcomes = groups[scenario]
-            for n in ns:
+            for n in (1, 2, 3):
                 w.writerow([
                     scenario, n,
                     _fmt(emergence_proportion(outcomes, n)),

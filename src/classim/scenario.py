@@ -57,6 +57,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if not 0.0 <= self.vaccine_efficacy <= 1.0:
             raise ConfigError(f"vaccine_efficacy must be in [0, 1], got {self.vaccine_efficacy}")
+        for name in ("horizon_days", "reps_per_patient_zero", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.horizon_days < 1:
             raise ConfigError(f"horizon_days must be >= 1, got {self.horizon_days}")
         if self.reps_per_patient_zero < 1:
@@ -221,18 +225,6 @@ def derive_seed(base_seed: int, patient_zero_index: int, rep: int) -> int:
 # one run
 # ---------------------------------------------------------------------------
 
-#: Above this many stored elements (seconds x unordered pairs, 400 MB of
-#: float64), runs fall back to rating each segment's own pairs instead of
-#: holding the cumulative-hazard cache of the whole session.
-_RATE_CACHE_MAX_ELEMENTS = 50_000_000
-
-
-def _fits_rate_cache(obs: Observation) -> bool:
-    """Whether the pair-triangle cache of ``obs`` is within the cache cap."""
-    n = obs.n_people
-    return 0 < obs.session_length_s * (n * (n - 1) // 2) <= _RATE_CACHE_MAX_ELEMENTS
-
-
 @dataclass
 class RunOutcome:
     """Everything one simulation run produced."""
@@ -267,8 +259,11 @@ def run_simulation(
     clocks, then transmission.  ``hazard`` may hold the precomputed
     cumulative hazard (``kernel.cumulative_hazard``) of the *full*
     observation's pair triangle (``kernel.pair_rates``, shape
-    (T, M(M-1)/2)); half-class runs index into it.  Without it, a droplet
-    run within the cache cap builds its own roster's cache.
+    (T, M(M-1)/2)); runs read it through the pair map of their roster.
+    Without it, droplet sessions rate each segment's own (susceptible,
+    source) pairs and airborne sessions step frame by frame.  Whether a
+    cache pays off depends on how many runs share it, which only the
+    caller knows; ``sweep`` builds one per process.
 
     The trajectory replays identically for every session in the calendar;
     between sessions the clock jumps with no transmission.  The run stops
@@ -295,15 +290,7 @@ def run_simulation(
     else:
         immune = frozenset()
 
-    pairs = None
-    if hazard is not None:
-        pairs = kernel.pair_index(obs.n_people)[np.ix_(idx, idx)]
-    elif kp.mode == TransmissionMode.DROPLET and _fits_rate_cache(obs_run):
-        # the same session replays every school day; rate the pairs once
-        hazard = kernel.cumulative_hazard(
-            kernel.pair_rates(obs_run.positions, obs_run.facings, obs_run.present, kp),
-            dp.dt_s,
-        )
+    pairs = None if hazard is None else kernel.pair_index(obs.n_people)[np.ix_(idx, idx)]
 
     state = epidemic.new_epidemic_state(obs_run.person_ids, rng, immune)
     epidemic.seed_patient_zero(state, patient_zero, dp)
@@ -337,6 +324,12 @@ def run_simulation(
 # sweep
 # ---------------------------------------------------------------------------
 
+#: Above this many stored elements (seconds x unordered pairs, 400 MB of
+#: float64), a sweep holds no cache: each session rates its segments' own
+#: pairs instead.
+_RATE_CACHE_MAX_ELEMENTS = 50_000_000
+
+
 class _SweepRunner:
     """What every run of one sweep shares within one process.
 
@@ -351,7 +344,9 @@ class _SweepRunner:
     def __init__(self, obs, cells, cals, kp, dp):
         self.obs, self.cells, self.cals, self.kp, self.dp = obs, cells, cals, kp, dp
         self.hazard = None
-        if kp.mode == TransmissionMode.DROPLET and _fits_rate_cache(obs):
+        n = obs.n_people
+        cached = 0 < obs.session_length_s * (n * (n - 1) // 2) <= _RATE_CACHE_MAX_ELEMENTS
+        if kp.mode == TransmissionMode.DROPLET and cached:
             rates = kernel.pair_rates(obs.positions, obs.facings, obs.present, kp)
             self.rate_sums = kernel.time_sums(rates)
             self.hazard = kernel.cumulative_hazard(rates, dp.dt_s)
@@ -401,7 +396,6 @@ def sweep(
     sc: ScenarioConfig | Sequence[ScenarioConfig],
     kp: KernelParams,
     dp: DiseaseParams,
-    cal: SchoolCalendar | None = None,
     workers: int = 1,
 ) -> list[RunOutcome]:
     """Every roster member as patient zero x replicates, for one or more cells.
@@ -409,18 +403,15 @@ def sweep(
     ``sc`` is one scenario cell or a sequence of them; every (cell, patient
     zero, replicate) task runs in one pass over one worker pool.  Results
     are returned sorted by (cell order, patient zero index, replicate) and
-    are bitwise independent of ``workers``.  ``cal`` defaults to each
-    cell's own calendar over its horizon.
+    are bitwise independent of ``workers``.  Each cell runs on its own
+    calendar over its horizon.
 
     Each process (the caller itself at ``workers=1``, else each pool
     worker) builds the cumulative-hazard cache of the pair triangle once
     per sweep; runs then reduce to array gathers and draws.
     """
     cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)
-    cals = tuple(
-        cal if cal is not None else build_calendar(c.horizon_days, obs.session_length_s)
-        for c in cells
-    )
+    cals = tuple(build_calendar(c.horizon_days, obs.session_length_s) for c in cells)
     tasks = [
         (cell, pz_index, rep)
         for cell, c in enumerate(cells)

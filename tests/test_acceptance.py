@@ -350,7 +350,7 @@ def test_criterion_9a_single_run_under_two_seconds(three_hour_obs):
         t0 = time.perf_counter()
         run_simulation(obs, cal, sc, obs.person_ids[0], 123, kp, DP)
         elapsed = time.perf_counter() - t0
-        detail.append(f"single 28-day run (rates computed in-run): {elapsed:.2f} s <= 2 s")
+        detail.append(f"single 28-day run: {elapsed:.2f} s <= 2 s")
         assert elapsed <= 2.0
 
 

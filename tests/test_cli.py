@@ -278,6 +278,16 @@ def test_simulate_bad_workers_env_exit_1(tmp_path, small_obs, capsys, monkeypatc
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "synth"])
+def test_output_path_under_a_file_exit_1(tmp_path, small_obs, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [str(small_obs), "--workers", "1"] if command == "simulate" else []
+    code, _, err = _run(capsys, command, *args, "--out", str(blocker / "out"))
+    assert code == 1
+    _one_error_line(err)
+
+
 def test_simulate_workers_flag_below_one_exit_1(tmp_path, small_obs, capsys):
     code, _, err = _run(capsys, "simulate", str(small_obs), "--out", str(tmp_path / "o"),
                         "--workers", "0")

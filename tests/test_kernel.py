@@ -395,12 +395,16 @@ def test_pair_rate_sums_match_full_matrix_time_sums(monkeypatch, n):
 
 
 def test_rates_between_agrees_with_pairwise():
+    # one formula: the A x B block of the full matrix, bit for bit
     rng = np.random.default_rng(8)
-    pos, fac, present = _random_field(rng, 1, 6)
-    present[:] = True
-    full = pairwise_rates(pos, fac, present, KP)[0]
-    cross = rates_between(pos[0, :3], fac[0, :3], pos[0, 3:], fac[0, 3:], KP)
-    assert np.allclose(full[:3, 3:], cross, rtol=1e-12, atol=0)
+    for _ in range(60):
+        n = int(rng.integers(2, 10))
+        k = int(rng.integers(1, n))
+        pos, fac, present = _random_field(rng, 1, n)
+        present[:] = True
+        full = pairwise_rates(pos, fac, present, KP)[0]
+        cross = rates_between(pos[0, :k], fac[0, :k], pos[0, k:], fac[0, k:], KP)
+        assert np.array_equal(full[:k, k:], cross)
 
 
 def test_coincident_pair_clamped_not_infinite():

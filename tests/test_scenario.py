@@ -357,6 +357,30 @@ def test_multi_cell_sweep_builds_rate_cache_once(monkeypatch):
     assert calls == [obs.positions.shape]
 
 
+@pytest.mark.parametrize("density", list(DensityVariant))
+def test_run_without_hazard_builds_no_roster_cache(monkeypatch, density):
+    # a run given no cache rates each segment's own (susceptible, source)
+    # pairs, never its whole roster's triangle, and gives the cached events
+    obs = _roster_obs(4, 2, t_total=60)
+    kp = KernelParams(beta_max=3e-2)
+    sc = ScenarioConfig(density=density, horizon_days=7)
+    cal = build_calendar(7, obs.session_length_s)
+    hazard = kernel.cumulative_hazard(
+        kernel.pair_rates(obs.positions, obs.facings, obs.present, kp), DP.dt_s)
+    hazards = _count_calls(monkeypatch, "cumulative_hazard")
+    spread = 0
+    for seed in range(6):
+        cached = run_simulation(obs, cal, sc, "c1", seed, kp, DP, hazard=hazard)
+        assert hazards == []
+        uncached = run_simulation(obs, cal, sc, "c1", seed, kp, DP)
+        roster = len(uncached.roster_ids)
+        assert hazards and max(shape[1] for shape in hazards) < roster * (roster - 1) // 2
+        assert cached.events == uncached.events
+        spread += len(cached.events) > 4  # patient zero has at most 4 events
+        hazards.clear()
+    assert spread >= 2
+
+
 def test_sweep_past_cache_cap_matches_cached_sweep(monkeypatch):
     # past the cap no cache is built: each segment rates its own pairs and
     # beta_hat comes from time sums made chunk by chunk; nothing may move
