@@ -250,6 +250,8 @@ def _load_config(path: str | None) -> tuple[dict, list[str]]:
             bad = set(raw.get(section, {})) - set(DEFAULT_CONFIG[section])
             if bad:
                 raise ConfigError(f"unknown {section} config keys: {sorted(bad)}")
+            if any(isinstance(v, bool) for v in raw.get(section, {}).values()):
+                raise ConfigError(f"config {section} values must not be true/false")
         resolved = _merge(DEFAULT_CONFIG, raw)
     return resolved, manifest_inputs
 

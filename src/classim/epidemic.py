@@ -46,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernel
-from .errors import FrameRosterMismatch, UnknownPerson
+from .errors import FrameRosterMismatch, UnknownPerson, reject_bools
 from .kernel import KernelParams, TransmissionMode
 from .trajectory import Observation, TrajectoryFrame
 
@@ -100,6 +100,7 @@ class DiseaseParams:
     recovery_model: RecoveryModel = RecoveryModel.EXPONENTIAL
 
     def __post_init__(self):
+        reject_bools(self)
         if not 0.0 <= self.p_symptomatic <= 1.0:
             raise ValueError(f"p_symptomatic must be in [0, 1], got {self.p_symptomatic}")
         for name in ("latency_h", "mean_incubation_days", "gamma_per_day"):

@@ -1,8 +1,16 @@
-"""Exception hierarchy for classim.
+"""Exception hierarchy for classim, and the bool check its parameter classes share.
 
 Every error raised by the package derives from ClassimError so callers can
 catch the whole family at the CLI boundary.
 """
+
+from dataclasses import fields
+
+
+def reject_bools(params) -> None:
+    """Raise ValueError if a parameter dataclass holds a bool: true/false is no number."""
+    if flags := [f.name for f in fields(params) if isinstance(getattr(params, f.name), bool)]:
+        raise ValueError(f"{', '.join(flags)} must be a number, not true/false")
 
 
 class ClassimError(Exception):

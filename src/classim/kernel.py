@@ -42,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CoincidentPositions, ZeroArea
+from .errors import CoincidentPositions, ZeroArea, reject_bools
 
 FEET_TO_M = 0.3048
 SECONDS_PER_DAY = 86400.0
@@ -78,6 +78,7 @@ class KernelParams:
     mode: TransmissionMode = TransmissionMode.DROPLET
 
     def __post_init__(self):
+        reject_bools(self)
         if not 0 < self.beta_max <= 1e200:  # far past certainty; sums of rates stay finite
             raise ValueError(f"beta_max must be in (0, 1e200], got {self.beta_max}")
         for name in ("sigma_r", "sigma_theta"):
@@ -131,6 +132,7 @@ class CalibrationInputs:
     sigma_theta: float = math.pi / 4
 
     def __post_init__(self):
+        reject_bools(self)
         if self.r0 < 0:
             raise ValueError(f"r0 must be >= 0, got {self.r0}")
         for name in ("gamma", "n_contacts", "contact_radius",

@@ -55,8 +55,8 @@ class ScenarioConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.vaccine_efficacy <= 1.0:
-            raise ConfigError(f"vaccine_efficacy must be in [0, 1], got {self.vaccine_efficacy}")
+        if isinstance(self.vaccine_efficacy, bool) or not 0.0 <= self.vaccine_efficacy <= 1.0:
+            raise ConfigError(f"vaccine_efficacy must be in [0, 1], got {self.vaccine_efficacy!r}")
         for name in ("horizon_days", "reps_per_patient_zero", "base_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

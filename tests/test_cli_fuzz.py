@@ -114,7 +114,7 @@ def test_simulate_any_config_or_flags_exits_cleanly(tiny, data):
 
 
 #: Out-of-range numbers and wrong types, tried at every config key in turn.
-EDGE_VALUES = [-1, 0, 1.5, -1e308, 1e308, 1e-308, float("nan"), float("inf"), "x", None, [1]]
+EDGE_VALUES = [-1, 0, 1.5, -1e308, 1e308, 1e-308, float("nan"), float("inf"), "x", None, [1], True]
 
 
 def test_simulate_every_key_with_every_edge_value(tiny):
@@ -144,6 +144,9 @@ def test_simulate_every_key_with_every_edge_value(tiny):
     [1, 2],
     {"kernel": 3},
     {"parameters": {}, "inputs": 3},
+    {"vaccine_efficacy": True},
+    {"kernel": {"sigma_theta_deg": True}},
+    {"disease": {"p_symptomatic": False}},
 ])
 def test_simulate_bad_config_value_is_one_error_line(tiny, config, workers):
     root, obs = tiny

@@ -6,7 +6,13 @@ import pytest
 from classim import kernel, scenario, synthgen
 from classim.epidemic import DiseaseParams
 from classim.errors import ConfigError, NoTeacher, UnknownPerson
-from classim.kernel import KernelParams, TransmissionMode, pair_rate, relative_geometry
+from classim.kernel import (
+    CalibrationInputs,
+    KernelParams,
+    TransmissionMode,
+    pair_rate,
+    relative_geometry,
+)
 from classim.metrics import transmission_likelihood
 from classim.scenario import (
     SCENARIO_CELLS,
@@ -196,6 +202,20 @@ def test_derive_seed_stable_and_distinct():
 # ---------------------------------------------------------------------------
 # run_simulation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: ScenarioConfig(vaccine_efficacy=True),
+    lambda: ScenarioConfig(horizon_days=True),
+    lambda: DiseaseParams(p_symptomatic=True),
+    lambda: DiseaseParams(dt_s=True),
+    lambda: KernelParams(beta_max=True),
+    lambda: KernelParams(beta_max=1e-6, sigma_theta=True),
+    lambda: CalibrationInputs(contact_radius=True),
+])
+def test_parameters_reject_bools_for_numbers(make):
+    with pytest.raises((ValueError, ConfigError), match="(?i)true"):
+        make()
+
 
 def test_immune_patient_zero_empty_run():
     obs = _pair_obs()
