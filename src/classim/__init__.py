@@ -61,7 +61,6 @@ from .trajectory import (  # noqa: F401
     Observation,
     Person,
     Role,
-    TagSample,
     TrackFormat,
     TrajectoryFrame,
     fuse_tags,

@@ -332,6 +332,8 @@ def cmd_simulate(args) -> int:
         cfg = _merge(cfg, {"scenarios": args.scenarios.split(",")})
     if not isinstance(cfg["scenarios"], list):
         raise ConfigError(f"scenarios must be a list of names, got {cfg['scenarios']!r}")
+    if not cfg["scenarios"]:
+        raise ConfigError(f"scenarios is empty; pick from {sorted(scenario.SCENARIO_CELLS)}")
     for name in cfg["scenarios"]:
         if not isinstance(name, str) or name not in scenario.SCENARIO_CELLS:
             raise ConfigError(

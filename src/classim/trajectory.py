@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -76,23 +76,6 @@ class Side(str, Enum):
 class Person:
     person_id: str
     role: Role
-
-
-@dataclass(frozen=True)
-class TagSample:
-    """One raw position reading from a single hip tag."""
-
-    t: float
-    person_id: str
-    side: Side
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError(f"tag sample time must be >= 0, got {self.t}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValidationError(f"non-finite tag coordinates ({self.x}, {self.y})")
 
 
 @dataclass
@@ -243,32 +226,29 @@ def _rot90_ccw(v: np.ndarray) -> np.ndarray:
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
-def fuse_tags(left: list[TagSample], right: list[TagSample]) -> FusedTrack:
-    """Fuse a person's left/right tag streams into centroid + facing samples.
+def fuse_tags(pid: str, lt: np.ndarray, lxy: np.ndarray, rt: np.ndarray, rxy: np.ndarray) -> FusedTrack:
+    """Fuse one person's left/right tag streams into centroid + facing samples.
 
-    Samples are paired mutually-nearest in time within PAIRING_WINDOW_S; each
-    pair yields one fused sample at the mean of the two timestamps.  Facing
-    is the left-to-right vector rotated 90 degrees counter-clockwise.  When
-    the tags coincide (sensor glitch) the previous pair's facing is carried
-    forward (the following pair's, at the start of a track).
+    Each side is its sample times ``lt``/``rt`` (K,) in time order and its
+    coordinates ``lxy``/``rxy`` (K, 2).  Samples are paired mutually-nearest
+    in time within PAIRING_WINDOW_S; each pair yields one fused sample at the
+    mean of the two timestamps.  Facing is the left-to-right vector rotated
+    90 degrees counter-clockwise.  When the tags coincide (sensor glitch) the
+    previous pair's facing is carried forward (the following pair's, at the
+    start of a track).
     """
-    if not left or not right:
+    lt, lxy, rt, rxy = (np.asarray(a, dtype=float) for a in (lt, lxy, rt, rxy))
+    if not len(lt) or not len(rt):
         raise EmptyTrack("both tag streams must be non-empty")
-    pid = left[0].person_id
-    for s in left:
-        if s.person_id != pid:
-            raise ValidationError(f"mixed person_ids in left stream: {pid} vs {s.person_id}")
-    for s in right:
-        if s.person_id != pid:
-            raise ValidationError(f"mixed person_ids in right stream: {pid} vs {s.person_id}")
-    lt = np.array([s.t for s in left], dtype=float)
-    rt = np.array([s.t for s in right], dtype=float)
+    if lxy.shape != (len(lt), 2) or rxy.shape != (len(rt), 2):
+        raise ValidationError(
+            f"tag coordinates for {pid} must be (K, 2) with one row per time; "
+            f"got {lxy.shape} and {rxy.shape} for {len(lt)} and {len(rt)} times"
+        )
     if not (np.isfinite(lt).all() and np.isfinite(rt).all()):
         raise ValidationError(f"tag sample times for {pid} must be finite")
     if np.any(np.diff(lt) < 0) or np.any(np.diff(rt) < 0):
         raise ValidationError("tag streams must be time-sorted")
-    lxy = np.array([[s.x, s.y] for s in left], dtype=float)
-    rxy = np.array([[s.x, s.y] for s in right], dtype=float)
 
     # Mutual nearest-neighbour pairing within the window, each sample used once.
     nearest_r = np.clip(np.searchsorted(rt, lt), 1, len(rt)) - 1
@@ -338,33 +318,28 @@ def resample(track: FusedTrack, grid: np.ndarray | None = None) -> UniformTrack:
     else:
         grid = np.asarray(grid, dtype=float)
 
-    n = len(grid)
-    pos = np.full((n, 2), np.nan)
-    fac = np.full((n, 2), np.nan)
-    present = np.zeros(n, dtype=bool)
-
-    ang = _angles(track.facing)
+    pos = np.full((len(grid), 2), np.nan)
+    fac = np.full((len(grid), 2), np.nan)
     right = np.searchsorted(t, grid)          # first sample index >= grid point
-    for g in range(n):
-        x = grid[g]
-        k = right[g]
-        if k < len(t) and t[k] == x:          # exact knot: copy bitwise
-            pos[g] = track.pos[k]
-            fac[g] = track.facing[k]
-            present[g] = True
-            continue
-        if k == 0 or k == len(t):             # outside sampled span
-            continue
-        t0, t1 = t[k - 1], t[k]
-        if t1 - t0 > MAX_GAP_S:
-            continue
-        w = (x - t0) / (t1 - t0)
-        pos[g] = (1.0 - w) * track.pos[k - 1] + w * track.pos[k]
-        da = ang[k] - ang[k - 1]
-        da = (da + math.pi) % (2.0 * math.pi) - math.pi   # shortest arc
-        a = ang[k - 1] + w * da
-        fac[g] = (math.cos(a), math.sin(a))
-        present[g] = True
+    knot = t[np.minimum(right, len(t) - 1)] == grid   # exact knot: copy bitwise
+    # strictly inside the sampled span, in a gap no longer than MAX_GAP_S
+    inside = ~knot & (right > 0) & (right < len(t))
+    inside[inside] = ~(np.diff(t)[right[inside] - 1] > MAX_GAP_S)
+    pos[knot] = track.pos[right[knot]]
+    fac[knot] = track.facing[right[knot]]
+
+    k = right[inside]
+    t0, t1 = t[k - 1], t[k]
+    w = (grid[inside] - t0) / (t1 - t0)
+    pos[inside] = (1.0 - w)[:, None] * track.pos[k - 1] + w[:, None] * track.pos[k]
+    ang = _angles(track.facing)
+    da = ang[k] - ang[k - 1]
+    da = (da + math.pi) % (2.0 * math.pi) - math.pi   # shortest arc
+    a = (ang[k - 1] + w * da).tolist()
+    # math.cos/sin, not numpy's: the two may differ in the last bit
+    fac[inside, 0] = np.fromiter(map(math.cos, a), float, len(a))
+    fac[inside, 1] = np.fromiter(map(math.sin, a), float, len(a))
+    present = knot | inside
     return UniformTrack(pos=pos, facing=fac, present=present)
 
 
@@ -452,27 +427,33 @@ def _write_sidecar(obs: Observation, meta_path: Path) -> None:
 # fused CSV
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _quoted_prefix(person: Person) -> str:
+    """``person_id,role,`` quoted as ``csv.writer`` quotes them inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([person.person_id, person.role.value, ""])
+    return buf.getvalue()[:-1]
 
 
 def save_observation(obs: Observation, csv_path: str | Path, meta_path: str | Path | None = None) -> None:
-    """Write an Observation as fused CSV plus its JSON sidecar."""
+    """Write an Observation as fused CSV plus its JSON sidecar.
+
+    Rows are the bytes ``csv.writer`` would write: person_id and role are
+    csv-quoted once per person, and each coordinate is its float ``repr``.
+    One second of rows is written at a time.
+    """
     csv_path = Path(csv_path)
     meta_path = Path(meta_path) if meta_path is not None else default_meta_path(csv_path)
+    prefixes = [_quoted_prefix(person) for person in obs.roster]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(FUSED_HEADER)
+        fh.write(",".join(FUSED_HEADER) + "\n")
         for t in range(obs.session_length_s):
-            for k, person in enumerate(obs.roster):
-                if obs.present[t, k]:
-                    w.writerow([
-                        t, person.person_id, person.role.value, 1,
-                        _fmt(obs.positions[t, k, 0]), _fmt(obs.positions[t, k, 1]),
-                        _fmt(obs.facings[t, k, 0]), _fmt(obs.facings[t, k, 1]),
-                    ])
-                else:
-                    w.writerow([t, person.person_id, person.role.value, 0, "", "", "", ""])
+            coords = np.concatenate((obs.positions[t], obs.facings[t]), axis=1, dtype=float).tolist()
+            fh.write("".join(
+                f"{t},{prefix}1,{x!r},{y!r},{fx!r},{fy!r}\n" if present
+                else f"{t},{prefix}0,,,,\n"
+                for prefix, present, (x, y, fx, fy)
+                in zip(prefixes, obs.present[t].tolist(), coords)
+            ))
     _write_sidecar(obs, meta_path)
 
 
@@ -646,12 +627,9 @@ def _load_raw(csv_path: Path, meta: dict) -> Observation:
     streams = np.split(order, np.searchsorted(stream, np.arange(1, 2 * len(people.index))))
     fused: dict[str, FusedTrack] = {}
     for code, pid in enumerate(people.index):
-        left, right = (
-            list(map(TagSample, t[rows].tolist(), repeat(pid), repeat(s), x[rows].tolist(),
-                     y[rows].tolist()))
-            for s, rows in zip(_SIDES, streams[2 * code:2 * code + 2])
-        )
-        fused[pid] = fuse_tags(left, right)
+        left, right = streams[2 * code], streams[2 * code + 1]
+        fused[pid] = fuse_tags(pid, t[left], np.column_stack((x[left], y[left])),
+                               t[right], np.column_stack((x[right], y[right])))
 
     t_max = max(track.t[-1] for track in fused.values())
     grid = np.arange(0, math.floor(t_max) + 1, dtype=float)

@@ -1,12 +1,14 @@
 """Row-by-row reference implementations of trajectory ingestion.
 
-These are the loaders and the tag pairing loop that ``classim.trajectory``
-replaced with array code.  The tests compare the array code against them:
-same arrays bit for bit, same exception class and message.
+These are the loaders, the tag pairing loop, the per-second resampler and
+the row writer that ``classim.trajectory`` replaced with array code.  The
+tests compare the array code against them: same arrays and bytes bit for
+bit, same exception class and message.
 """
 
 import csv
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import numpy as np
 from classim.errors import EmptyTrack, ParseError, SchemaError, ValidationError
 from classim.trajectory import (
     FUSED_HEADER,
+    MAX_GAP_S,
     PAIRING_WINDOW_S,
     RAW_HEADER,
     FusedTrack,
@@ -21,15 +24,33 @@ from classim.trajectory import (
     Person,
     Role,
     Side,
-    TagSample,
     TrackFormat,
+    UniformTrack,
     _activity_from_sidecar,
+    _angles,
     _load_sidecar,
     _roster_from_sidecar,
     _rot90_ccw,
+    _write_sidecar,
     default_meta_path,
-    resample,
 )
+
+
+@dataclass(frozen=True)
+class TagSample:
+    """One raw position reading from a single hip tag."""
+
+    t: float
+    person_id: str
+    side: Side
+    x: float
+    y: float
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise ValidationError(f"tag sample time must be >= 0, got {self.t}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValidationError(f"non-finite tag coordinates ({self.x}, {self.y})")
 
 
 def fuse_tags_loop(left, right) -> FusedTrack:
@@ -84,6 +105,70 @@ def fuse_tags_loop(left, right) -> FusedTrack:
     if not np.isfinite(facing).all():
         raise ValidationError(f"track for {pid} never defines an orientation")
     return FusedTrack(t=t_out, pos=pos, facing=facing)
+
+
+def resample_loop(track: FusedTrack, grid=None) -> UniformTrack:
+    """``resample`` one grid second at a time."""
+    if len(track) == 0:
+        raise EmptyTrack("cannot resample an empty track")
+    t = track.t
+    if grid is None:
+        grid = np.arange(0, math.floor(t[-1]) + 1, dtype=float)
+    else:
+        grid = np.asarray(grid, dtype=float)
+
+    n = len(grid)
+    pos = np.full((n, 2), np.nan)
+    fac = np.full((n, 2), np.nan)
+    present = np.zeros(n, dtype=bool)
+
+    ang = _angles(track.facing)
+    right = np.searchsorted(t, grid)          # first sample index >= grid point
+    for g in range(n):
+        x = grid[g]
+        k = right[g]
+        if k < len(t) and t[k] == x:          # exact knot: copy bitwise
+            pos[g] = track.pos[k]
+            fac[g] = track.facing[k]
+            present[g] = True
+            continue
+        if k == 0 or k == len(t):             # outside sampled span
+            continue
+        t0, t1 = t[k - 1], t[k]
+        if t1 - t0 > MAX_GAP_S:
+            continue
+        w = (x - t0) / (t1 - t0)
+        pos[g] = (1.0 - w) * track.pos[k - 1] + w * track.pos[k]
+        da = ang[k] - ang[k - 1]
+        da = (da + math.pi) % (2.0 * math.pi) - math.pi   # shortest arc
+        a = ang[k - 1] + w * da
+        fac[g] = (math.cos(a), math.sin(a))
+        present[g] = True
+    return UniformTrack(pos=pos, facing=fac, present=present)
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def save_rowwise(obs: Observation, csv_path, meta_path=None) -> None:
+    """``save_observation`` through ``csv.writer``, one row at a time."""
+    csv_path = Path(csv_path)
+    meta_path = Path(meta_path) if meta_path is not None else default_meta_path(csv_path)
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(FUSED_HEADER)
+        for t in range(obs.session_length_s):
+            for k, person in enumerate(obs.roster):
+                if obs.present[t, k]:
+                    w.writerow([
+                        t, person.person_id, person.role.value, 1,
+                        _fmt(obs.positions[t, k, 0]), _fmt(obs.positions[t, k, 1]),
+                        _fmt(obs.facings[t, k, 0]), _fmt(obs.facings[t, k, 1]),
+                    ])
+                else:
+                    w.writerow([t, person.person_id, person.role.value, 0, "", "", "", ""])
+    _write_sidecar(obs, meta_path)
 
 
 def _parse_float(text, what, line):
@@ -229,7 +314,7 @@ def _load_raw(csv_path, meta):
     present = np.zeros((len(grid), n), dtype=bool)
     for pid, track in fused.items():
         k = index[pid]
-        u = resample(track, grid)
+        u = resample_loop(track, grid)
         positions[:, k] = u.pos
         facings[:, k] = u.facing
         present[:, k] = u.present

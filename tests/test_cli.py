@@ -2,9 +2,12 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from classim.cli import main
+from classim.trajectory import TrackFormat
+from reference_trajectory import load_rowwise, save_rowwise
 
 
 def _run(capsys, *argv):
@@ -123,6 +126,37 @@ def test_fuse_raw_to_fused(tmp_path, capsys):
     assert obs.session_length_s == 2
     assert obs.positions[0, 0, 0] == 0.0
     assert obs.facings[0, 0, 1] == 1.0
+
+
+def test_fuse_output_bytes_match_rowwise_reference(tmp_path, capsys):
+    # p1: a within-stream tie at t=1, the right tag silent over 2-4 s (unpaired
+    # left reports), then both tags silent for 7 s (absent, not interpolated)
+    p1_left = [0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 11.0, 11.5, 12.0]
+    p1_right = [0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 4.0, 11.0, 11.25, 12.0]
+    # "p,2": reports tied across the two tags, coincident tags at t=6
+    p2_both = [0.25 * k for k in range(1, 50)]
+    rng = np.random.default_rng(3)
+    rows = []
+    for pid, role, side, times in (("p1", "child", "L", p1_left), ("p1", "child", "R", p1_right),
+                                   ('"p,2"', "teacher", "L", p2_both),
+                                   ('"p,2"', "teacher", "R", p2_both)):
+        for t in times:
+            x, y = rng.uniform(-3.0, 3.0, 2).tolist()
+            if pid != "p1" and t == 6.0:
+                x, y = 1.0, 1.0
+            rows.append(f"{t!r},{pid},{role},{side},{x!r},{y!r}")
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    raw = tmp_path / "raw.csv"
+    raw.write_text("t_s,person_id,role,side,x_m,y_m\n" + "\n".join(rows) + "\n")
+    (tmp_path / "raw.meta.json").write_text('{"class_id": "raw", "room_area_m2": 12.0}')
+    out = tmp_path / "fused.csv"
+    code, _, _ = _run(capsys, "fuse", "--input", str(raw), "--out", str(out))
+    assert code == 0
+    save_rowwise(load_rowwise(raw, TrackFormat.RAW_TAGS), tmp_path / "ref.csv")
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "fused.meta.json").read_bytes() == (tmp_path / "ref.meta.json").read_bytes()
+    text = out.read_text()
+    assert "7,p1,child,0,,,,\n" in text and "3,p1,child,1," in text
 
 
 def test_fuse_missing_file_exit_1(tmp_path, capsys):

@@ -147,6 +147,7 @@ def test_simulate_every_key_with_every_edge_value(tiny):
     {"vaccine_efficacy": True},
     {"kernel": {"sigma_theta_deg": True}},
     {"disease": {"p_symptomatic": False}},
+    {"scenarios": []},
 ])
 def test_simulate_bad_config_value_is_one_error_line(tiny, config, workers):
     root, obs = tiny

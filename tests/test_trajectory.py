@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classim.errors import (
@@ -21,18 +21,35 @@ from classim.trajectory import (
     Person,
     Role,
     Side,
-    TagSample,
     TrackFormat,
     fuse_tags,
     load_observation,
     resample,
     save_observation,
 )
-from reference_trajectory import fuse_tags_loop, load_rowwise
+from reference_trajectory import (
+    TagSample,
+    fuse_tags_loop,
+    load_rowwise,
+    resample_loop,
+    save_rowwise,
+)
 
 
 def _tag(t, side, x, y, pid="p1"):
     return TagSample(t=t, person_id=pid, side=side, x=x, y=y)
+
+
+def _fuse(left, right):
+    """``fuse_tags`` on one person's TagSample lists."""
+    samples = [*left, *right]
+    pid = samples[0].person_id if samples else ""
+    for name, stream in (("left", left), ("right", right)):
+        for s in stream:
+            if s.person_id != pid:
+                raise ValidationError(f"mixed person_ids in {name} stream: {pid} vs {s.person_id}")
+    return fuse_tags(pid, [s.t for s in left], [[s.x, s.y] for s in left],
+                     [s.t for s in right], [[s.x, s.y] for s in right])
 
 
 def _obs_two_people(t_total=10):
@@ -58,13 +75,13 @@ def _obs_two_people(t_total=10):
 # ---------------------------------------------------------------------------
 
 def test_fuse_left_minus_x_faces_plus_y():
-    track = fuse_tags([_tag(0.0, Side.LEFT, -0.2, 0.0)], [_tag(0.0, Side.RIGHT, 0.2, 0.0)])
+    track = _fuse([_tag(0.0, Side.LEFT, -0.2, 0.0)], [_tag(0.0, Side.RIGHT, 0.2, 0.0)])
     assert np.allclose(track.pos[0], (0.0, 0.0))
     assert np.allclose(track.facing[0], (0.0, 1.0))
 
 
 def test_fuse_rotated_case():
-    track = fuse_tags([_tag(0.0, Side.LEFT, 0.0, 0.2)], [_tag(0.0, Side.RIGHT, 0.0, -0.2)])
+    track = _fuse([_tag(0.0, Side.LEFT, 0.0, 0.2)], [_tag(0.0, Side.RIGHT, 0.0, -0.2)])
     assert np.allclose(track.pos[0], (0.0, 0.0))
     assert np.allclose(track.facing[0], (1.0, 0.0))
 
@@ -72,14 +89,14 @@ def test_fuse_rotated_case():
 def test_fuse_degenerate_pair_carries_previous_facing():
     left = [_tag(0.0, Side.LEFT, -0.2, 0.0), _tag(1.0, Side.LEFT, 0.5, 0.5)]
     right = [_tag(0.0, Side.RIGHT, 0.2, 0.0), _tag(1.0, Side.RIGHT, 0.5, 0.5)]
-    track = fuse_tags(left, right)
+    track = _fuse(left, right)
     assert np.allclose(track.facing[1], track.facing[0])
 
 
 def test_fuse_degenerate_first_pair_backfills():
     left = [_tag(0.0, Side.LEFT, 0.5, 0.5), _tag(1.0, Side.LEFT, -0.2, 0.0)]
     right = [_tag(0.0, Side.RIGHT, 0.5, 0.5), _tag(1.0, Side.RIGHT, 0.2, 0.0)]
-    track = fuse_tags(left, right)
+    track = _fuse(left, right)
     assert np.allclose(track.facing[0], (0.0, 1.0))
 
 
@@ -88,7 +105,7 @@ def test_fuse_skips_unpaired_windows():
     left = [_tag(0.0, Side.LEFT, 0.0, 0.0), _tag(1.0, Side.LEFT, 1.0, 0.0),
             _tag(2.0, Side.LEFT, 2.0, 0.0)]
     right = [_tag(0.1, Side.RIGHT, 0.4, 0.0), _tag(2.1, Side.RIGHT, 2.4, 0.0)]
-    track = fuse_tags(left, right)
+    track = _fuse(left, right)
     assert len(track) == 2
     assert track.t[0] == pytest.approx(0.05)
     assert track.t[1] == pytest.approx(2.05)
@@ -96,13 +113,20 @@ def test_fuse_skips_unpaired_windows():
 
 def test_fuse_empty_stream_raises():
     with pytest.raises(EmptyTrack):
-        fuse_tags([], [_tag(0.0, Side.RIGHT, 0.0, 0.0)])
+        _fuse([], [_tag(0.0, Side.RIGHT, 0.0, 0.0)])
 
 
 def test_fuse_mixed_person_rejected():
     with pytest.raises(ValidationError):
-        fuse_tags([_tag(0.0, Side.LEFT, 0, 0, pid="a")],
-                  [_tag(0.0, Side.RIGHT, 1, 0, pid="b")])
+        _fuse([_tag(0.0, Side.LEFT, 0, 0, pid="a")],
+              [_tag(0.0, Side.RIGHT, 1, 0, pid="b")])
+
+
+def test_fuse_rejects_coordinates_not_one_row_per_time():
+    with pytest.raises(ValidationError, match="one row per time"):
+        fuse_tags("p1", [0.0, 1.0], [[0.0, 0.0]], [0.0], [[1.0, 0.0]])
+    with pytest.raises(ValidationError, match="one row per time"):
+        fuse_tags("p1", [0.0], [[0.0, 0.0, 0.0]], [0.0], [[1.0, 0.0, 0.0]])
 
 
 @settings(max_examples=200)
@@ -113,7 +137,7 @@ def test_fuse_mixed_person_rejected():
 def test_fuse_chirality(lx, ly, rx, ry):
     if math.hypot(rx - lx, ry - ly) < 1e-6:
         return
-    track = fuse_tags([_tag(0.0, Side.LEFT, lx, ly)], [_tag(0.0, Side.RIGHT, rx, ry)])
+    track = _fuse([_tag(0.0, Side.LEFT, lx, ly)], [_tag(0.0, Side.RIGHT, rx, ry)])
     l2r = np.array([rx - lx, ry - ly])
     f = track.facing[0]
     assert abs(np.dot(l2r, f)) < 1e-9          # perpendicular
@@ -181,6 +205,58 @@ def test_resample_before_first_sample_absent():
     u = resample(_track([3.2, 4.0], [(0, 0), (1, 0)]), grid=np.arange(5))
     assert not u.present[:4].any()
     assert u.present[4]
+
+
+_JUST_OVER_GAP = float(np.nextafter(5.0, 6.0))
+# exact gaps of 5.0 s and one ulp more; turns that land the step near +-pi
+_STEPS = [0.25, 0.5, 1.0, 1.5, 5.0, _JUST_OVER_GAP, 5.5]
+_TURNS = [0.0, 0.4, -2.5, math.pi, -math.pi, math.pi - 1e-12, -math.pi + 1e-12,
+          float(np.nextafter(math.pi, 4.0)), 3 * math.pi]
+
+
+@st.composite
+def _resample_cases(draw):
+    """(times, positions, facing angles, grid) of one track, on or off the integer grid."""
+    k = draw(st.integers(0, 10))
+    start = draw(st.sampled_from([0.0, 0.5, 1.0, 2.25, 3.7]))
+    steps = draw(st.lists(st.one_of(st.sampled_from(_STEPS), st.floats(0.01, 8.0)),
+                          min_size=k, max_size=k))
+    times = (start + np.cumsum([0.0] + steps[1:])).tolist() if k else []
+    xy = draw(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=k, max_size=k))
+    turns = draw(st.lists(st.one_of(st.sampled_from(_TURNS), st.floats(-7.0, 7.0)),
+                          min_size=k, max_size=k))
+    angles = np.cumsum(turns).tolist()
+    end = (times[-1] if times else 0.0) + 3.0
+    grid = draw(st.one_of(
+        st.none(),
+        st.integers(-3, 0).map(lambda lo: np.arange(lo, math.floor(end) + 1, dtype=float)),
+        st.lists(st.one_of(st.floats(-3.0, end), *([st.sampled_from(times)] if times else [])),
+                 max_size=12),
+    ))
+    return times, xy, angles, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_resample_cases())
+@example(case=([0.0, 1.0, 2.0], [(0, 0), (1, 1), (2, 0)], [0.0, 1.0, 2.0], None))
+@example(case=([1.0, 6.0, 6.5], [(0, 0), (5, 0), (6, 0)], [0.0, 0.1, 0.2], None))
+@example(case=([0.0, _JUST_OVER_GAP], [(0, 0), (5, 0)], [0.0, 0.1], np.arange(-1, 7.0)))
+@example(case=([0.5, 2.5], [(0, 0), (1, 0)], [0.0, math.pi - 1e-12], [-1.0, 0.5, 1.25, 2.5, 9.0]))
+@example(case=([0.0, 2.0], [(0, 0), (1, 0)], [0.5, 0.5 - math.pi], None))
+@example(case=([], [], [], None))
+def test_resample_matches_loop_reference(case):
+    times, xy, angles, grid = case
+    track = FusedTrack(t=np.array(times, dtype=float),
+                       pos=np.array(xy, dtype=float).reshape(-1, 2),
+                       facing=np.array([(math.cos(a), math.sin(a)) for a in angles],
+                                       dtype=float).reshape(-1, 2))
+    got, got_err = _outcome(resample, track, grid)
+    want, want_err = _outcome(resample_loop, track, grid)
+    assert got_err == want_err
+    if want is not None:
+        for name in ("pos", "facing", "present"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +391,7 @@ def test_raw_csv_matches_fuse_output(tmp_path):
     assert np.allclose(obs.positions[0, 0], (0.0, 0.0))
     assert np.allclose(obs.facings[0, 0], (0.0, 1.0))
     assert np.allclose(obs.positions[1, 0], (1.0, 1.0))
-    direct = fuse_tags(
+    direct = _fuse(
         [_tag(0.0, Side.LEFT, -0.2, 0.0)], [_tag(0.0, Side.RIGHT, 0.2, 0.0)]
     )
     assert np.allclose(obs.positions[0, 0], direct.pos[0])
@@ -551,6 +627,30 @@ def test_save_load_round_trip_bitwise(tmp_path_factory, obs, crlf):
     _assert_bitwise_equal(load_observation(path), obs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(obs=_observations())
+def test_save_matches_rowwise_writer_bytes(tmp_path_factory, obs):
+    root = tmp_path_factory.mktemp("save")
+    save_observation(obs, root / "fast.csv")
+    save_rowwise(obs, root / "rows.csv")
+    for suffix in (".csv", ".meta.json"):
+        assert ((root / "fast").with_suffix(suffix).read_bytes()
+                == (root / "rows").with_suffix(suffix).read_bytes()), suffix
+
+
+def test_save_quotes_person_ids_like_csv_writer(tmp_path):
+    obs = _obs_two_people(t_total=3)
+    obs.roster = (Person('a,"b', Role.CHILD), Person(" lead space", Role.TEACHER))
+    obs.present[1, 0] = False
+    obs.positions[1, 0] = obs.facings[1, 0] = np.nan
+    save_observation(obs, tmp_path / "fast.csv")
+    save_rowwise(obs, tmp_path / "rows.csv")
+    text = (tmp_path / "fast.csv").read_bytes()
+    assert text == (tmp_path / "rows.csv").read_bytes()
+    assert b'1,"a,""b",child,0,,,,\n' in text
+    _assert_bitwise_equal(load_observation(tmp_path / "fast.csv"), obs)
+
+
 # ---------------------------------------------------------------------------
 # array code against the row-by-row reference
 # ---------------------------------------------------------------------------
@@ -593,7 +693,7 @@ def test_fuse_tags_matches_loop_reference():
     paired = 0
     for seed in range(300):
         left, right = _random_streams(np.random.default_rng(seed))
-        got, got_err = _outcome(fuse_tags, left, right)
+        got, got_err = _outcome(_fuse, left, right)
         want, want_err = _outcome(fuse_tags_loop, left, right)
         assert got_err == want_err, seed
         if want is not None:
@@ -618,7 +718,7 @@ def test_raw_loader_ties_keep_file_order(tmp_path):
 
 def test_fuse_tags_rejects_non_finite_times():
     with pytest.raises(ValidationError, match="finite"):
-        fuse_tags([_tag(math.nan, Side.LEFT, 0, 0)], [_tag(0.0, Side.RIGHT, 1, 0)])
+        _fuse([_tag(math.nan, Side.LEFT, 0, 0)], [_tag(0.0, Side.RIGHT, 1, 0)])
 
 
 # fields a mutation may write; t_s only takes finite ones, because the row
