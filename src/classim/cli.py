@@ -282,12 +282,13 @@ def _kernel_params(cfg: dict) -> KernelParams:
 
 def _disease_params(cfg: dict) -> epidemic.DiseaseParams:
     dc = cfg["disease"]
+    if dc["dt_s"] != 1.0:  # kept so manifests keep their bytes; the grid is 1 Hz
+        raise ValueError(f"dt_s must be 1.0, the 1 Hz trajectory grid, got {dc['dt_s']!r}")
     return epidemic.DiseaseParams(
         latency_h=dc["latency_h"],
         p_symptomatic=dc["p_symptomatic"],
         mean_incubation_days=dc["mean_incubation_days"],
         gamma_per_day=dc["gamma_per_day"],
-        dt_s=dc["dt_s"],
         incubation_model=epidemic.IncubationModel(dc["incubation_model"]),
         recovery_model=epidemic.RecoveryModel(dc["recovery_model"]),
     )

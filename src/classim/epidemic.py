@@ -13,10 +13,10 @@ scheduled times and the clock.  Advancing time never consumes randomness,
 which keeps runs deterministic and lets the simulation jump over nights and
 weekends in one step.
 
-Transmission happens only while the trajectory is playing.  At each second,
-every present susceptible combines the hazards of all present infectious
-neighbours as  p = 1 - prod_j (1 - min(beta_ij * dt, 1)).  Written as a
-hazard,  h = -log(1 - p) = sum_j -log1p(-min(beta_ij * dt, 1)),  so the
+Transmission happens only while the trajectory is playing.  At each second
+of its 1 Hz grid, every present susceptible combines the per-second rates of
+all present infectious neighbours as  p = 1 - prod_j (1 - min(beta_ij, 1)).
+As a hazard,  h = -log(1 - p) = sum_j -log1p(-min(beta_ij, 1)),  so the
 chance of escaping every second a..b is  exp(-(h_a + ... + h_b)).
 
 ``transmission_step`` applies the per-second rule to a single frame and
@@ -57,6 +57,8 @@ SECONDS_PER_DAY = 86400.0
 EMISSION_SLOT_S = 60.0
 #: Airborne mode: emissions older than this no longer contribute.
 EMISSION_HORIZON_S = 3.0 * SECONDS_PER_HOUR
+#: Airborne mode: ring rows per person, the horizon's 180 slots plus the current one.
+EMISSION_ROWS = int(EMISSION_HORIZON_S // EMISSION_SLOT_S) + 1
 
 
 class Compartment(Enum):
@@ -84,7 +86,7 @@ class DiseaseParams:
     p_symptomatic: probability an infected person ever develops symptoms.
     mean_incubation_days: mean infection -> symptom-onset waiting time.
     gamma_per_day: recovery rate; mean infectious duration = 1/gamma.
-    dt_s: transmission step size; must be 1.0, the 1 Hz trajectory grid.
+    Transmission steps on the 1 Hz trajectory grid, so no step size is set.
 
     incubation_model picks exponential waiting times (default) or
     integer Poisson-distributed days; recovery_model picks exponential
@@ -95,7 +97,6 @@ class DiseaseParams:
     p_symptomatic: float = 0.75
     mean_incubation_days: float = 4.0
     gamma_per_day: float = 0.1
-    dt_s: float = 1.0
     incubation_model: IncubationModel = IncubationModel.EXPONENTIAL
     recovery_model: RecoveryModel = RecoveryModel.EXPONENTIAL
 
@@ -107,8 +108,6 @@ class DiseaseParams:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.dt_s != 1.0:
-            raise ValueError(f"dt_s must be 1.0, the 1 Hz trajectory grid, got {self.dt_s}")
         if self.latency_s == math.inf:
             raise ValueError(f"latency_h must be finite in seconds, got {self.latency_h}")
         if self.recovery_model == RecoveryModel.GEOMETRIC_STEPS and self.gamma_per_day > 86400:
@@ -134,9 +133,10 @@ class EpidemicState:
     absolute seconds since Day 0 session start, scheduled when the person
     is infected; ``inf`` means "never (so far)".  ``source`` is the roster
     index of the infector, -1 for none.  Immune people stay susceptible and
-    never acquire times.  Airborne mode buffers each infectious person's
-    emissions, one (t, x, y, fx, fy) per slot, in ``emissions`` and keeps
-    the last slot emitted in ``last_emission_slot``.
+    never acquire times.  Airborne mode keeps each infectious person's
+    emissions in ``emissions``, an (n, EMISSION_ROWS, 5) ring of
+    (t, x, y, fx, fy): slot s is row s % EMISSION_ROWS, and a row never
+    written has t = -inf.
 
     Confined to a single worker for the duration of a run; parallelism
     happens one level up, across independent runs.
@@ -151,8 +151,7 @@ class EpidemicState:
     t_symptomatic: np.ndarray
     t_recovered: np.ndarray
     source: np.ndarray
-    emissions: list[list[tuple]]
-    last_emission_slot: np.ndarray
+    emissions: np.ndarray
 
     def counts(self, at: float | None = None) -> tuple[int, int, int, int]:
         """(S, E, I, R) counts at the given time (default: current clock)."""
@@ -196,8 +195,7 @@ def new_epidemic_state(
         t_symptomatic=np.full(n, math.inf),
         t_recovered=np.full(n, math.inf),
         source=np.full(n, -1),
-        emissions=[[] for _ in ids],
-        last_emission_slot=np.full(n, -1),
+        emissions=np.full((n, EMISSION_ROWS, 5), -math.inf),
     )
 
 
@@ -220,13 +218,12 @@ def sample_incubation(rng: np.random.Generator, dp: DiseaseParams) -> float:
 def sample_recovery(rng: np.random.Generator, dp: DiseaseParams) -> float:
     """Infectious-duration draw in days, mean 1/gamma.
 
-    The geometric model is the exact law of per-step Bernoulli(gamma * dt)
-    recovery draws, sampled in closed form.
+    The geometric model is the exact law of per-second Bernoulli(gamma)
+    recovery draws (gamma per second), sampled in closed form.
     """
     if dp.recovery_model == RecoveryModel.GEOMETRIC_STEPS:
-        p_step = dp.gamma_per_day * dp.dt_s / SECONDS_PER_DAY
-        steps = rng.geometric(p_step)
-        return float(steps) * dp.dt_s / SECONDS_PER_DAY
+        steps = rng.geometric(dp.gamma_per_day / SECONDS_PER_DAY)
+        return float(steps) / SECONDS_PER_DAY
     return float(rng.exponential(dp.mean_infectious_days))
 
 
@@ -271,12 +268,6 @@ def seed_patient_zero(state: EpidemicState, person_id: str, dp: DiseaseParams) -
     return state
 
 
-def _combined_infection_prob(per_source: np.ndarray, dt_s: float) -> np.ndarray:
-    """p = 1 - prod_j (1 - min(beta_j dt, 1)) along the last axis."""
-    contrib = np.clip(per_source * dt_s, 0.0, 1.0)
-    return 1.0 - np.prod(1.0 - contrib, axis=-1)
-
-
 def transmission_step(
     state: EpidemicState,
     frame: TrajectoryFrame,
@@ -300,12 +291,9 @@ def transmission_step(
     sus_idx = np.flatnonzero(susceptible & ~state.immune)
     inf_idx = np.flatnonzero(infectious)
 
-    if kp.mode == TransmissionMode.AIRBORNE:
-        _trim_buffers(state, now)
-
     if len(inf_idx) and len(sus_idx):
         beta = _frame_source_rates(state, frame, kp, now, sus_idx, inf_idx)
-        p = _combined_infection_prob(beta, dp.dt_s)
+        p = 1.0 - np.prod(1.0 - np.clip(beta, 0.0, 1.0), axis=-1)  # see module docstring
         u = state.rng.random(len(sus_idx))
         for pos in np.flatnonzero(u < p):
             j = int(inf_idx[int(np.argmax(beta[pos]))])
@@ -315,7 +303,7 @@ def transmission_step(
 
     if kp.mode == TransmissionMode.AIRBORNE:
         _record_emissions(state, frame, now, inf_idx)
-    state.clock = now + dp.dt_s
+    state.clock = now + 1.0
     return state
 
 
@@ -337,19 +325,17 @@ def _frame_source_rates(
     if kp.mode == TransmissionMode.AIRBORNE:
         # Emission weight keeps a stationary pair's integrated airborne hazard
         # aligned with the droplet hazard: each slot carries lambda * slot.
-        lam_per_s = kp.lambda_decay / SECONDS_PER_HOUR
-        weight = lam_per_s * EMISSION_SLOT_S
+        weight = kp.lambda_decay / SECONDS_PER_HOUR * EMISSION_SLOT_S
         current_slot = int(now // EMISSION_SLOT_S)
+        # the slots before the current one, oldest first (stale rows are masked)
+        rows = np.arange(current_slot - EMISSION_ROWS + 1, current_slot) % EMISSION_ROWS
         sus_present = frame.present[sus_idx]
         for col, j in enumerate(inf_idx):
-            buf = state.emissions[j]
-            past = [e for e in buf if int(e[0] // EMISSION_SLOT_S) < current_slot]
-            if not past:
+            arr = state.emissions[j, rows]
+            arr = arr[arr[:, 0] >= now - EMISSION_HORIZON_S]
+            if not len(arr):
                 continue
-            arr = np.asarray(past, dtype=float)
-            r = kernel.rates_between(
-                pos[sus_idx], fac[sus_idx], arr[:, 1:3], arr[:, 3:5], kp
-            )
+            r = kernel.rates_between(pos[sus_idx], fac[sus_idx], arr[:, 1:3], arr[:, 3:5], kp)
             decay = np.exp(-kp.lambda_decay * (now - arr[:, 0]) / SECONDS_PER_HOUR)
             extra = (r * decay[None, :]).sum(axis=1) * weight
             beta[:, col] += np.where(sus_present, extra, 0.0)
@@ -358,18 +344,10 @@ def _frame_source_rates(
 
 def _record_emissions(state, frame, now, inf_idx) -> None:
     slot = int(now // EMISSION_SLOT_S)
-    for j in inf_idx:
-        if frame.present[j] and state.last_emission_slot[j] < slot:
-            state.emissions[j].append(
-                (now, float(frame.positions[j, 0]), float(frame.positions[j, 1]),
-                 float(frame.facings[j, 0]), float(frame.facings[j, 1]))
-            )
-            state.last_emission_slot[j] = slot
-
-
-def _trim_buffers(state: EpidemicState, now: float) -> None:
-    horizon = now - EMISSION_HORIZON_S
-    state.emissions = [[e for e in buf if e[0] >= horizon] for buf in state.emissions]
+    row = state.emissions[:, slot % EMISSION_ROWS]
+    for j in inf_idx:  # a row still holding an earlier slot is free
+        if frame.present[j] and row[j, 0] < slot * EMISSION_SLOT_S:
+            row[j] = now, *frame.positions[j], *frame.facings[j]
 
 
 def progress_offclass(state: EpidemicState, duration_s: float) -> EpidemicState:
@@ -461,12 +439,11 @@ def simulate_session(
         if pairs is None:
             pairs = kernel.pair_index(n)
 
-    dt = dp.dt_s
-    latency_steps = max(1, int(dp.latency_s // dt))
+    latency_steps = max(1, math.floor(dp.latency_s))
 
     cursor = 0
     while cursor < t_total:
-        now = session_start_s + cursor * dt
+        now = session_start_s + cursor
         susceptible, exposed, infectious, _ = _compartment_masks(state, now)
 
         # segment ends at the next infectious-set change (someone turning
@@ -475,7 +452,7 @@ def simulate_session(
         changes = np.concatenate(
             [state.t_infectious[exposed], state.t_recovered[infectious]]
         )
-        frames = np.ceil((changes - session_start_s) / dt)  # first frame at/after
+        frames = np.ceil(changes - session_start_s)  # first frame at/after
         seg_end = int(min(t_total, cursor + latency_steps,
                           frames[frames > cursor].min(initial=t_total)))
 
@@ -494,7 +471,7 @@ def simulate_session(
                 obs.positions[seconds], obs.facings[seconds], obs.present[seconds], kp,
                 (np.repeat(sus_idx, len(inf_idx)), np.tile(inf_idx, len(sus_idx))),
             )
-            cum, lo = kernel.cumulative_hazard(rates, dt), 0
+            cum, lo = kernel.cumulative_hazard(rates), 0
             cols = np.arange(rates.shape[1]).reshape(len(sus_idx), len(inf_idx))
         hi = lo + seg_end - cursor
         base = cum[lo - 1][cols] if lo > 0 else np.zeros(cols.shape)
@@ -515,11 +492,11 @@ def simulate_session(
                 src = int(np.argmax(step))
             hits.append((t - lo, int(pos), int(inf_idx[src])))
         for t_rel, pos, j in sorted(hits):
-            t_abs = session_start_s + (cursor + t_rel) * dt
+            t_abs = session_start_s + (cursor + t_rel)
             _schedule_infection(state, int(sus_idx[pos]), t_abs, j, dp)
         cursor = seg_end
 
-    state.clock = session_start_s + t_total * dt
+    state.clock = session_start_s + t_total
     return state
 
 

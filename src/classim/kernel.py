@@ -29,6 +29,8 @@ every pair i < j, one column per pair in ``pair_index`` order.
 rates every pair of two point sets.  The session engine reads the rates as
 a cumulative hazard (``cumulative_hazard``), summed over time per pair
 column; a cache of the whole recording holds T * N(N-1)/2 floats.
+``pair_seconds`` counts each pair's co-present seconds in the same column
+order, and ``mean_pair_rate`` divides a roster's rate sums by them.
 
 All functions here are safe to call concurrently on separate arrays; all
 but ``cumulative_hazard``, which converts its argument in place, are pure.
@@ -369,14 +371,14 @@ def pairwise_rates(
 HAZARD_CAP = 40.0
 
 
-def cumulative_hazard(rates: np.ndarray, dt_s: float) -> np.ndarray:
+def cumulative_hazard(rates: np.ndarray) -> np.ndarray:
     """Turn per-second rates into their cumulative hazard, in place.
 
-    ``rates`` is a (T, ...) array of per-second rates, such as the (T, P)
-    array of ``pair_rates``.  Entry [t, k] becomes
-    sum_{s <= t} -log1p(-min(rates[s, k] * dt_s, 1)),  each term capped at
+    ``rates`` is a (T, ...) array of per-second rates on the 1 Hz grid,
+    such as the (T, P) array of ``pair_rates``.  Entry [t, k] becomes
+    sum_{s <= t} -log1p(-min(rates[s, k], 1)),  each term capped at
     ``HAZARD_CAP``: the hazard of pair k accumulated through second t.  One
-    second's term is the hazard of the per-second Bernoulli(min(beta dt, 1))
+    second's term is the hazard of the per-second Bernoulli(min(beta, 1))
     contact, so  exp(-(C[b] - C[a-1]))  is the probability that the pair's
     contact transmits in none of the seconds a..b.  The running sum is
     strictly sequential in t, so the result does not depend on the time
@@ -386,7 +388,6 @@ def cumulative_hazard(rates: np.ndarray, dt_s: float) -> np.ndarray:
     chunk = max(1, _CHUNK_ELEMENTS // max(1, rates[:1].size))
     for a in range(0, t_total, chunk):
         c = rates[a:a + chunk]
-        np.multiply(c, dt_s, out=c)
         np.minimum(c, 1.0, out=c)
         np.negative(c, out=c)
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf, capped below
@@ -439,29 +440,35 @@ def pair_rate_sums(
     return total
 
 
+def pair_seconds(present: np.ndarray) -> np.ndarray:
+    """Seconds each unordered pair i < j is co-present, in ``pair_index`` order.
+
+    ``present`` is a (T, N) mask.  Returns (N(N-1)/2,) exact integer counts,
+    made one time chunk of about ``_CHUNK_ELEMENTS`` pair-seconds at a time.
+    """
+    a, b = np.triu_indices(present.shape[1], k=1)
+    total = np.zeros(len(a), dtype=np.int64)
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, len(a)))
+    for s in range(0, present.shape[0], chunk):
+        here = present[s:s + chunk]
+        total += (here[:, a] & here[:, b]).sum(axis=0)
+    return total
+
+
 def mean_pair_rate(
     rate_sums: np.ndarray,
-    present: np.ndarray,
-    idx: np.ndarray | None = None,
+    pair_seconds: np.ndarray,
+    cols: np.ndarray | slice = slice(None),
 ) -> float:
     """Mean rate over the co-present unordered pair-seconds of a roster.
 
-    ``rate_sums`` is the (M(M-1)/2,) time sum (``time_sums`` or
-    ``pair_rate_sums``) of the ``pair_rates`` triangle of M people, and
-    ``present`` their (T, M) mask.  ``idx`` holds the roster's columns in
-    ascending order (all M by default).  The numerator adds the sums of the
-    roster's pairs i < j in row-major order (rates are zero wherever either
-    person is absent); the denominator counts the pairs present at each
-    second.  A pair's time sum is bitwise the same whether it came from a
-    roster's own rates or a larger roster's, and so is the result.  0.0 when
-    no pair is ever co-present.
+    ``rate_sums`` is the time sum (``time_sums`` or ``pair_rate_sums``) of a
+    ``pair_rates`` triangle and ``pair_seconds`` the co-present seconds of
+    its pairs (``pair_seconds``).  ``cols`` holds the roster's pair columns,
+    its pairs i < j in row-major order (every column by default).  A pair's
+    time sum is bitwise the same whether it came from a roster's own rates
+    or a larger roster's, and so is the result.  0.0 when no pair is ever
+    co-present.
     """
-    if idx is None:
-        total = float(rate_sums.sum())
-    else:
-        iu0, iu1 = np.triu_indices(len(idx), k=1)
-        total = float(rate_sums[pair_index(present.shape[1])[idx[iu0], idx[iu1]]].sum())
-        present = present[:, idx]
-    k = present.sum(axis=1).astype(np.int64)
-    denom = int(((k * (k - 1)) // 2).sum())
-    return total / denom if denom > 0 else 0.0
+    denom = int(pair_seconds[cols].sum())
+    return float(rate_sums[cols].sum()) / denom if denom > 0 else 0.0

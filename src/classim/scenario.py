@@ -334,11 +334,12 @@ class _SweepRunner:
     """What every run of one sweep shares within one process.
 
     Building it rates each unordered pair of the observation once
-    (``kernel.pair_rates``), keeps each pair's time sum for ``beta_hat`` and
-    then turns the rates, in place, into the cumulative hazard the session
-    engine reads (the cache, T * N(N-1)/2 floats).  Runs only index into
-    both.  In airborne mode, which reads no cache, and past the cache cap,
-    only the time sums are made, one time chunk at a time.
+    (``kernel.pair_rates``), keeps each pair's time sum and co-present
+    seconds for ``beta_hat`` and then turns the rates, in place, into the
+    cumulative hazard the session engine reads (the cache, T * N(N-1)/2
+    floats).  Runs only index into them.  In airborne mode, which reads no
+    cache, and past the cache cap, only the time sums are made, one time
+    chunk at a time.
     """
 
     def __init__(self, obs, cells, cals, kp, dp):
@@ -349,14 +350,12 @@ class _SweepRunner:
         if kp.mode == TransmissionMode.DROPLET and cached:
             rates = kernel.pair_rates(obs.positions, obs.facings, obs.present, kp)
             self.rate_sums = kernel.time_sums(rates)
-            self.hazard = kernel.cumulative_hazard(rates, dp.dt_s)
+            self.hazard = kernel.cumulative_hazard(rates)
         else:
             self.rate_sums = kernel.pair_rate_sums(obs.positions, obs.facings, obs.present, kp)
+        self.pair_seconds = kernel.pair_seconds(obs.present)
+        self.pairs = kernel.pair_index(n)
         self.column = {pid: k for k, pid in enumerate(obs.person_ids)}
-        self.full_beta_hat = (
-            kernel.mean_pair_rate(self.rate_sums, obs.present)
-            if any(sc.density == DensityVariant.FULL for sc in cells) else None
-        )
         self.exposure_t_s = [
             float(cal.session_length_s * sum(
                 1 for s in cal.session_starts_s if s < sc.horizon_days * SECONDS_PER_DAY
@@ -369,13 +368,9 @@ class _SweepRunner:
         seed = derive_seed(sc.base_seed, pz_index, rep)
         pz = obs.roster[pz_index].person_id
         outcome = run_simulation(obs, cal, sc, pz, seed, self.kp, self.dp, hazard=self.hazard)
-        if sc.density == DensityVariant.FULL:
-            outcome.beta_hat = self.full_beta_hat
-        else:
-            outcome.beta_hat = kernel.mean_pair_rate(
-                self.rate_sums, obs.present,
-                np.array([self.column[pid] for pid in outcome.roster_ids]),
-            )
+        idx = [self.column[pid] for pid in outcome.roster_ids]
+        cols = self.pairs[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)]
+        outcome.beta_hat = kernel.mean_pair_rate(self.rate_sums, self.pair_seconds, cols)
         outcome.exposure_t_s = self.exposure_t_s[cell]
         return outcome
 

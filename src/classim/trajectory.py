@@ -13,7 +13,7 @@ Fused CSV     header ``t_s,person_id,role,present,x_m,y_m,facing_x,facing_y``
               present = 0.
 Raw-tag CSV   header ``t_s,person_id,role,side,x_m,y_m`` with side L or R and
               fractional timestamps.
-Sidecar       JSON next to the CSV (``<name>.meta.json``) carrying class_id,
+Sidecar       JSON object next to the CSV (``<name>.meta.json``) carrying class_id,
               room_area_m2, optional roster, optional activity intervals
               ``[{start_s, end_s, label}]``.
 """
@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -362,11 +363,21 @@ def _load_sidecar(meta_path: Path) -> dict:
         raise ParseError(f"invalid JSON in {meta_path}: {e}") from e
     except UnicodeDecodeError as e:
         raise ParseError(f"{meta_path} is not valid UTF-8 text ({e.reason})") from None
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{meta_path} must hold a JSON object, got {meta!r}")
     if "room_area_m2" not in meta:
         raise SchemaError(f"{meta_path} missing required key room_area_m2")
-    if not isinstance(meta["room_area_m2"], (int, float)) or meta["room_area_m2"] <= 0:
-        raise ValidationError(f"room_area_m2 must be a positive number, got {meta['room_area_m2']!r}")
+    area = meta["room_area_m2"]
+    if not (_is_finite_number(area) and area > 0):
+        raise ValidationError(f"room_area_m2 must be a finite positive number, got {area!r}")
+    if not all(isinstance(v, list) for v in (meta.get("roster", []), meta.get("activity") or [])):
+        raise SchemaError(f"{meta_path}: roster and activity must be lists")
     return meta
+
+
+def _is_finite_number(value) -> bool:
+    """True for a JSON number that is a finite float; true/false is none."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _roster_from_sidecar(meta: dict) -> tuple[Person, ...] | None:
@@ -375,8 +386,10 @@ def _roster_from_sidecar(meta: dict) -> tuple[Person, ...] | None:
     out = []
     for entry in meta["roster"]:
         try:
+            if not isinstance(entry["person_id"], str):
+                raise ValueError("person_id must be a string")
             out.append(Person(entry["person_id"], Role(entry["role"])))
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad roster entry {entry!r}: {e}") from e
     return tuple(out)
 
@@ -388,9 +401,11 @@ def _activity_from_sidecar(meta: dict, t_total: int) -> np.ndarray | None:
     covered = np.zeros(t_total, dtype=bool)
     for iv in meta["activity"]:
         try:
+            if not all(_is_finite_number(iv[key]) for key in ("start_s", "end_s")):
+                raise ValueError("start_s and end_s must be finite numbers")
             a, b = int(iv["start_s"]), int(iv["end_s"])
             label = Activity(iv["label"])
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad activity interval {iv!r}: {e}") from e
         a, b = max(a, 0), min(b, t_total)
         out[a:b] = ACTIVITY_CODES[label]
@@ -429,9 +444,9 @@ def _write_sidecar(obs: Observation, meta_path: Path) -> None:
 
 def _quoted_prefix(person: Person) -> str:
     """``person_id,role,`` quoted as ``csv.writer`` quotes them inside a row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([person.person_id, person.role.value, ""])
-    return buf.getvalue()[:-1]
+    buf = io.StringIO()  # a CR LF terminator makes the writer quote a lone CR too
+    csv.writer(buf, lineterminator="\r\n").writerow([person.person_id, person.role.value, ""])
+    return buf.getvalue()[:-2]
 
 
 def save_observation(obs: Observation, csv_path: str | Path, meta_path: str | Path | None = None) -> None:
@@ -439,6 +454,7 @@ def save_observation(obs: Observation, csv_path: str | Path, meta_path: str | Pa
 
     Rows are the bytes ``csv.writer`` would write: person_id and role are
     csv-quoted once per person, and each coordinate is its float ``repr``.
+    A person_id holding a carriage return is quoted too, so it loads back.
     One second of rows is written at a time.
     """
     csv_path = Path(csv_path)

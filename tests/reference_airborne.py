@@ -1,0 +1,68 @@
+"""List-buffer reference for airborne mode's emission store.
+
+Airborne mode once kept each person's emissions as a Python list of
+(t, x, y, fx, fy) tuples: one appended per 60-s slot while the person was
+infectious and present, and the whole list trimmed to the 3-h horizon
+before every frame.  ``classim.epidemic`` now keeps them in a fixed ring of
+rows.  ``ListEmissions`` is the list store and its per-source frame rates,
+kept so the tests can compare the ring against it bit for bit.
+"""
+
+import numpy as np
+
+from classim import kernel
+from classim.epidemic import EMISSION_HORIZON_S, EMISSION_SLOT_S, SECONDS_PER_HOUR
+from classim.kernel import KernelParams
+from classim.trajectory import TrajectoryFrame
+
+
+class ListEmissions:
+    """Per-person emission lists, the last slot each person emitted in."""
+
+    def __init__(self, n: int):
+        self.buffers: list[list[tuple]] = [[] for _ in range(n)]
+        self.last_slot = np.full(n, -1)
+
+    def trim(self, now: float) -> None:
+        horizon = now - EMISSION_HORIZON_S
+        self.buffers = [[e for e in buf if e[0] >= horizon] for buf in self.buffers]
+
+    def record(self, frame: TrajectoryFrame, now: float, inf_idx: np.ndarray) -> None:
+        slot = int(now // EMISSION_SLOT_S)
+        for j in inf_idx:
+            if frame.present[j] and self.last_slot[j] < slot:
+                self.buffers[j].append(
+                    (now, float(frame.positions[j, 0]), float(frame.positions[j, 1]),
+                     float(frame.facings[j, 0]), float(frame.facings[j, 1]))
+                )
+                self.last_slot[j] = slot
+
+    def frame_source_rates(
+        self,
+        frame: TrajectoryFrame,
+        kp: KernelParams,
+        now: float,
+        sus_idx: np.ndarray,
+        inf_idx: np.ndarray,
+    ) -> np.ndarray:
+        """Per-source rates (n_sus, n_inf) of one airborne frame; trims first."""
+        self.trim(now)
+        pos = np.where(frame.present[:, None], frame.positions, 0.0)
+        fac = np.where(frame.present[:, None], frame.facings, 0.0)
+        beta = kernel.rates_between(pos[sus_idx], fac[sus_idx], pos[inf_idx], fac[inf_idx], kp)
+        co_present = frame.present[sus_idx][:, None] & frame.present[inf_idx][None, :]
+        beta[~co_present] = 0.0
+
+        weight = kp.lambda_decay / SECONDS_PER_HOUR * EMISSION_SLOT_S
+        current_slot = int(now // EMISSION_SLOT_S)
+        sus_present = frame.present[sus_idx]
+        for col, j in enumerate(inf_idx):
+            past = [e for e in self.buffers[j] if int(e[0] // EMISSION_SLOT_S) < current_slot]
+            if not past:
+                continue
+            arr = np.asarray(past, dtype=float)
+            r = kernel.rates_between(pos[sus_idx], fac[sus_idx], arr[:, 1:3], arr[:, 3:5], kp)
+            decay = np.exp(-kp.lambda_decay * (now - arr[:, 0]) / SECONDS_PER_HOUR)
+            extra = (r * decay[None, :]).sum(axis=1) * weight
+            beta[:, col] += np.where(sus_present, extra, 0.0)
+        return beta

@@ -432,3 +432,51 @@ def test_simulate_non_utf8_config_exit_1(tmp_path, small_obs, capsys):
     assert code == 1
     _one_error_line(err)
     assert "cfg.json" in err and "UTF-8" in err
+
+
+# ---------------------------------------------------------------------------
+# malformed sidecars: exit 1 with one error line, never a traceback
+# ---------------------------------------------------------------------------
+
+_ACT = '{"room_area_m2": 10.0, "activity": [{"start_s": %s, "end_s": 5, "label": "structured"}]}'
+BAD_SIDECARS = {
+    "number": "5",
+    "roster_number": '{"room_area_m2": 10.0, "roster": 5}',
+    "roster_entry_number": '{"room_area_m2": 10.0, "roster": [5]}',
+    "roster_id_list": '{"room_area_m2": 10.0, "roster": [{"person_id": [1], "role": "child"}]}',
+    "activity_string": '{"room_area_m2": 10.0, "activity": "abc"}',
+    "activity_entry_number": '{"room_area_m2": 10.0, "activity": [5]}',
+    "start_null": _ACT % "null",
+    "start_infinity": _ACT % "Infinity",
+    "start_true": _ACT % "true",
+    "area_true": '{"room_area_m2": true}',
+    "area_infinity": '{"room_area_m2": Infinity}',
+    "area_huge_int": '{"room_area_m2": 1%s}' % ("0" * 400),
+}
+
+
+@pytest.mark.parametrize("sidecar", list(BAD_SIDECARS.values()), ids=list(BAD_SIDECARS))
+def test_simulate_malformed_sidecar_exit_1(tmp_path, capsys, sidecar):
+    obs = tmp_path / "class.csv"
+    obs.write_text("t_s,person_id,role,present,x_m,y_m,facing_x,facing_y\n"
+                   "0,a,teacher,1,0.0,0.0,1.0,0.0\n"
+                   "0,b,child,1,1.0,0.0,-1.0,0.0\n")
+    (tmp_path / "class.meta.json").write_text(sidecar)
+    code, _, err = _run(capsys, "simulate", str(obs), "--out", str(tmp_path / "o"),
+                        "--reps", "1", "--horizon-days", "1", "--workers", "1")
+    assert code == 1
+    _one_error_line(err)
+
+
+@pytest.mark.parametrize("sidecar", list(BAD_SIDECARS.values()), ids=list(BAD_SIDECARS))
+def test_fuse_malformed_meta_exit_1(tmp_path, capsys, sidecar):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("t_s,person_id,role,side,x_m,y_m\n"
+                   "0.0,a,child,L,-0.2,0.0\n"
+                   "0.0,a,child,R,0.2,0.0\n")
+    meta = tmp_path / "other.json"
+    meta.write_text(sidecar)
+    code, _, err = _run(capsys, "fuse", "--input", str(raw), "--meta", str(meta),
+                        "--out", str(tmp_path / "f.csv"))
+    assert code == 1
+    _one_error_line(err)

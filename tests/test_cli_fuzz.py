@@ -1,4 +1,5 @@
-"""Fuzz ``classim simulate`` over config JSON values and command-line flags.
+"""Fuzz ``classim simulate`` over config JSON values, command-line flags and
+observation sidecars.
 
 Whatever the input, the command exits 0, 1 or 2; a nonzero exit prints
 exactly one stderr line, starting ``error:``; nothing ever ends in a
@@ -9,6 +10,7 @@ replicate counts and horizons, so every example stays cheap.
 import contextlib
 import io
 import json
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -157,3 +159,46 @@ def test_simulate_bad_config_value_is_one_error_line(tiny, config, workers):
                            "--out", str(root / "bad"), "--workers", workers])
     assert code == 1
     _check(code, err)
+
+
+@st.composite
+def sidecars(draw, valid: dict):
+    """A sidecar's JSON value: the tiny observation's own, with keys fuzzed."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return draw(VALUES.filter(lambda v: not isinstance(v, dict)))
+    meta = dict(valid)
+    fields = {
+        "room_area_m2": st.one_of(SCALARS, st.just(64.0)),
+        "class_id": VALUES,
+        "roster": st.one_of(VALUES, st.lists(st.one_of(
+            SCALARS,
+            st.sampled_from(valid["roster"]),
+            st.fixed_dictionaries({"person_id": st.one_of(SCALARS, st.just("c01")),
+                                   "role": st.one_of(SCALARS, st.just("child"))}),
+        ), max_size=5)),
+        "activity": st.one_of(VALUES, st.lists(st.one_of(SCALARS, st.fixed_dictionaries({
+            "start_s": SCALARS, "end_s": st.one_of(SCALARS, st.just(20)),
+            "label": st.sampled_from(["structured", "unstructured", "x", None, 1]),
+        })), max_size=3)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            meta[key] = draw(fields[key])
+        else:
+            meta.pop(key, None)
+    return meta
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_simulate_any_sidecar_exits_cleanly(tiny, data):
+    root, obs = tiny
+    csv_path = root / "side.csv"
+    if not csv_path.exists():
+        shutil.copy(obs, csv_path)
+    valid = json.loads(obs.with_suffix(".meta.json").read_text())
+    meta = data.draw(sidecars(valid))
+    csv_path.with_suffix(".meta.json").write_text(json.dumps(meta))
+    _check(*_simulate(["simulate", str(csv_path), "--out", str(root / "side"),
+                       "--reps", "1", "--horizon-days", "1", "--scenarios",
+                       "full-novax,half-vax", "--workers", "1"]))

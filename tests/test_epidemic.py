@@ -33,7 +33,7 @@ from classim.kernel import (
     pairwise_rates,
     relative_geometry,
 )
-from classim.trajectory import Observation, Person, Role
+from classim.trajectory import Observation, Person, Role, TrajectoryFrame
 
 DP = DiseaseParams()
 DAY = 86400.0
@@ -132,7 +132,7 @@ def test_recovery_geometric_steps_model():
     dp = DiseaseParams(recovery_model=RecoveryModel.GEOMETRIC_STEPS)
     rng = _rng(4)
     draws = np.array([sample_recovery(rng, dp) for _ in range(5_000)])
-    steps = draws * DAY / dp.dt_s
+    steps = draws * DAY
     assert np.allclose(steps, np.round(steps))
     assert abs(draws.mean() - 10.0) <= 0.45  # 3 sigma of geometric at n=5000
 
@@ -304,7 +304,7 @@ def test_session_engine_matches_cache_and_on_the_fly():
 
     st1 = new_epidemic_state(obs.person_ids, _rng(21))
     seed_patient_zero(st1, "p0", DP)
-    simulate_session(st1, obs, 0.0, kp, DP, hazard=cumulative_hazard(rates, DP.dt_s),
+    simulate_session(st1, obs, 0.0, kp, DP, hazard=cumulative_hazard(rates),
                      pairs=pair_index(2))
 
     st2 = new_epidemic_state(obs.person_ids, _rng(21))
@@ -318,8 +318,7 @@ def test_session_engine_matches_cache_and_on_the_fly():
 def test_session_engine_rejects_full_matrix_cache():
     obs = _pair_obs(r=0.8, t_total=50)
     kp = KernelParams(beta_max=1e-3)
-    full = cumulative_hazard(pairwise_rates(obs.positions, obs.facings, obs.present, kp),
-                             DP.dt_s)
+    full = cumulative_hazard(pairwise_rates(obs.positions, obs.facings, obs.present, kp))
     st = new_epidemic_state(obs.person_ids, _rng(3))
     seed_patient_zero(st, "p0", DP)
     with pytest.raises(ValueError, match="seconds, pairs"):
@@ -344,7 +343,7 @@ def test_half_roster_cache_matches_on_the_fly():
     kp = KernelParams(beta_max=0.05)
     idx = np.array([0, 2, 3, 6])
     sub = obs.subset(idx)
-    hazard = cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp), DP.dt_s)
+    hazard = cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp))
     pairs = pair_index(n)[np.ix_(idx, idx)]
     infected = 0
     for seed in range(40):
@@ -430,8 +429,8 @@ def test_session_engine_infections_are_feasible(data):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        hazard = (cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp),
-                                    DP.dt_s) if cached else None)
+        hazard = (cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp))
+                  if cached else None)
         simulate_session(st, obs, 0.0, kp, DP, hazard=hazard)
     assert st.clock == t_total
     for k in np.flatnonzero(new & np.isfinite(st.t_infected)):
@@ -487,8 +486,8 @@ def test_segment_boundary_oracle(cached):
     kp = KernelParams(beta_max=5e-3)
     b01 = pair_rate(relative_geometry(coords[1], facings[1], coords[0], facings[0]), kp)
     b21 = pair_rate(relative_geometry(coords[1], facings[1], coords[2], facings[2]), kp)
-    hazard = (cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp),
-                                DP.dt_s) if cached else None)
+    hazard = (cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp))
+              if cached else None)
     assert b21 > b01
     hits = early = 0
     for k in range(n_runs):
@@ -689,3 +688,39 @@ def test_airborne_stationary_pair_bounded_by_decay_budget():
     lo = 1.0 - (1.0 - beta0) ** t_total
     hi = 1.0 - (1.0 - 2.0 * beta0) ** t_total  # 2x budget is a safe ceiling
     assert lo - 3 * math.sqrt(lo * (1 - lo) / runs) <= freq <= hi
+
+
+def test_emission_ring_matches_list_buffers_past_the_horizon():
+    # The ring must read what the old per-person lists held: the slots before
+    # the current one, oldest first, none older than the 3-h horizon.  The
+    # session runs past 181 slots (10,860 s), so rows of an earlier round are
+    # read back, and p0 leaves and comes back, so some rows are stale then.
+    from classim.epidemic import _frame_source_rates, _record_emissions
+    from reference_airborne import ListEmissions
+    t_total, start = 11_600, 86_400.0
+    rng = np.random.default_rng(41)
+    pos = rng.uniform(0.0, 3.0, size=(t_total, 4, 2))
+    ang = rng.uniform(0.0, 2 * math.pi, size=(t_total, 4))
+    fac = np.stack([np.cos(ang), np.sin(ang)], axis=2)
+    present = np.ones((t_total, 4), dtype=bool)
+    present[3000:3400, 0] = present[10_900:11_300, 0] = False   # p0 leaves twice
+    present[6000:9000, 1] = False                               # p1 leaves once
+    present[::17, 3] = False                                    # p3 flickers
+    pos[~present] = fac[~present] = np.nan
+    kp = KernelParams(beta_max=0.05, mode=TransmissionMode.AIRBORNE)
+    st = new_epidemic_state(["p0", "p1", "p2", "p3"], _rng(0))
+    ref = ListEmissions(4)
+    sus_idx, inf_idx = np.array([2, 3]), np.array([0, 1])
+    compared = 0
+    for t in range(t_total):
+        frame = TrajectoryFrame(t, pos[t], fac[t], present[t])
+        now = start + t
+        if t % 7 == 0 or t >= 10_700:
+            got = _frame_source_rates(st, frame, kp, now, sus_idx, inf_idx)
+            want = ref.frame_source_rates(frame, kp, now, sus_idx, inf_idx)
+            assert np.array_equal(got, want), t
+            compared += 1
+        _record_emissions(st, frame, now, inf_idx)
+        ref.record(frame, now, inf_idx)
+    assert compared > 2000
+    assert len(ref.buffers[0]) < 180  # p0's absence left slots empty at the end

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classim import kernel
@@ -24,6 +24,7 @@ from classim.kernel import (
     pair_rate,
     pair_rate_sums,
     pair_rates,
+    pair_seconds,
     pairwise_rates,
     rates_between,
     relative_geometry,
@@ -387,11 +388,47 @@ def test_pair_rate_sums_match_full_matrix_time_sums(monkeypatch, n):
     idx = np.arange(0, n, 2) if n > 2 else np.arange(n)
     expected_all = full_sums[i, j].sum() / ((present.sum(axis=1) * (present.sum(axis=1) - 1))
                                             // 2).sum()
-    assert mean_pair_rate(whole, present) == expected_all
+    seconds = pair_seconds(present)
+    assert mean_pair_rate(whole, seconds) == expected_all
     sub = reference_rates(pos[:, idx], fac[:, idx], present[:, idx], kp).sum(axis=0)
     si, sj = np.triu_indices(len(idx), k=1)
     k = present[:, idx].sum(axis=1)
-    assert mean_pair_rate(whole, present, idx) == sub[si, sj].sum() / ((k * (k - 1)) // 2).sum()
+    cols = pair_index(n)[idx[si], idx[sj]]
+    assert mean_pair_rate(whole, seconds, cols) == sub[si, sj].sum() / ((k * (k - 1)) // 2).sum()
+
+
+@st.composite
+def _presence_masks(draw):
+    """(T, M) masks with M in 0..6; some people may never be present."""
+    t, m = draw(st.integers(0, 40)), draw(st.integers(0, 6))
+    cells = draw(st.lists(st.booleans(), min_size=t * m, max_size=t * m))
+    present = np.array(cells, dtype=bool).reshape(t, m)
+    present[:, draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=m))] = False
+    return present
+
+
+@settings(max_examples=200, deadline=None)
+@given(present=_presence_masks(), chunk=st.sampled_from([1, 5, 1 << 14]))
+@example(present=np.ones((7, 0), dtype=bool), chunk=1)
+@example(present=np.ones((7, 1), dtype=bool), chunk=1)
+@example(present=np.array([[1, 0], [1, 1], [0, 1], [1, 1]], dtype=bool), chunk=1)
+@example(present=np.array([[1, 0, 1], [0, 0, 1]], dtype=bool), chunk=2)
+def test_pair_seconds_sum_to_present_pairs_of_every_roster(present, chunk):
+    # beta_hat's denominator: for every roster, the co-present seconds of its
+    # pairs add up to sum_t k(k-1)/2 over its k people present at second t
+    t_total, m = present.shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_CHUNK_ELEMENTS", chunk)
+        seconds = pair_seconds(present)
+    assert seconds.dtype.kind == "i" and seconds.shape == (m * (m - 1) // 2,)
+    index = pair_index(m)
+    for mask in range(1 << m):
+        idx = np.array([k for k in range(m) if mask >> k & 1], dtype=np.intp)
+        si, sj = np.triu_indices(len(idx), k=1)
+        k = present[:, idx].sum(axis=1)
+        assert int(seconds[index[idx[si], idx[sj]]].sum()) == int(((k * (k - 1)) // 2).sum())
+    if m < 2 or not seconds.any():
+        assert mean_pair_rate(np.ones(len(seconds)), seconds) == 0.0
 
 
 def test_rates_between_agrees_with_pairwise():
@@ -434,9 +471,9 @@ def test_cumulative_hazard_is_running_sum_of_capped_hazards(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 7 * 4 * 4)  # 7-s chunks
-        chunked = cumulative_hazard(rates.copy(), 1.0)
+        chunked = cumulative_hazard(rates.copy())
         monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 512 * 4 * 4)  # one chunk
-        whole = cumulative_hazard(rates.copy(), 1.0)
+        whole = cumulative_hazard(rates.copy())
     assert np.array_equal(chunked, expected) and np.array_equal(whole, expected)
     assert np.isfinite(whole).all()
     assert whole[7, 0, 1] - whole[6, 0, 1] == HAZARD_CAP
@@ -449,8 +486,8 @@ def test_cumulative_hazard_in_place_on_column_blocks():
     rates = pairwise_rates(pos, fac, present, KP)
     rows, cols = np.array([1, 3])[:, None], np.array([0, 2, 4])
     block = rates[:, rows, cols]
-    full = cumulative_hazard(rates, 1.0)
-    assert cumulative_hazard(block, 1.0) is block
+    full = cumulative_hazard(rates)
+    assert cumulative_hazard(block) is block
     assert np.array_equal(block, full[:, rows, cols])
 
 

@@ -207,7 +207,7 @@ def test_derive_seed_stable_and_distinct():
     lambda: ScenarioConfig(vaccine_efficacy=True),
     lambda: ScenarioConfig(horizon_days=True),
     lambda: DiseaseParams(p_symptomatic=True),
-    lambda: DiseaseParams(dt_s=True),
+    lambda: DiseaseParams(gamma_per_day=True),
     lambda: KernelParams(beta_max=True),
     lambda: KernelParams(beta_max=1e-6, sigma_theta=True),
     lambda: CalibrationInputs(contact_radius=True),
@@ -386,7 +386,7 @@ def test_run_without_hazard_builds_no_roster_cache(monkeypatch, density):
     sc = ScenarioConfig(density=density, horizon_days=7)
     cal = build_calendar(7, obs.session_length_s)
     hazard = kernel.cumulative_hazard(
-        kernel.pair_rates(obs.positions, obs.facings, obs.present, kp), DP.dt_s)
+        kernel.pair_rates(obs.positions, obs.facings, obs.present, kp))
     hazards = _count_calls(monkeypatch, "cumulative_hazard")
     spread = 0
     for seed in range(6):

@@ -651,6 +651,17 @@ def test_save_quotes_person_ids_like_csv_writer(tmp_path):
     _assert_bitwise_equal(load_observation(tmp_path / "fast.csv"), obs)
 
 
+def test_save_load_round_trips_carriage_return_in_person_id(tmp_path):
+    # the loader reads a bare carriage return as a line break, so an id
+    # holding one must be quoted; other ids keep the csv.writer bytes
+    obs = _obs_two_people(t_total=3)
+    obs.roster = (Person(" lead\rspace", Role.CHILD), Person("cr\r\nlf", Role.TEACHER))
+    save_observation(obs, tmp_path / "cr.csv")
+    text = (tmp_path / "cr.csv").read_bytes()
+    assert b'0," lead\rspace",child,1,' in text and b'0,"cr\r\nlf",teacher,1,' in text
+    _assert_bitwise_equal(load_observation(tmp_path / "cr.csv"), obs)
+
+
 # ---------------------------------------------------------------------------
 # array code against the row-by-row reference
 # ---------------------------------------------------------------------------
