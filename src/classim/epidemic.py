@@ -507,7 +507,7 @@ def simulate_session(
 EVENT_ORDER = {"infected": 0, "infectious": 1, "symptomatic": 2, "recovered": 3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     kind: str
     person_id: str
@@ -536,11 +536,16 @@ def event_log(state: EpidemicState, horizon_s: float) -> tuple[Event, ...]:
     return tuple(events)
 
 
-def hourly_compartment_counts(state: EpidemicState, horizon_hours: int) -> np.ndarray:
+def hourly_compartment_counts(events, roster_size: int, horizon_hours: int) -> np.ndarray:
     """(S, E, I, R) counts at each hour boundary 0..horizon_hours inclusive.
 
-    Returned array has shape (horizon_hours + 1, 4).
+    Counted from an event log that holds every transition at or before the
+    last boundary, as ``event_log`` up to the horizon does: a boundary
+    counts the events of each kind at or before it.  Returned array has
+    shape (horizon_hours + 1, 4).
     """
-    times = np.arange(horizon_hours + 1, dtype=float) * SECONDS_PER_HOUR
-    masks = _compartment_masks(state, times[:, None])
-    return np.stack([m.sum(axis=1) for m in masks], axis=1).astype(np.int64)
+    bounds = np.arange(horizon_hours + 1, dtype=float) * SECONDS_PER_HOUR
+    # people ever infected, ever infectious and recovered at or before each bound
+    e, i, r = (np.searchsorted(np.sort([ev.t_s for ev in events if ev.kind == kind]), bounds, "right")
+               for kind in ("infected", "infectious", "recovered"))
+    return np.stack([roster_size - e, e - i, i - r, r], axis=1).astype(np.int64)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernel
+from . import epidemic, kernel
 from .errors import EmptyCollection, MixedCohorts, SinglePerson
 from .kernel import KernelParams
 from .scenario import RunOutcome
@@ -121,33 +121,33 @@ def median_emergence_days(outcomes, n: int) -> float | None:
 def aggregate_hourly(outcomes) -> HourlyAggregate:
     """Mean and population std of hourly compartment counts across runs.
 
-    All outcomes must share roster size and horizon.  Sums are integer-exact,
-    so the result does not depend on accumulation order.
+    All outcomes must share roster size and horizon.  Each run's counts come
+    from its event log and fold into integer-exact sums, so the result does
+    not depend on accumulation order.
     """
     outcomes = list(outcomes)
     if not outcomes:
         raise EmptyCollection("no outcomes supplied")
     roster = len(outcomes[0].roster_ids)
     horizon = outcomes[0].horizon_days
+    s1 = s2 = i1 = i2 = 0
     for o in outcomes:
         if len(o.roster_ids) != roster or o.horizon_days != horizon:
             raise MixedCohorts(
                 f"roster {len(o.roster_ids)}/horizon {o.horizon_days} does not "
                 f"match {roster}/{horizon}"
             )
-    counts = np.stack([o.hourly_counts for o in outcomes]).astype(np.int64)  # (R, H+1, 4)
-    n = counts.shape[0]
-    s1 = counts.sum(axis=0)
-    s2 = (counts * counts).sum(axis=0)
+        counts = epidemic.hourly_compartment_counts(o.events, roster, horizon * 24)  # (H+1, 4)
+        infected = roster - counts[:, 0]  # E + I + R
+        s1, s2 = s1 + counts, s2 + counts * counts
+        i1, i2 = i1 + infected, i2 + infected * infected
+    n = len(outcomes)
     mean = s1 / n
     var = np.maximum(s2 / n - mean * mean, 0.0)
-    infected = counts[:, :, 1] + counts[:, :, 2] + counts[:, :, 3]
-    i1 = infected.sum(axis=0)
-    i2 = (infected * infected).sum(axis=0)
     imean = i1 / n
     ivar = np.maximum(i2 / n - imean * imean, 0.0)
     return HourlyAggregate(
-        hours=np.arange(counts.shape[1]),
+        hours=np.arange(horizon * 24 + 1),
         mean_counts=mean,
         std_counts=np.sqrt(var),
         mean_infected_prop=imean / roster,

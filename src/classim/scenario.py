@@ -227,7 +227,11 @@ def derive_seed(base_seed: int, patient_zero_index: int, rep: int) -> int:
 
 @dataclass
 class RunOutcome:
-    """Everything one simulation run produced."""
+    """Everything one simulation run produced.
+
+    The event log is the run's whole compartment history: hourly curves and
+    final counts are counted from it (``epidemic.hourly_compartment_counts``).
+    """
 
     scenario: str
     observation_id: str
@@ -236,8 +240,6 @@ class RunOutcome:
     roster_ids: tuple[str, ...]
     immune_ids: frozenset[str]
     events: tuple[Event, ...]
-    hourly_counts: np.ndarray  # (horizon_days * 24 + 1, 4) ints
-    final_counts: tuple[int, int, int, int]
     horizon_days: int
     beta_hat: float | None = field(default=None)
     exposure_t_s: float | None = field(default=None)
@@ -305,7 +307,6 @@ def run_simulation(
     if state.clock < horizon_s:
         epidemic.progress_offclass(state, horizon_s - state.clock)
 
-    hourly = epidemic.hourly_compartment_counts(state, sc.horizon_days * 24)
     return RunOutcome(
         scenario=sc.cell_name,
         observation_id=obs.class_id,
@@ -314,8 +315,6 @@ def run_simulation(
         roster_ids=obs_run.person_ids,
         immune_ids=immune,
         events=epidemic.event_log(state, horizon_s),
-        hourly_counts=hourly,
-        final_counts=tuple(int(c) for c in hourly[-1]),
         horizon_days=sc.horizon_days,
     )
 

@@ -49,6 +49,11 @@ PAIRING_WINDOW_S = 0.5
 #: (out of the room) rather than sensor dropout, and are never interpolated.
 MAX_GAP_S = 5.0
 
+#: Largest |x| or |y| of a present position or a raw tag sample, in meters.
+#: No room comes near it, and below it the kernel's squared distances and
+#: the fused facing norms cannot overflow.
+MAX_COORD_M = 1e6
+
 FUSED_HEADER = ["t_s", "person_id", "role", "present", "x_m", "y_m", "facing_x", "facing_y"]
 RAW_HEADER = ["t_s", "person_id", "role", "side", "x_m", "y_m"]
 
@@ -141,10 +146,10 @@ class Observation:
         self._validate_structure()
         if self.present.any():
             ids = self.person_ids
-            pos_ok = np.isfinite(self.positions).all(axis=2)
-            if not pos_ok[self.present].all():
-                raise ValidationError("present person with non-finite position")
-            norms = np.linalg.norm(self.facings, axis=2)
+            if not (np.abs(self.positions) <= MAX_COORD_M)[self.present].all():  # NaN fails too
+                raise ValidationError(f"a present position is not finite or beyond {MAX_COORD_M:g} m")
+            with np.errstate(over="ignore"):  # a component near 1e308 gives |f| = inf
+                norms = np.linalg.norm(self.facings, axis=2)
             bad = self.present & ~np.isclose(norms, 1.0, rtol=0, atol=1e-6)
             if bad.any():
                 t_bad, k_bad = np.argwhere(bad)[0]
@@ -370,8 +375,9 @@ def _load_sidecar(meta_path: Path) -> dict:
     area = meta["room_area_m2"]
     if not (_is_finite_number(area) and area > 0):
         raise ValidationError(f"room_area_m2 must be a finite positive number, got {area!r}")
-    if not all(isinstance(v, list) for v in (meta.get("roster", []), meta.get("activity") or [])):
-        raise SchemaError(f"{meta_path}: roster and activity must be lists")
+    if not (isinstance(meta.get("roster", []), list)
+            and isinstance(meta.get("activity"), (list, type(None)))):
+        raise SchemaError(f"{meta_path}: roster must be a list, activity a list or null")
     return meta
 
 
@@ -403,7 +409,8 @@ def _activity_from_sidecar(meta: dict, t_total: int) -> np.ndarray | None:
         try:
             if not all(_is_finite_number(iv[key]) for key in ("start_s", "end_s")):
                 raise ValueError("start_s and end_s must be finite numbers")
-            a, b = int(iv["start_s"]), int(iv["end_s"])
+            # second t is labelled iff start_s <= t < end_s
+            a, b = math.ceil(iv["start_s"]), math.ceil(iv["end_s"])
             label = Activity(iv["label"])
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"bad activity interval {iv!r}: {e}") from e
@@ -621,8 +628,8 @@ def _raw_rows(csv_path: Path, people: _People):
                 (x_nan, ParseError, "x_m is not a number: {!r}", x_txt),
                 (y_nan, ParseError, "y_m is not a number: {!r}", y_txt),
                 (t < 0, ValidationError, "tag sample time must be >= 0, got {}", t),
-                (~(np.isfinite(x) & np.isfinite(y)), ValidationError,
-                 "non-finite tag coordinates ({}, {})", x, y),
+                (~((np.abs(x) <= MAX_COORD_M) & (np.abs(y) <= MAX_COORD_M)), ValidationError,
+                 f"tag coordinates ({{}}, {{}}) are not finite or beyond {MAX_COORD_M:g} m", x, y),
                 (~np.isfinite(t), ValidationError,
                  "line {line}: t_s must be a finite number, got {}", t_txt),
             ])

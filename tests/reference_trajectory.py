@@ -16,6 +16,7 @@ import numpy as np
 from classim.errors import EmptyTrack, ParseError, SchemaError, ValidationError
 from classim.trajectory import (
     FUSED_HEADER,
+    MAX_COORD_M,
     MAX_GAP_S,
     PAIRING_WINDOW_S,
     RAW_HEADER,
@@ -49,8 +50,9 @@ class TagSample:
     def __post_init__(self):
         if self.t < 0:
             raise ValidationError(f"tag sample time must be >= 0, got {self.t}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValidationError(f"non-finite tag coordinates ({self.x}, {self.y})")
+        if not (abs(self.x) <= MAX_COORD_M and abs(self.y) <= MAX_COORD_M):
+            raise ValidationError(
+                f"tag coordinates ({self.x}, {self.y}) are not finite or beyond {MAX_COORD_M:g} m")
 
 
 def fuse_tags_loop(left, right) -> FusedTrack:

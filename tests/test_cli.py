@@ -446,6 +446,10 @@ BAD_SIDECARS = {
     "roster_id_list": '{"room_area_m2": 10.0, "roster": [{"person_id": [1], "role": "child"}]}',
     "activity_string": '{"room_area_m2": 10.0, "activity": "abc"}',
     "activity_entry_number": '{"room_area_m2": 10.0, "activity": [5]}',
+    "activity_zero": '{"room_area_m2": 10.0, "activity": 0}',
+    "activity_false": '{"room_area_m2": 10.0, "activity": false}',
+    "activity_empty_object": '{"room_area_m2": 10.0, "activity": {}}',
+    "activity_empty_string": '{"room_area_m2": 10.0, "activity": ""}',
     "start_null": _ACT % "null",
     "start_infinity": _ACT % "Infinity",
     "start_true": _ACT % "true",

@@ -1,5 +1,5 @@
-"""Fuzz ``classim simulate`` over config JSON values, command-line flags and
-observation sidecars.
+"""Fuzz ``classim simulate`` over config JSON values, command-line flags,
+observation sidecars and the coordinates inside fused and raw-tag files.
 
 Whatever the input, the command exits 0, 1 or 2; a nonzero exit prints
 exactly one stderr line, starting ``error:``; nothing ever ends in a
@@ -13,10 +13,11 @@ import json
 import shutil
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from classim.cli import DEFAULT_CONFIG, main
+from classim.trajectory import FUSED_HEADER, RAW_HEADER
 
 SCALARS = st.sampled_from([
     None, True, False, 0, 1, 2, -1, 1.5, -1.0, 0.0, 2.0, 1e308, -1e308, 1e-308,
@@ -202,3 +203,59 @@ def test_simulate_any_sidecar_exits_cleanly(tiny, data):
     _check(*_simulate(["simulate", str(csv_path), "--out", str(root / "side"),
                        "--reps", "1", "--horizon-days", "1", "--scenarios",
                        "full-novax,half-vax", "--workers", "1"]))
+
+
+#: Cell values at the edges of a double and of the 1e6-m coordinate bound.
+EDGE_CELLS = [
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1e200, -1e200,
+    5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1e6, -1e6, 1000000.0000000001,
+    1.0000001, 0.6, 0.8, 1.0, -1.0,
+]
+CELLS = st.one_of(st.sampled_from(EDGE_CELLS), st.floats(-3.0, 3.0), st.floats())
+#: Valid rows that the edits below damage: two people, a facing b, over two
+#: seconds.  Fused rows hold (x, y, facing_x, facing_y); raw rows hold the
+#: (x, y) of one hip tag, left then right.
+FUSED_ROWS = [("a,teacher,1", (0.0, 0.0, 1.0, 0.0)), ("b,child,1", (1.0, 0.0, -1.0, 0.0))]
+RAW_ROWS = [("a,teacher,L", (0.0, 0.2)), ("a,teacher,R", (0.0, -0.2)),
+            ("b,child,L", (1.0, -0.2)), ("b,child,R", (1.0, 0.2))]
+
+
+def _damaged_csv(raw: bool, edits) -> str:
+    """A two-second fused or raw-tag file with cell k % (cell count) set to each edit's value."""
+    header, times, keyed = ((RAW_HEADER, (0.0, 1.0), RAW_ROWS) if raw
+                            else (FUSED_HEADER, (0, 1), FUSED_ROWS))
+    rows = [f"{t!r},{key}" for t in times for key, _ in keyed]
+    cells = [c for _ in times for _, row in keyed for c in row]
+    for k, value in edits:
+        cells[k % len(cells)] = value
+    width = len(keyed[0][1])
+    lines = [",".join(header)] + [
+        row + "," + ",".join(repr(float(c)) for c in cells[r * width:(r + 1) * width])
+        for r, row in enumerate(rows)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=st.booleans(), edits=st.lists(st.tuples(st.integers(0, 15), CELLS), max_size=3))
+# a facing whose square overflows; positions whose squared distance overflows
+@example(raw=False, edits=[(2, 1e308)])
+@example(raw=False, edits=[(0, 1e200), (4, -1e200)])
+@example(raw=True, edits=[(0, 1e308), (4, -1e308)])
+def test_any_coordinates_exit_cleanly(tiny, raw, edits):
+    root, _ = tiny
+    meta = json.dumps({"room_area_m2": 20.0})
+    fused = root / "coords.csv"
+    if raw:
+        src = root / "coords_raw.csv"
+        src.write_text(_damaged_csv(True, edits))
+        src.with_suffix(".meta.json").write_text(meta)
+        code, err = _simulate(["fuse", "--input", str(src), "--out", str(fused)])
+        _check(code, err)
+        if code:
+            return
+    else:
+        fused.write_text(_damaged_csv(False, edits))
+        fused.with_suffix(".meta.json").write_text(meta)
+    _check(*_simulate(["simulate", str(fused), "--out", str(root / "coords"), "--reps", "1",
+                       "--horizon-days", "1", "--scenarios", "full-novax", "--workers", "1"]))

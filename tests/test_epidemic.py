@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as hst
 from classim.epidemic import (
     Compartment,
     DiseaseParams,
+    Event,
     IncubationModel,
     RecoveryModel,
     event_log,
@@ -34,6 +36,7 @@ from classim.kernel import (
     relative_geometry,
 )
 from classim.trajectory import Observation, Person, Role, TrajectoryFrame
+from reference_epidemic import mask_counts
 
 DP = DiseaseParams()
 DAY = 86400.0
@@ -579,8 +582,9 @@ def test_one_way_flow_and_conservation():
     horizon = 28 * DAY
     events = event_log(st, horizon)
     # conservation at every hour
-    counts = hourly_compartment_counts(st, 28 * 24)
+    counts = hourly_compartment_counts(events, len(obs.roster), 28 * 24)
     assert (counts.sum(axis=1) == len(obs.roster)).all()
+    assert counts.tobytes() == mask_counts(st, 28 * 24).tobytes()
     # one-way flow: per person, events appear in S->E->I->R order, once each
     per_person = {}
     for e in events:
@@ -615,7 +619,7 @@ def test_counts_before_infection_agree_with_hourly_counts():
     st.clock = 6000.0
     assert st.counts(at=1000.0) == (1, 0, 1, 0)
     assert st.compartment_at(1, 1000.0) == Compartment.SUSCEPTIBLE
-    assert hourly_compartment_counts(st, 1)[0].tolist() == [1, 0, 1, 0]
+    assert hourly_compartment_counts(event_log(st, 3600.0), 2, 1)[0].tolist() == [1, 0, 1, 0]
     assert st.counts() == (0, 1, 1, 0)
 
 
@@ -629,6 +633,47 @@ def test_event_log_order_and_horizon_cap():
     assert kinds[0] == "infected" and events[0].t_s == -DP.latency_s
     times = [e.t_s for e in events]
     assert times == sorted(times)
+
+
+def _boundary_time(hour: int, ulps: int) -> float:
+    """Hour boundary ``hour``, moved ``ulps`` representable doubles (-1, 0 or 1)."""
+    t = hour * 3600.0
+    return t if ulps == 0 else float(np.nextafter(t, ulps * math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data())
+def test_event_log_counts_equal_mask_reference(data):
+    # immune people, patient zero back-dated to -latency, transitions on an
+    # hour boundary or one ulp either side of it, and times past the horizon
+    horizon_hours = data.draw(hst.integers(1, 60))
+    n = data.draw(hst.integers(1, 8))
+    immune = data.draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
+    st = new_epidemic_state([f"p{k}" for k in range(n)], _rng(0),
+                            {f"p{k}" for k in range(n) if immune[k]})
+    times = hst.one_of(
+        hst.builds(_boundary_time, hst.integers(-30, horizon_hours + 30), hst.integers(-1, 1)),
+        hst.floats(-2 * DAY, (horizon_hours + 30) * 3600.0),
+        hst.just(-DP.latency_s),
+    )
+    gaps = hst.one_of(hst.just(0.0), hst.just(DP.latency_s), hst.floats(0.0, 10 * DAY))
+    for k in np.flatnonzero(~st.immune):
+        if data.draw(hst.booleans()):
+            continue  # never infected
+        st.t_infected[k] = data.draw(times)
+        st.t_infectious[k] = st.t_infected[k] + data.draw(gaps)
+        st.t_recovered[k] = st.t_infectious[k] + data.draw(gaps)
+        st.t_symptomatic[k] = st.t_infected[k] + data.draw(gaps)
+    events = event_log(st, horizon_hours * 3600.0)
+    counts = hourly_compartment_counts(events, n, horizon_hours)
+    expected = mask_counts(st, horizon_hours)
+    assert counts.dtype == expected.dtype and counts.tobytes() == expected.tobytes()
+
+
+def test_event_pickles_and_holds_no_instance_dict():
+    e = Event("infected", "p1", 12.5, "p0")
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert not hasattr(e, "__dict__")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,20 @@
 import csv
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from classim.epidemic import Event
+from classim.epidemic import (
+    DiseaseParams,
+    Event,
+    event_log,
+    new_epidemic_state,
+    progress_offclass,
+    seed_patient_zero,
+    simulate_session,
+)
 from classim.errors import EmptyCollection, MixedCohorts, SinglePerson
 from classim.kernel import KernelParams, pair_rate, relative_geometry
 from classim.metrics import (
@@ -25,16 +34,13 @@ from classim.metrics import (
 )
 from classim.scenario import RunOutcome
 from classim.trajectory import Observation, Person, Role
+from reference_epidemic import mask_counts, stacked_moments
 
 DAY = 86400.0
 KP = KernelParams(beta_max=1.0)
 
 
-def _outcome(events, roster=10, horizon_days=28, hourly=None):
-    n_hours = horizon_days * 24 + 1
-    if hourly is None:
-        hourly = np.zeros((n_hours, 4), dtype=np.int64)
-        hourly[:, 0] = roster
+def _outcome(events, roster=10, horizon_days=28):
     return RunOutcome(
         scenario="full-novax",
         observation_id="obs",
@@ -43,8 +49,6 @@ def _outcome(events, roster=10, horizon_days=28, hourly=None):
         roster_ids=tuple(f"p{k}" for k in range(roster)),
         immune_ids=frozenset(),
         events=tuple(events),
-        hourly_counts=hourly,
-        final_counts=tuple(int(x) for x in hourly[-1]),
         horizon_days=horizon_days,
         beta_hat=2e-5,
         exposure_t_s=3600.0,
@@ -154,7 +158,6 @@ def test_absent_seconds_excluded_from_average():
 def test_sweep_beta_hat_is_transmission_likelihood_of_run_roster():
     # the sweep reads beta_hat off the full-roster cache; it must equal the
     # metric recomputed on the run's own roster, bit for bit
-    from classim.epidemic import DiseaseParams
     from classim.scenario import DensityVariant, ScenarioConfig, sweep
 
     rng = np.random.default_rng(11)
@@ -238,27 +241,24 @@ def test_median_emergence_not_observed():
 # hourly aggregation
 # ---------------------------------------------------------------------------
 
-def _hourly(roster, horizon_days, infected_by_hour):
-    n_hours = horizon_days * 24 + 1
-    h = np.zeros((n_hours, 4), dtype=np.int64)
-    for t in range(n_hours):
-        inf = infected_by_hour(t)
-        h[t, 0] = roster - inf
-        h[t, 3] = inf
-    return h
+def _recovered(pids, t):
+    """Events of people who are infected, infectious and recovered at time t."""
+    return [Event(kind, pid, t) for pid in pids for kind in ("infected", "infectious", "recovered")]
 
 
 def test_aggregate_single_run_zero_std():
-    out = _outcome([], hourly=_hourly(10, 28, lambda t: min(t // 24, 5)))
+    # person k recovers on day k, k = 1..5: R = min(hour // 24, 5)
+    out = _outcome([e for k in range(1, 6) for e in _recovered([f"p{k}"], k * DAY)])
     agg = aggregate_hourly([out])
+    assert agg.mean_counts[:, 3].tolist() == [min(h // 24, 5) for h in range(28 * 24 + 1)]
     assert (agg.std_counts == 0).all()
     assert (agg.std_infected_prop == 0).all()
     assert agg.n_runs == 1
 
 
 def test_aggregate_two_point_moments():
-    a = _outcome([], hourly=_hourly(10, 28, lambda t: 2))
-    b = _outcome([], hourly=_hourly(10, 28, lambda t: 4))
+    a = _outcome(_recovered(["p0", "p1"], -DAY))
+    b = _outcome(_recovered(["p0", "p1", "p2", "p3"], -DAY))
     agg = aggregate_hourly([a, b])
     assert np.allclose(agg.mean_counts[:, 3], 3.0)
     assert np.allclose(agg.std_counts[:, 3], 1.0)
@@ -279,7 +279,6 @@ def test_aggregate_empty_rejected():
 
 def test_cumulative_curve_monotone_from_simulation():
     from classim import synthgen
-    from classim.epidemic import DiseaseParams
     from classim.scenario import ScenarioConfig, sweep
 
     obs = synthgen.generate(synthgen.SynthConfig(n_children=5, n_teachers=1,
@@ -290,9 +289,51 @@ def test_cumulative_curve_monotone_from_simulation():
     assert (np.diff(agg.mean_infected_prop) >= -1e-12).all()
 
 
+def _simulated_states(seeds, sessions=3):
+    """Run states of a 5-person class after a few 400-s sessions a day apart."""
+    obs = _stationary_obs([(0, 0), (0.5, 0), (1, 0), (0, 1), (1, 1)],
+                          [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 0)], 400)
+    kp = KernelParams(beta_max=5e-3)
+    dp = DiseaseParams(latency_h=6.0, gamma_per_day=0.5)
+    states = []
+    for seed in seeds:
+        st = new_epidemic_state(obs.person_ids, np.random.Generator(np.random.PCG64(seed)),
+                                immune_ids={"p4"} if seed % 3 == 0 else ())
+        seed_patient_zero(st, f"p{seed % 4}", dp)
+        for day in range(sessions):
+            if st.clock < day * DAY:
+                progress_offclass(st, day * DAY - st.clock)
+            simulate_session(st, obs, day * DAY, kp, dp)
+        states.append(st)
+    return obs, states
+
+
+@pytest.mark.parametrize("horizon_days", [1, 7])
+def test_aggregate_equals_stacked_mask_counts_bitwise(horizon_days):
+    obs, states = _simulated_states(range(24))
+    outs = [dataclasses.replace(_outcome(event_log(st, horizon_days * DAY), roster=5,
+                                         horizon_days=horizon_days), roster_ids=obs.person_ids)
+            for st in states]
+    agg = aggregate_hourly(outs)
+    expected = stacked_moments([mask_counts(st, horizon_days * 24) for st in states], 5)
+    got = agg.mean_counts, agg.std_counts, agg.mean_infected_prop, agg.std_infected_prop
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
+    assert len({o.events for o in outs}) > 5  # the runs differ
+    assert agg.hours.tolist() == list(range(horizon_days * 24 + 1))
+
+
+def test_outcome_pickle_size_does_not_grow_with_horizon():
+    _, (st,) = _simulated_states([1])
+    events = event_log(st, 28 * DAY)
+    size = {h: len(pickle.dumps(dataclasses.replace(_outcome(events, roster=5), horizon_days=h)))
+            for h in (28, 280)}
+    # only the horizon field itself widens: 28 pickles in one byte, 280 in two
+    assert size[280] == size[28] + 1
+
+
 def test_median_emergence_non_decreasing_in_n():
     from classim import synthgen
-    from classim.epidemic import DiseaseParams
     from classim.scenario import ScenarioConfig, sweep
 
     obs = synthgen.generate(synthgen.SynthConfig(n_children=6, n_teachers=1,
@@ -310,7 +351,6 @@ def test_median_emergence_non_decreasing_in_n():
 def test_emergence_falls_as_symptomaticity_rises():
     # monotone under coupling: same seeds, higher p_symptomatic, fewer misses
     from classim import synthgen
-    from classim.epidemic import DiseaseParams
     from classim.scenario import ScenarioConfig, sweep
 
     obs = synthgen.generate(synthgen.SynthConfig(n_children=5, n_teachers=1,
@@ -359,7 +399,7 @@ def test_summary_csv_round_trip(tmp_path):
 
 
 def test_curves_csv_schema(tmp_path):
-    out = _outcome([], hourly=_hourly(10, 1, lambda t: 1))
+    out = _outcome(_recovered(["p0"], -DAY), horizon_days=1)
     agg = aggregate_hourly([out])
     path = tmp_path / "curves.csv"
     write_curves_csv(path, {"full-novax": agg})

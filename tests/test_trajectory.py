@@ -358,6 +358,49 @@ def test_non_unit_facing_rejected():
         obs.validate()
 
 
+def test_overflowing_facing_rejected_without_a_warning():
+    # squaring 1e308 overflows; pytest turns that RuntimeWarning into an error
+    obs = _obs_two_people(t_total=2)
+    obs.facings[1, 0] = (1e308, 0.0)
+    with pytest.raises(ValidationError, match=r"not unit norm \(\|f\| = inf\)"):
+        obs.validate()
+
+
+@pytest.mark.parametrize("x", [1e200, -1e200, 1000000.0000000001])
+def test_position_beyond_bound_rejected(x):
+    obs = _obs_two_people(t_total=2)
+    obs.positions[1, 1, 0] = x
+    with pytest.raises(ValidationError, match="present position is not finite or beyond 1e\\+06 m"):
+        obs.validate()
+    obs.positions[1, 1, 0] = math.copysign(1e6, x)  # the bound itself is valid
+    obs.validate()
+    obs.positions[1, 1, 0], obs.present[1, 1] = x, False  # absent rows carry no position
+    obs.validate()
+
+
+def test_raw_tag_beyond_bound_rejected(tmp_path):
+    rows = ["0.0,a,child,L,-0.2,0.0", "0.0,a,child,R,1e200,0.0"]
+    path = _write_csv(tmp_path, ",".join(RAW_HEADER), rows, name="raw.csv")
+    with pytest.raises(ValidationError, match="beyond 1e\\+06 m"):
+        load_observation(path, TrackFormat.RAW_TAGS)
+
+
+def test_activity_bounds_label_seconds_in_half_open_interval(tmp_path):
+    # second t is labelled iff start_s <= t < end_s
+    obs = _obs_two_people(t_total=10)
+    path = tmp_path / "obs.csv"
+    save_observation(obs, path)
+    meta_path = tmp_path / "obs.meta.json"
+    meta = json.loads(meta_path.read_text())
+    for (a, b), want in [((2.9, 7.9), [0, 0, 0, 1, 1, 1, 1, 1, 0, 0]),
+                         ((3, 8), [0, 0, 0, 1, 1, 1, 1, 1, 0, 0]),
+                         ((-0.5, 0.5), [1] + [0] * 9)]:
+        meta["activity"] = [{"start_s": a, "end_s": b, "label": "structured"},
+                            {"start_s": 0, "end_s": 0, "label": "unstructured"}]
+        meta_path.write_text(json.dumps(meta))
+        assert load_observation(path).activity.tolist() == want, (a, b)
+
+
 def test_zero_length_observation(tmp_path):
     roster = (Person("a", Role.CHILD),)
     obs = Observation(
@@ -559,10 +602,10 @@ def test_raw_error_table(tmp_path, rows, exc, message, line):
     assert getattr(info.value, "line", None) == line
 
 
-_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+# a present coordinate lies within +-MAX_COORD_M (1e6 m); both edges are valid
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e6, -1e6,
                    0.1, 1 / 3, 123456.78901234567, -9.876543210987654e-05]
-_coordinate = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
-                        st.floats(allow_nan=False, allow_infinity=False))
+_coordinate = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(-1e6, 1e6))
 _UNIT_FACINGS = [(1.0, 0.0), (1.0, -0.0), (-0.0, -1.0), (1.0, 5e-324), (0.6, 0.8)]
 _facing = st.one_of(
     st.sampled_from(_UNIT_FACINGS),
