@@ -303,7 +303,8 @@ def _sha256(path: Path) -> str:
 
 
 def _workers(flag: int | None) -> int:
-    """Worker count from --workers, else $CLASSIM_WORKERS, else the CPU count."""
+    """Worker count from --workers, else $CLASSIM_WORKERS, else the number of
+    CPUs this process may run on."""
     if flag is not None:
         value, source = flag, "--workers"
     elif os.environ.get(WORKERS_ENV):
@@ -314,6 +315,8 @@ def _workers(flag: int | None) -> int:
             raise ConfigError(
                 f"{WORKERS_ENV} must be an integer, got {os.environ[WORKERS_ENV]!r}"
             ) from None
+    elif hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     else:
         return os.cpu_count() or 1
     if value < 1:

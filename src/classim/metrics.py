@@ -158,15 +158,12 @@ def aggregate_hourly(outcomes) -> HourlyAggregate:
 
 
 def summarize_run(outcome: RunOutcome) -> OutcomeSummary:
-    """Scalar summary of one run, from the transmission stats the sweep attached."""
-    beta_hat, t_exposure = outcome.beta_hat, outcome.exposure_t_s
-    if beta_hat is None or t_exposure is None:
-        raise ValueError("outcome carries no transmission stats (beta_hat, exposure_t_s)")
+    """Scalar summary of one run."""
     return OutcomeSummary(
         saturation=saturation(outcome),
-        beta_hat=beta_hat,
-        exposure_t_s=t_exposure,
-        beta_hat_t=beta_hat * t_exposure,
+        beta_hat=outcome.beta_hat,
+        exposure_t_s=outcome.exposure_t_s,
+        beta_hat_t=outcome.beta_hat * outcome.exposure_t_s,
         t_symptomatic_days=tuple(nth_symptomatic(outcome, n) for n in (1, 2, 3)),
     )
 

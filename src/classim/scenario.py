@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from multiprocessing import Pool
 
@@ -231,6 +231,8 @@ class RunOutcome:
 
     The event log is the run's whole compartment history: hourly curves and
     final counts are counted from it (``epidemic.hourly_compartment_counts``).
+    ``beta_hat`` is the mean pair rate over the roster's co-present
+    pair-seconds and ``exposure_t_s`` (T) the class time the horizon holds.
     """
 
     scenario: str
@@ -241,8 +243,42 @@ class RunOutcome:
     immune_ids: frozenset[str]
     events: tuple[Event, ...]
     horizon_days: int
-    beta_hat: float | None = field(default=None)
-    exposure_t_s: float | None = field(default=None)
+    beta_hat: float
+    exposure_t_s: float
+
+
+#: Above this many stored elements (seconds x unordered pairs, 400 MB of
+#: float64), a sweep holds no cache: each session rates its segments' own
+#: pairs instead.
+_RATE_CACHE_MAX_ELEMENTS = 50_000_000
+
+
+class _PairArrays:
+    """The pair arrays every run of one observation reads.
+
+    ``pairs`` maps two roster positions to their column of the pair triangle
+    (``kernel.pair_index``); ``rate_sums`` and ``pair_seconds`` hold each
+    unordered pair's time sum of rates and co-present seconds, from which any
+    roster's ``beta_hat`` follows.  With ``cache``, a droplet observation
+    under the cap also gets ``hazard``: its pairs are rated once
+    (``kernel.pair_rates``) and the rates turned, in place, into the
+    cumulative hazard the session engine reads (T * N(N-1)/2 floats).
+    Otherwise ``hazard`` is None and the time sums are made one time chunk
+    at a time, so no whole-session array is held.
+    """
+
+    def __init__(self, obs: Observation, kp: KernelParams, cache: bool):
+        self.hazard = None
+        n = obs.n_people
+        fits = 0 < obs.session_length_s * (n * (n - 1) // 2) <= _RATE_CACHE_MAX_ELEMENTS
+        if cache and fits and kp.mode == TransmissionMode.DROPLET:
+            rates = kernel.pair_rates(obs.positions, obs.facings, obs.present, kp)
+            self.rate_sums = kernel.time_sums(rates)
+            self.hazard = kernel.cumulative_hazard(rates)
+        else:
+            self.rate_sums = kernel.pair_rate_sums(obs.positions, obs.facings, obs.present, kp)
+        self.pair_seconds = kernel.pair_seconds(obs.present)
+        self.pairs = kernel.pair_index(n)
 
 
 def run_simulation(
@@ -253,19 +289,18 @@ def run_simulation(
     seed: int,
     kp: KernelParams,
     dp: DiseaseParams,
-    hazard: np.ndarray | None = None,
+    shared: _PairArrays | None = None,
 ) -> RunOutcome:
     """One complete seeded run of a scenario cell.
 
     Draw order per run: half-class subset, vaccination flags, patient-zero
-    clocks, then transmission.  ``hazard`` may hold the precomputed
-    cumulative hazard (``kernel.cumulative_hazard``) of the *full*
-    observation's pair triangle (``kernel.pair_rates``, shape
-    (T, M(M-1)/2)); runs read it through the pair map of their roster.
-    Without it, droplet sessions rate each segment's own (susceptible,
-    source) pairs and airborne sessions step frame by frame.  Whether a
-    cache pays off depends on how many runs share it, which only the
-    caller knows; ``sweep`` builds one per process.
+    clocks, then transmission.  ``shared`` holds the pair arrays of the
+    *full* observation that the run reads through its roster's pair map;
+    given none, the run makes them without a cache, so droplet sessions
+    rate each segment's own (susceptible, source) pairs and airborne
+    sessions step frame by frame.  Whether a cache pays off depends on how
+    many runs share it, which only the caller knows; ``sweep`` builds one
+    per process.
 
     The trajectory replays identically for every session in the calendar;
     between sessions the clock jumps with no transmission.  The run stops
@@ -279,6 +314,8 @@ def run_simulation(
             f"calendar session length {cal.session_length_s} != observation "
             f"length {obs.session_length_s}"
         )
+    if shared is None:
+        shared = _PairArrays(obs, kp, cache=False)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     if sc.density == DensityVariant.HALF:
@@ -292,18 +329,23 @@ def run_simulation(
     else:
         immune = frozenset()
 
-    pairs = None if hazard is None else kernel.pair_index(obs.n_people)[np.ix_(idx, idx)]
+    # idx ascends, so the mask keeps the roster's pairs i < j in row-major
+    # order: beta_hat adds them in the order of the roster's own triangle
+    pairs = shared.pairs[np.ix_(idx, idx)]
+    cols = pairs[idx[:, None] < idx]
+    beta_hat = kernel.mean_pair_rate(shared.rate_sums, shared.pair_seconds, cols)
 
     state = epidemic.new_epidemic_state(obs_run.person_ids, rng, immune)
     epidemic.seed_patient_zero(state, patient_zero, dp)
 
     horizon_s = sc.horizon_days * SECONDS_PER_DAY
-    for start in cal.session_starts_s:
-        if start >= horizon_s or epidemic.is_run_complete(state):
+    sessions = [start for start in cal.session_starts_s if start < horizon_s]
+    for start in sessions:
+        if epidemic.is_run_complete(state):
             break
         if state.clock < start:
             epidemic.progress_offclass(state, start - state.clock)
-        epidemic.simulate_session(state, obs_run, start, kp, dp, hazard=hazard, pairs=pairs)
+        epidemic.simulate_session(state, obs_run, start, kp, dp, hazard=shared.hazard, pairs=pairs)
     if state.clock < horizon_s:
         epidemic.progress_offclass(state, horizon_s - state.clock)
 
@@ -316,6 +358,8 @@ def run_simulation(
         immune_ids=immune,
         events=epidemic.event_log(state, horizon_s),
         horizon_days=sc.horizon_days,
+        beta_hat=beta_hat,
+        exposure_t_s=float(cal.session_length_s * len(sessions)),
     )
 
 
@@ -323,66 +367,30 @@ def run_simulation(
 # sweep
 # ---------------------------------------------------------------------------
 
-#: Above this many stored elements (seconds x unordered pairs, 400 MB of
-#: float64), a sweep holds no cache: each session rates its segments' own
-#: pairs instead.
-_RATE_CACHE_MAX_ELEMENTS = 50_000_000
+def _task_runner(obs, cells, cals, kp, dp):
+    """Build this process's pair arrays, with the cache, and return the
+    function that runs one sweep task (cell, patient zero index, replicate)."""
+    shared = _PairArrays(obs, kp, cache=True)
 
-
-class _SweepRunner:
-    """What every run of one sweep shares within one process.
-
-    Building it rates each unordered pair of the observation once
-    (``kernel.pair_rates``), keeps each pair's time sum and co-present
-    seconds for ``beta_hat`` and then turns the rates, in place, into the
-    cumulative hazard the session engine reads (the cache, T * N(N-1)/2
-    floats).  Runs only index into them.  In airborne mode, which reads no
-    cache, and past the cache cap, only the time sums are made, one time
-    chunk at a time.
-    """
-
-    def __init__(self, obs, cells, cals, kp, dp):
-        self.obs, self.cells, self.cals, self.kp, self.dp = obs, cells, cals, kp, dp
-        self.hazard = None
-        n = obs.n_people
-        cached = 0 < obs.session_length_s * (n * (n - 1) // 2) <= _RATE_CACHE_MAX_ELEMENTS
-        if kp.mode == TransmissionMode.DROPLET and cached:
-            rates = kernel.pair_rates(obs.positions, obs.facings, obs.present, kp)
-            self.rate_sums = kernel.time_sums(rates)
-            self.hazard = kernel.cumulative_hazard(rates)
-        else:
-            self.rate_sums = kernel.pair_rate_sums(obs.positions, obs.facings, obs.present, kp)
-        self.pair_seconds = kernel.pair_seconds(obs.present)
-        self.pairs = kernel.pair_index(n)
-        self.column = {pid: k for k, pid in enumerate(obs.person_ids)}
-        self.exposure_t_s = [
-            float(cal.session_length_s * sum(
-                1 for s in cal.session_starts_s if s < sc.horizon_days * SECONDS_PER_DAY
-            ))
-            for sc, cal in zip(cells, cals)
-        ]
-
-    def run(self, cell: int, pz_index: int, rep: int) -> RunOutcome:
-        obs, sc, cal = self.obs, self.cells[cell], self.cals[cell]
+    def run(task) -> RunOutcome:
+        cell, pz_index, rep = task
+        sc = cells[cell]
         seed = derive_seed(sc.base_seed, pz_index, rep)
         pz = obs.roster[pz_index].person_id
-        outcome = run_simulation(obs, cal, sc, pz, seed, self.kp, self.dp, hazard=self.hazard)
-        idx = [self.column[pid] for pid in outcome.roster_ids]
-        cols = self.pairs[np.ix_(idx, idx)][np.triu_indices(len(idx), k=1)]
-        outcome.beta_hat = kernel.mean_pair_rate(self.rate_sums, self.pair_seconds, cols)
-        outcome.exposure_t_s = self.exposure_t_s[cell]
-        return outcome
+        return run_simulation(obs, cals[cell], sc, pz, seed, kp, dp, shared)
+
+    return run
 
 
 _WORKER: dict = {}
 
 
 def _worker_init(*args):
-    _WORKER["runner"] = _SweepRunner(*args)
+    _WORKER["run"] = _task_runner(*args)
 
 
 def _worker_run(task):
-    return task, _WORKER["runner"].run(*task)
+    return task, _WORKER["run"](task)
 
 
 def sweep(
@@ -401,8 +409,9 @@ def sweep(
     calendar over its horizon.
 
     Each process (the caller itself at ``workers=1``, else each pool
-    worker) builds the cumulative-hazard cache of the pair triangle once
-    per sweep; runs then reduce to array gathers and draws.
+    worker) builds its pair arrays, the cumulative-hazard cache of the pair
+    triangle included, once per sweep; runs then reduce to array gathers
+    and draws.
     """
     cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)
     cals = tuple(build_calendar(c.horizon_days, obs.session_length_s) for c in cells)
@@ -414,8 +423,7 @@ def sweep(
     ]
     args = (obs, cells, cals, kp, dp)
     if workers <= 1 or len(tasks) <= 1:
-        runner = _SweepRunner(*args)
-        return [runner.run(*t) for t in tasks]
+        return list(map(_task_runner(*args), tasks))
 
     # the parent never builds the cache: each worker does, in its initializer
     with Pool(processes=workers, initializer=_worker_init, initargs=args) as pool:

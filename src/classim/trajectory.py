@@ -54,6 +54,11 @@ MAX_GAP_S = 5.0
 #: the fused facing norms cannot overflow.
 MAX_COORD_M = 1e6
 
+#: Raw tag times must lie below this many seconds: a session is at most one
+#: day (``scenario.build_calendar``), and the 1 Hz grid a raw file is
+#: resampled onto runs from 0 to its last tag time.
+MAX_T_S = 86400.0
+
 FUSED_HEADER = ["t_s", "person_id", "role", "present", "x_m", "y_m", "facing_x", "facing_y"]
 RAW_HEADER = ["t_s", "person_id", "role", "side", "x_m", "y_m"]
 
@@ -630,8 +635,8 @@ def _raw_rows(csv_path: Path, people: _People):
                 (t < 0, ValidationError, "tag sample time must be >= 0, got {}", t),
                 (~((np.abs(x) <= MAX_COORD_M) & (np.abs(y) <= MAX_COORD_M)), ValidationError,
                  f"tag coordinates ({{}}, {{}}) are not finite or beyond {MAX_COORD_M:g} m", x, y),
-                (~np.isfinite(t), ValidationError,
-                 "line {line}: t_s must be a finite number, got {}", t_txt),
+                (~(t < MAX_T_S), ValidationError,
+                 f"line {{line}}: t_s must be a finite number below {MAX_T_S:g} s, got {{}}", t_txt),
             ])
         for column, values in zip(columns, (t, who, side, x, y)):
             column.extend(values)

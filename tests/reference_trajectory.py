@@ -18,6 +18,7 @@ from classim.trajectory import (
     FUSED_HEADER,
     MAX_COORD_M,
     MAX_GAP_S,
+    MAX_T_S,
     PAIRING_WINDOW_S,
     RAW_HEADER,
     FusedTrack,
@@ -296,9 +297,11 @@ def _load_raw(csv_path, meta):
         seen_people[pid] = role
         x = _parse_float(row[4], "x_m", line_no)
         y = _parse_float(row[5], "y_m", line_no)
-        streams.setdefault(pid, {Side.LEFT: [], Side.RIGHT: []})[side].append(
-            TagSample(t=t, person_id=pid, side=side, x=x, y=y)
-        )
+        sample = TagSample(t=t, person_id=pid, side=side, x=x, y=y)
+        if not t < MAX_T_S:  # checked after the sample's own checks, as the loader does
+            raise ValidationError(
+                f"line {line_no}: t_s must be a finite number below {MAX_T_S:g} s, got {row[0]}")
+        streams.setdefault(pid, {Side.LEFT: [], Side.RIGHT: []})[side].append(sample)
 
     roster, index = _check_roster(_roster_from_sidecar(meta), seen_people, "tag rows")
     fused = {}

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from classim import cli
 from classim.cli import main
 from classim.trajectory import TrackFormat
 from reference_trajectory import load_rowwise, save_rowwise
@@ -312,6 +314,15 @@ def test_simulate_bad_workers_env_exit_1(tmp_path, small_obs, capsys, monkeypatc
     assert not out_dir.exists()
 
 
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("CLASSIM_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._workers(None) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._workers(None) == 8
+
+
 @pytest.mark.parametrize("command", ["simulate", "synth"])
 def test_output_path_under_a_file_exit_1(tmp_path, small_obs, capsys, command):
     blocker = tmp_path / "file"
@@ -379,6 +390,27 @@ def test_fuse_non_finite_t_exit_1(tmp_path, capsys, t):
     assert code == 1
     _one_error_line(err)
     assert "line 4" in err
+
+
+@pytest.mark.parametrize("t, code", [("86399.9", 0), ("86400", 1), ("1e15", 1)])
+def test_fuse_raw_t_must_be_below_one_day(tmp_path, capsys, t, code):
+    # a raw file is resampled onto 0..t_max: 1e15 once asked numpy for 7 PiB
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "t_s,person_id,role,side,x_m,y_m\n"
+        "0.0,p1,child,L,-0.2,0.0\n"
+        "0.0,p1,child,R,0.2,0.0\n"
+        f"{t},p1,child,L,0.8,1.0\n"
+        f"{t},p1,child,R,1.2,1.0\n"
+    )
+    (tmp_path / "raw.meta.json").write_text('{"room_area_m2": 12.0}')
+    got, _, err = _run(capsys, "fuse", "--input", str(raw), "--out", str(tmp_path / "f.csv"))
+    assert got == code
+    if code:
+        _one_error_line(err)
+        assert "line 4" in err and "below 86400 s" in err
+    else:
+        assert err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,24 @@ def test_pair_index_names_each_unordered_pair_once():
     assert (np.diag(index) == -1).all()
 
 
+@given(case=st.integers(1, 20).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), min_size=1))))
+@example(case=(1, {0}))
+@example(case=(20, {19}))
+@example(case=(20, set(range(20))))
+def test_sorted_roster_pair_columns_are_its_triangle_in_order(case):
+    # a run takes its beta_hat columns from its slice of the pair map where
+    # idx[a] < idx[b]; for an ascending roster that is its triangle in
+    # row-major order, the order the float sum runs in, and each pair once
+    n, roster = case
+    idx = np.array(sorted(roster), dtype=np.intp)
+    sub = pair_index(n)[np.ix_(idx, idx)]
+    cols = sub[idx[:, None] < idx]
+    assert np.array_equal(cols, sub[np.triu_indices(len(idx), k=1)])
+    assert np.array_equal(cols, np.unique(sub)[1:])
+    assert cols.dtype == np.intp
+
+
 def test_time_sums_add_seconds_in_order(monkeypatch):
     # numpy's sum(axis=0) of a single column is a pairwise sum, which rounds
     # differently from the second-by-second sum of the full-matrix kernel

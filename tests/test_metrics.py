@@ -380,12 +380,6 @@ def test_summarize_uses_attached_stats():
     assert s.t_symptomatic_days == (pytest.approx(2.0), None, None)
 
 
-def test_summarize_without_attached_stats_raises():
-    out = dataclasses.replace(_outcome([]), beta_hat=None)
-    with pytest.raises(ValueError, match="no transmission stats"):
-        summarize_run(out)
-
-
 def test_summary_csv_round_trip(tmp_path):
     out = _outcome([_infected("p0", -DAY), _sympt("p0", 2 * DAY)])
     path = tmp_path / "summary.csv"

@@ -391,17 +391,18 @@ def test_run_without_hazard_builds_no_roster_cache(monkeypatch, density):
     kp = KernelParams(beta_max=3e-2)
     sc = ScenarioConfig(density=density, horizon_days=7)
     cal = build_calendar(7, obs.session_length_s)
-    hazard = kernel.cumulative_hazard(
-        kernel.pair_rates(obs.positions, obs.facings, obs.present, kp))
+    shared = scenario._PairArrays(obs, kp, cache=True)
+    assert shared.hazard is not None
     hazards = _count_calls(monkeypatch, "cumulative_hazard")
     spread = 0
     for seed in range(6):
-        cached = run_simulation(obs, cal, sc, "c1", seed, kp, DP, hazard=hazard)
+        cached = run_simulation(obs, cal, sc, "c1", seed, kp, DP, shared)
         assert hazards == []
         uncached = run_simulation(obs, cal, sc, "c1", seed, kp, DP)
         roster = len(uncached.roster_ids)
         assert hazards and max(shape[1] for shape in hazards) < roster * (roster - 1) // 2
         assert cached.events == uncached.events
+        assert cached.beta_hat == uncached.beta_hat
         spread += len(cached.events) > 4  # patient zero has at most 4 events
         hazards.clear()
     assert spread >= 2
@@ -437,6 +438,83 @@ def test_airborne_sweep_builds_no_hazard_cache(monkeypatch):
     for o in outs:
         sub = obs.subset([obs.index_of(pid) for pid in o.roster_ids])
         assert o.beta_hat == transmission_likelihood(sub, kp, 1)[0]
+
+
+@pytest.mark.parametrize("setting", ["cached", "over_cap", "airborne"])
+def test_single_run_equals_its_sweep_run(monkeypatch, setting):
+    # a run given no pair arrays makes its own, with no cache, and returns
+    # the whole outcome a sweep returns, beta_hat and T included
+    if setting == "airborne":
+        obs = _roster_obs(2, 1, t_total=30)
+        kp = KernelParams(beta_max=3e-2, mode=TransmissionMode.AIRBORNE)
+    else:
+        obs = _roster_obs(4, 2, t_total=60)
+        kp = KernelParams(beta_max=3e-2)
+    if setting == "over_cap":
+        monkeypatch.setattr(scenario, "_RATE_CACHE_MAX_ELEMENTS", 0)
+    cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=4)
+    outs = sweep(obs, cells, kp, DP, workers=1)
+    assert sum(len(o.events) for o in outs) > 2 * len(outs)  # infections happen
+    per_cell = obs.n_people * 2
+    for k, out in enumerate(outs):
+        sc = cells[k // per_cell]
+        cal = build_calendar(sc.horizon_days, obs.session_length_s)
+        assert run_simulation(obs, cal, sc, out.patient_zero, out.seed, kp, DP) == out
+        sub = obs.subset([obs.index_of(pid) for pid in out.roster_ids])
+        assert (out.beta_hat, out.exposure_t_s) == transmission_likelihood(sub, kp, 5)[:2]
+
+
+def test_run_sums_its_pair_rates_in_row_major_order():
+    # beta_hat adds the roster's pairs i < j in row-major order, the order of
+    # kernel.pair_rates' own triangle; these rate sums give other bits in
+    # the transposed order
+    obs = _roster_obs(4, 2, t_total=60)
+    kp = KernelParams(beta_max=3e-2)
+    shared = scenario._PairArrays(obs, kp, cache=True)
+    rng = np.random.default_rng(5)
+    shared.rate_sums = rng.uniform(size=15) * 10.0 ** rng.integers(-8, 8, size=15)
+    shared.pair_seconds = np.ones(15, dtype=np.int64)
+    cal = build_calendar(1, obs.session_length_s)
+    transposed_differs = False
+    for density in DensityVariant:
+        sc = ScenarioConfig(density=density, horizon_days=1)
+        for seed in range(4):
+            out = run_simulation(obs, cal, sc, "c1", seed, kp, DP, shared)
+            idx = np.array([obs.index_of(pid) for pid in out.roster_ids])
+            sums = [shared.rate_sums[shared.pairs[idx[a], idx[b]]].sum() / len(a)
+                    for a, b in (np.triu_indices(len(idx), 1), np.tril_indices(len(idx), -1))]
+            assert out.beta_hat == sums[0]
+            transposed_differs |= sums[1] != sums[0]
+    assert transposed_differs
+
+
+def test_sweep_builds_pair_maps_once_per_process(monkeypatch):
+    # the pair map and the triangle's indices are built with the process's
+    # pair arrays, never per run: more runs make no more calls
+    obs = _roster_obs(4, 2, t_total=60)
+    kp = KernelParams(beta_max=3e-2)
+    calls = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(kernel, "pair_index")
+    count(np, "triu_indices")
+    counts = []
+    for reps in (1, 3):
+        calls.clear()
+        outs = sweep(obs, _four_cells(horizon_days=7, reps_per_patient_zero=reps), kp, DP,
+                     workers=1)
+        assert len(outs) == 4 * 6 * reps
+        counts.append((calls.count("pair_index"), calls.count("triu_indices")))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 1
 
 
 def test_sweep_order_is_pz_then_rep():

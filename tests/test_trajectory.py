@@ -775,9 +775,11 @@ def test_fuse_tags_rejects_non_finite_times():
         _fuse([_tag(math.nan, Side.LEFT, 0, 0)], [_tag(0.0, Side.RIGHT, 1, 0)])
 
 
-# fields a mutation may write; t_s only takes finite ones, because the row
-# reference let a non-finite t_s through (it is rejected now, see test_cli.py)
+# fields a mutation may write; a fused t_s only takes small finite ones,
+# because the row reference takes int() of it and lists its seconds one by one
 _T_TOKENS = ["", "x", "0.5", "-1", "-0", "1_0", " 2", "3", "1e1", "+1"]
+# a raw t_s must be finite and below MAX_T_S (one error line, see test_cli.py)
+_RAW_T_TOKENS = _T_TOKENS + ["nan", "inf", "-inf", "86400", "1e15"]
 _TOKENS = _T_TOKENS + [
     "nan", "inf", "-inf", "0", "1", "2", "child", "teacher", "adult", "L", "R", "p1",
     "p2", '"p,1"', '"p""2"', '"p\n3"', "0.6", "0.8", "-0.0", "5e-324", "1e308",
@@ -820,7 +822,8 @@ def _csv_files(draw):
         op = draw(st.sampled_from(["field", "field", "drop", "copy", "blank", "short", "long"]))
         if op == "field" and rows[k]:
             j = draw(st.integers(0, len(rows[k]) - 1))
-            rows[k][j] = draw(st.sampled_from(_T_TOKENS if j == 0 else _TOKENS))
+            t_tokens = _RAW_T_TOKENS if raw else _T_TOKENS
+            rows[k][j] = draw(st.sampled_from(t_tokens if j == 0 else _TOKENS))
         elif op == "drop":
             del rows[k]
         elif op == "copy":
