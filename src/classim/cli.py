@@ -367,6 +367,13 @@ def cmd_simulate(args) -> int:
     observations = [
         trajectory.load_observation(p, trajectory.TrackFormat.FUSED) for p in obs_paths
     ]
+    # outputs are grouped by class_id, so a shared id would merge two classes
+    first_path: dict[str, str] = {}
+    for path, obs in zip(obs_paths, observations):
+        if obs.class_id in first_path:
+            raise ConfigError(f"class_id {obs.class_id!r} is in both {first_path[obs.class_id]} "
+                              f"and {path}; each observation needs its own")
+        first_path[obs.class_id] = path
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -136,7 +136,8 @@ class EpidemicState:
     never acquire times.  Airborne mode keeps each infectious person's
     emissions in ``emissions``, an (n, EMISSION_ROWS, 5) ring of
     (t, x, y, fx, fy): slot s is row s % EMISSION_ROWS, and a row never
-    written has t = -inf.
+    written has t = -inf.  The ring is made when the first emission is
+    recorded; until then, and in droplet mode, it is None.
 
     Confined to a single worker for the duration of a run; parallelism
     happens one level up, across independent runs.
@@ -151,7 +152,7 @@ class EpidemicState:
     t_symptomatic: np.ndarray
     t_recovered: np.ndarray
     source: np.ndarray
-    emissions: np.ndarray
+    emissions: np.ndarray | None = None
 
     def counts(self, at: float | None = None) -> tuple[int, int, int, int]:
         """(S, E, I, R) counts at the given time (default: current clock)."""
@@ -195,7 +196,6 @@ def new_epidemic_state(
         t_symptomatic=np.full(n, math.inf),
         t_recovered=np.full(n, math.inf),
         source=np.full(n, -1),
-        emissions=np.full((n, EMISSION_ROWS, 5), -math.inf),
     )
 
 
@@ -322,7 +322,7 @@ def _frame_source_rates(
     co_present = frame.present[sus_idx][:, None] & frame.present[inf_idx][None, :]
     beta[~co_present] = 0.0
 
-    if kp.mode == TransmissionMode.AIRBORNE:
+    if kp.mode == TransmissionMode.AIRBORNE and state.emissions is not None:
         # Emission weight keeps a stationary pair's integrated airborne hazard
         # aligned with the droplet hazard: each slot carries lambda * slot.
         weight = kp.lambda_decay / SECONDS_PER_HOUR * EMISSION_SLOT_S
@@ -343,6 +343,8 @@ def _frame_source_rates(
 
 
 def _record_emissions(state, frame, now, inf_idx) -> None:
+    if state.emissions is None:
+        state.emissions = np.full((len(state.person_ids), EMISSION_ROWS, 5), -math.inf)
     slot = int(now // EMISSION_SLOT_S)
     row = state.emissions[:, slot % EMISSION_ROWS]
     for j in inf_idx:  # a row still holding an earlier slot is free

@@ -25,12 +25,13 @@ every block routine rates each unordered pair once.  ``pair_rates`` rates a
 list of pairs (a, b) over a trajectory block, by default the triangle of
 every pair i < j, one column per pair in ``pair_index`` order.
 ``pairwise_rates`` mirrors that triangle into the full (T, N, N) matrix,
-``pair_rate_sums`` sums it over time chunk by chunk, and ``rates_between``
-rates every pair of two point sets.  The session engine reads the rates as
-a cumulative hazard (``cumulative_hazard``), summed over time per pair
-column; a cache of the whole recording holds T * N(N-1)/2 floats.
-``pair_seconds`` counts each pair's co-present seconds in the same column
-order, and ``mean_pair_rate`` divides a roster's rate sums by them.
+and ``rates_between`` rates every pair of two point sets.  ``pair_totals``
+walks the recording once, chunk by chunk, for each pair's time sum of rates
+and its co-present seconds, in the same column order; it can also keep the
+rates, which the session engine reads as a cumulative hazard
+(``cumulative_hazard``), summed over time per pair column: a cache of the
+whole recording holds T * N(N-1)/2 floats.  ``mean_pair_rate`` divides a
+roster's rate sums by its co-present seconds.
 
 All functions here are safe to call concurrently on separate arrays; all
 but ``cumulative_hazard``, which converts its argument in place, are pure.
@@ -400,59 +401,40 @@ def cumulative_hazard(rates: np.ndarray) -> np.ndarray:
     return rates
 
 
-def time_sums(rates: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
-    """Sum a (T, ...) block over time, adding its seconds one by one in order.
-
-    ``start`` is the running sum carried in from earlier seconds (zeros by
-    default).  numpy's own ``sum(axis=0)`` adds row by row only while the
-    rows hold more than one element; a single pair's column would get its
-    pairwise summation instead.  A running sum is sequential at any shape,
-    so a pair's time sum is bitwise the same whatever block it came in.
-    """
-    total = np.zeros(rates.shape[1:]) if start is None else start
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, rates[:1].size))
-    for a in range(0, rates.shape[0], chunk):
-        c = rates[a:a + chunk].copy()
-        c[0] += total
-        total = np.cumsum(c, axis=0, out=c)[-1]
-    return total
-
-
-def pair_rate_sums(
+def pair_totals(
     positions: np.ndarray,
     facings: np.ndarray,
     present: np.ndarray,
     p: KernelParams,
-) -> np.ndarray:
-    """Time sums of ``pair_rates`` over every unordered pair, in column order.
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each unordered pair's time sum of rates and its co-present seconds.
 
-    The rates are made and summed one time chunk at a time, so only the
-    (N(N-1)/2,) sums are held, never the (T, N(N-1)/2) block; the sums are
-    bitwise those of ``time_sums`` over the whole block.
+    One pass over the recording in time chunks of about ``_CHUNK_ELEMENTS``
+    pair-seconds: each chunk's triangle is rated by ``pair_rates``.  Returns
+    (rate_sums, pair_seconds), both (N(N-1)/2,) in ``pair_index`` column
+    order; the seconds are exact integer counts.  Given ``out``, a
+    (T, N(N-1)/2) float array, the rates are also stored there; otherwise
+    no whole-recording array is held.
     """
     t_total, n, _ = positions.shape
-    total = np.zeros(n * (n - 1) // 2)
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, len(total)))
-    for a in range(0, t_total, chunk):
-        b = a + chunk
-        block = pair_rates(positions[a:b], facings[a:b], present[a:b], p)
-        total = time_sums(block, total)
-    return total
-
-
-def pair_seconds(present: np.ndarray) -> np.ndarray:
-    """Seconds each unordered pair i < j is co-present, in ``pair_index`` order.
-
-    ``present`` is a (T, N) mask.  Returns (N(N-1)/2,) exact integer counts,
-    made one time chunk of about ``_CHUNK_ELEMENTS`` pair-seconds at a time.
-    """
-    a, b = np.triu_indices(present.shape[1], k=1)
-    total = np.zeros(len(a), dtype=np.int64)
+    a, b = np.triu_indices(n, k=1)
+    rate_sums = np.zeros(len(a))
+    seconds = np.zeros(len(a), dtype=np.int64)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, len(a)))
-    for s in range(0, present.shape[0], chunk):
-        here = present[s:s + chunk]
-        total += (here[:, a] & here[:, b]).sum(axis=0)
-    return total
+    for s in range(0, t_total, chunk):
+        e = s + chunk
+        rates = pair_rates(positions[s:e], facings[s:e], present[s:e], p, (a, b))
+        if out is not None:
+            out[s:e] = rates
+        # A running sum adds a pair's seconds one by one in order at any
+        # shape; numpy's sum(axis=0) does so only while a row holds more than
+        # one element, and would sum a single pair's column pairwise.
+        rates[0] += rate_sums
+        rate_sums = np.cumsum(rates, axis=0, out=rates)[-1]
+        here = present[s:e]
+        seconds += (here[:, a] & here[:, b]).sum(axis=0)
+    return rate_sums, seconds
 
 
 def mean_pair_rate(
@@ -462,13 +444,12 @@ def mean_pair_rate(
 ) -> float:
     """Mean rate over the co-present unordered pair-seconds of a roster.
 
-    ``rate_sums`` is the time sum (``time_sums`` or ``pair_rate_sums``) of a
-    ``pair_rates`` triangle and ``pair_seconds`` the co-present seconds of
-    its pairs (``pair_seconds``).  ``cols`` holds the roster's pair columns,
-    its pairs i < j in row-major order (every column by default).  A pair's
-    time sum is bitwise the same whether it came from a roster's own rates
-    or a larger roster's, and so is the result.  0.0 when no pair is ever
-    co-present.
+    ``rate_sums`` and ``pair_seconds`` are the per-pair time sums of rates
+    and co-present seconds of ``pair_totals``.  ``cols`` holds the roster's
+    pair columns, its pairs i < j in row-major order (every column by
+    default).  A pair's time sum is bitwise the same whether it came from a
+    roster's own rates or a larger roster's, and so is the result.  0.0
+    when no pair is ever co-present.
     """
     denom = int(pair_seconds[cols].sum())
     return float(rate_sums[cols].sum()) / denom if denom > 0 else 0.0

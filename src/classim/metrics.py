@@ -77,8 +77,8 @@ def transmission_likelihood(
     """
     if obs.n_people < 2:
         raise SinglePerson(f"need >= 2 people, roster has {obs.n_people}")
-    rate_sums = kernel.pair_rate_sums(obs.positions, obs.facings, obs.present, kp)
-    beta_hat = kernel.mean_pair_rate(rate_sums, kernel.pair_seconds(obs.present))
+    beta_hat = kernel.mean_pair_rate(
+        *kernel.pair_totals(obs.positions, obs.facings, obs.present, kp))
     t_exposure = float(obs.session_length_s) * horizon_sessions
     return beta_hat, t_exposure, beta_hat * t_exposure
 

@@ -259,25 +259,22 @@ class _PairArrays:
     ``pairs`` maps two roster positions to their column of the pair triangle
     (``kernel.pair_index``); ``rate_sums`` and ``pair_seconds`` hold each
     unordered pair's time sum of rates and co-present seconds, from which any
-    roster's ``beta_hat`` follows.  With ``cache``, a droplet observation
-    under the cap also gets ``hazard``: its pairs are rated once
-    (``kernel.pair_rates``) and the rates turned, in place, into the
-    cumulative hazard the session engine reads (T * N(N-1)/2 floats).
-    Otherwise ``hazard`` is None and the time sums are made one time chunk
-    at a time, so no whole-session array is held.
+    roster's ``beta_hat`` follows.  All come from one pass over the
+    recording (``kernel.pair_totals``).  With ``cache``, a droplet
+    observation under the cap also gets ``hazard``: that pass keeps its
+    rates, turned in place into the cumulative hazard the session engine
+    reads (T * N(N-1)/2 floats).  Otherwise ``hazard`` is None and no
+    whole-session array is held.
     """
 
     def __init__(self, obs: Observation, kp: KernelParams, cache: bool):
-        self.hazard = None
         n = obs.n_people
-        fits = 0 < obs.session_length_s * (n * (n - 1) // 2) <= _RATE_CACHE_MAX_ELEMENTS
-        if cache and fits and kp.mode == TransmissionMode.DROPLET:
-            rates = kernel.pair_rates(obs.positions, obs.facings, obs.present, kp)
-            self.rate_sums = kernel.time_sums(rates)
-            self.hazard = kernel.cumulative_hazard(rates)
-        else:
-            self.rate_sums = kernel.pair_rate_sums(obs.positions, obs.facings, obs.present, kp)
-        self.pair_seconds = kernel.pair_seconds(obs.present)
+        shape = (obs.session_length_s, n * (n - 1) // 2)
+        fits = 0 < math.prod(shape) <= _RATE_CACHE_MAX_ELEMENTS
+        rates = np.empty(shape) if cache and fits and kp.mode == TransmissionMode.DROPLET else None
+        self.rate_sums, self.pair_seconds = kernel.pair_totals(
+            obs.positions, obs.facings, obs.present, kp, rates)
+        self.hazard = None if rates is None else kernel.cumulative_hazard(rates)
         self.pairs = kernel.pair_index(n)
 
 

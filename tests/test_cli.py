@@ -244,6 +244,49 @@ def test_simulate_invalid_observation_cleans_up(tmp_path, capsys):
     assert not any(out_dir.glob("*.csv"))
 
 
+def _synth_class(tmp_path, name, class_id, children):
+    path = tmp_path / f"{name}.csv"
+    assert main(["synth", "--children", str(children), "--teachers", "1", "--length", "120",
+                 "--seed", "3", "--class-id", class_id, "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("same_file", [False, True])
+def test_simulate_duplicate_class_id_exit_1(tmp_path, capsys, same_file):
+    # outputs are grouped by class_id: two observations sharing one would
+    # merge into one group, so the run stops before writing anything
+    first = _synth_class(tmp_path, "a", "same", 3)
+    second = first if same_file else _synth_class(tmp_path, "b", "same", 5)
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "simulate", str(first), str(second), "--out", str(out_dir),
+                        "--reps", "1", "--horizon-days", "7", "--workers", "1")
+    assert code == 1
+    _one_error_line(err)
+    assert "'same'" in err and str(first) in err and str(second) in err
+    assert not out_dir.exists()
+
+
+def test_simulate_two_observations_write_a_group_each(tmp_path, capsys):
+    first = _synth_class(tmp_path, "a", "room-a", 3)
+    second = _synth_class(tmp_path, "b", "room-b", 5)
+    out_dir = tmp_path / "out"
+    code, _, _ = _run(capsys, "simulate", str(first), str(second), "--out", str(out_dir),
+                      "--reps", "1", "--horizon-days", "7", "--workers", "1",
+                      "--scenarios", "full-novax,half-vax")
+    assert code == 0
+    summary = (out_dir / "summary.csv").read_text().splitlines()[1:]
+    assert len(summary) == (4 + 6) * 2
+    assert {line.split(",")[1] for line in summary} == {"room-a", "room-b"}
+    groups = {f"{cid}:{cell}" for cid in ("room-a", "room-b")
+              for cell in ("full-novax", "half-vax")}
+    curves = (out_dir / "curves.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[0] for line in curves} == groups
+    assert len(curves) == 4 * (7 * 24 + 1)
+    emergence = (out_dir / "emergence.csv").read_text().splitlines()[1:]
+    assert {line.split(",")[0] for line in emergence} == groups
+    assert len(emergence) == 4 * 3
+
+
 def test_simulate_no_observations_exit_1(tmp_path, capsys):
     code, _, err = _run(capsys, "simulate", "--out", str(tmp_path / "o"), "--workers", "1")
     assert code == 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from classim.epidemic import (
+    EMISSION_ROWS,
     Compartment,
     DiseaseParams,
     Event,
@@ -769,3 +770,21 @@ def test_emission_ring_matches_list_buffers_past_the_horizon():
         ref.record(frame, now, inf_idx)
     assert compared > 2000
     assert len(ref.buffers[0]) < 180  # p0's absence left slots empty at the end
+
+
+def test_only_airborne_runs_hold_an_emission_ring():
+    # droplet sessions, cached or not, never read emissions, so their state
+    # has no ring; an airborne session makes one when it first records
+    obs = _pair_obs(r=1.0, t_total=120)
+    droplet = KernelParams(beta_max=0.01)
+    hazard = cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, droplet))
+    airborne = KernelParams(beta_max=0.01, mode=TransmissionMode.AIRBORNE)
+    for kp, cache in ((droplet, None), (droplet, hazard), (airborne, None)):
+        st = new_epidemic_state(obs.person_ids, _rng(3))
+        assert st.emissions is None
+        seed_patient_zero(st, "p0", DP)
+        simulate_session(st, obs, 0.0, kp, DP, hazard=cache)
+        if kp is droplet:
+            assert st.emissions is None
+        else:
+            assert st.emissions.shape == (2, EMISSION_ROWS, 5)

@@ -22,13 +22,11 @@ from classim.kernel import (
     mean_pair_rate,
     pair_index,
     pair_rate,
-    pair_rate_sums,
     pair_rates,
-    pair_seconds,
+    pair_totals,
     pairwise_rates,
     rates_between,
     relative_geometry,
-    time_sums,
 )
 from reference_kernel import pairwise_rates as reference_rates
 
@@ -379,14 +377,20 @@ def test_time_sums_add_seconds_in_order(monkeypatch):
     # numpy's sum(axis=0) of a single column is a pairwise sum, which rounds
     # differently from the second-by-second sum of the full-matrix kernel
     rng = np.random.default_rng(15)
-    rates = rng.random((700, 1)) * rng.choice([1e-9, 1.0, 1e6], size=(700, 1))
+    t_total = 700
+    pos = np.zeros((t_total, 2, 2))
+    pos[:, 1, 0] = rng.choice([0.5, 8.0, 16.0], size=t_total)  # rates 1e6 down to 1e-8
+    fac = np.tile(np.array([[1.0, 0.0], [-1.0, 0.0]]), (t_total, 1, 1))
+    present = rng.random((t_total, 2)) > 0.1
+    kp = KernelParams(beta_max=1e6)
+    rates = pair_rates(pos, fac, present, kp)
+    assert rates.max() / rates[rates > 0].min() > 1e12
     running = np.zeros(1)
     for row in rates:
         running = running + row
     assert not np.array_equal(rates.sum(axis=0), running)  # the trap is real
     monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 37)  # many chunks
-    assert np.array_equal(time_sums(rates), running)
-    assert np.array_equal(time_sums(rates[300:], time_sums(rates[:300])), running)
+    assert np.array_equal(pair_totals(pos, fac, present, kp)[0], running)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -399,20 +403,35 @@ def test_pair_rate_sums_match_full_matrix_time_sums(monkeypatch, n):
     i, j = np.triu_indices(n, k=1)
     full_sums = reference_rates(pos, fac, present, kp).sum(axis=0)
     monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 19)  # many chunks
-    chunked = pair_rate_sums(pos, fac, present, kp)
-    whole = time_sums(pair_rates(pos, fac, present, kp))
+    chunked, seconds = pair_totals(pos, fac, present, kp)
+    monkeypatch.undo()
+    whole = pair_totals(pos, fac, present, kp, np.empty((300, len(i))))[0]
     assert np.array_equal(chunked, full_sums[i, j])
     assert np.array_equal(whole, full_sums[i, j])
     idx = np.arange(0, n, 2) if n > 2 else np.arange(n)
     expected_all = full_sums[i, j].sum() / ((present.sum(axis=1) * (present.sum(axis=1) - 1))
                                             // 2).sum()
-    seconds = pair_seconds(present)
     assert mean_pair_rate(whole, seconds) == expected_all
     sub = reference_rates(pos[:, idx], fac[:, idx], present[:, idx], kp).sum(axis=0)
     si, sj = np.triu_indices(len(idx), k=1)
     k = present[:, idx].sum(axis=1)
     cols = pair_index(n)[idx[si], idx[sj]]
     assert mean_pair_rate(whole, seconds, cols) == sub[si, sj].sum() / ((k * (k - 1)) // 2).sum()
+
+
+@pytest.mark.parametrize("chunk", [1, 5, None])
+def test_pair_totals_out_holds_the_whole_block_rates(monkeypatch, chunk):
+    # the rates a cache keeps are pair_rates of the whole block, bit for
+    # bit, whatever time chunks the pass went in
+    rng = np.random.default_rng(21)
+    pos, fac, present = _hard_field(rng, 53, 5, 1.0)
+    whole = pair_rates(pos, fac, present, KP)
+    if chunk is not None:
+        monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", chunk)
+    out = np.full(whole.shape, np.nan)
+    sums, _ = pair_totals(pos, fac, present, KP, out)
+    assert np.array_equal(out, whole)
+    assert np.array_equal(sums, pair_totals(pos, fac, present, KP)[0])
 
 
 @st.composite
@@ -427,6 +446,8 @@ def _presence_masks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(present=_presence_masks(), chunk=st.sampled_from([1, 5, 1 << 14]))
+@example(present=np.ones((0, 3), dtype=bool), chunk=5)
+@example(present=np.ones((0, 0), dtype=bool), chunk=1)
 @example(present=np.ones((7, 0), dtype=bool), chunk=1)
 @example(present=np.ones((7, 1), dtype=bool), chunk=1)
 @example(present=np.array([[1, 0], [1, 1], [0, 1], [1, 1]], dtype=bool), chunk=1)
@@ -435,9 +456,12 @@ def test_pair_seconds_sum_to_present_pairs_of_every_roster(present, chunk):
     # beta_hat's denominator: for every roster, the co-present seconds of its
     # pairs add up to sum_t k(k-1)/2 over its k people present at second t
     t_total, m = present.shape
+    pos = np.zeros((t_total, m, 2))
+    fac = np.zeros((t_total, m, 2))
+    fac[..., 0] = 1.0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel, "_CHUNK_ELEMENTS", chunk)
-        seconds = pair_seconds(present)
+        _, seconds = pair_totals(pos, fac, present, KP)
     assert seconds.dtype.kind == "i" and seconds.shape == (m * (m - 1) // 2,)
     index = pair_index(m)
     for mask in range(1 << m):

@@ -383,6 +383,36 @@ def test_multi_cell_sweep_builds_rate_cache_once(monkeypatch):
     assert calls == [obs.positions.shape]
 
 
+def test_sweep_rates_a_multi_chunk_recording_once(monkeypatch):
+    # 2500 s of 15 pairs spans three time chunks: the sweep's one pass rates
+    # every pair-second once, and no run rates any
+    obs = _roster_obs(4, 2, t_total=2500)
+    n_pairs = 15
+    assert obs.session_length_s * n_pairs > 2 * kernel._CHUNK_ELEMENTS
+    rated = []
+    real_rates, real_run = kernel.pair_rates, scenario.run_simulation
+
+    def rating(*args, **kwargs):
+        out = real_rates(*args, **kwargs)
+        rated.append(out.shape)
+        return out
+
+    def run(*args, **kwargs):
+        before = len(rated)
+        outcome = real_run(*args, **kwargs)
+        assert len(rated) == before
+        return outcome
+
+    monkeypatch.setattr(kernel, "pair_rates", rating)
+    monkeypatch.setattr(scenario, "run_simulation", run)
+    cells = _four_cells(horizon_days=7, reps_per_patient_zero=1, base_seed=3)
+    outs = sweep(obs, cells, KernelParams(beta_max=3e-3), DP, workers=1)
+    assert len(outs) == 4 * 6
+    assert sum(len(o.events) for o in outs) > 4 * len(outs)  # infections happen
+    assert len(rated) > 1
+    assert sum(t * pairs for t, pairs in rated) == obs.session_length_s * n_pairs
+
+
 @pytest.mark.parametrize("density", list(DensityVariant))
 def test_run_without_hazard_builds_no_roster_cache(monkeypatch, density):
     # a run given no cache rates each segment's own (susceptible, source)
