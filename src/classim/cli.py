@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,7 +30,6 @@ from .kernel import (
     SECONDS_PER_DAY,
     CalibrationInputs,
     KernelParams,
-    TransmissionMode,
     calibrate_beta_max,
     daily_contact_density,
     density,
@@ -37,34 +37,28 @@ from .kernel import (
 
 WORKERS_ENV = "CLASSIM_WORKERS"
 
+#: Built-in parameters, in config keys and units.  Every default comes from
+#: its parameter class; only the two values no class holds are written here.
 DEFAULT_CONFIG = {
-    "scenarios": ["full-novax", "half-novax", "full-vax", "half-vax"],
-    "vaccine_efficacy": 0.858,
-    "horizon_days": 28,
-    "reps": 60,
-    "base_seed": 0,
+    "scenarios": list(scenario.SCENARIO_CELLS),
+    "vaccine_efficacy": scenario.ScenarioConfig.vaccine_efficacy,
+    "horizon_days": scenario.ScenarioConfig.horizon_days,
+    "reps": scenario.ScenarioConfig.reps_per_patient_zero,
+    "base_seed": scenario.ScenarioConfig.base_seed,
     "kernel": {
         "beta_max_per_s": None,  # None -> calibrated from the calibration block
-        "sigma_r_m": 2.0,
-        "sigma_theta_deg": 45.0,
-        "lambda_per_h": 0.34,
-        "mode": "droplet",
+        "sigma_r_m": KernelParams.sigma_r,
+        "sigma_theta_deg": math.degrees(KernelParams.sigma_theta),
+        "lambda_per_h": KernelParams.lambda_decay,
+        "mode": KernelParams.mode.value,
     },
-    "disease": {
-        "latency_h": 24.0,
-        "p_symptomatic": 0.75,
-        "mean_incubation_days": 4.0,
-        "gamma_per_day": 0.1,
-        "dt_s": 1.0,
-        "incubation_model": "exponential",
-        "recovery_model": "exponential",
-    },
+    "disease": {**dataclasses.asdict(epidemic.DiseaseParams()), "dt_s": 1.0},
     "calibration": {
-        "r0": 2.0,
-        "gamma_per_day": 0.1,
-        "contacts": 10.0,
-        "contact_radius_m": 6.0 * FEET_TO_M,
-        "contact_minutes": 15.0,
+        "r0": CalibrationInputs.r0,
+        "gamma_per_day": CalibrationInputs.gamma,
+        "contacts": CalibrationInputs.n_contacts,
+        "contact_radius_m": CalibrationInputs.contact_radius,
+        "contact_minutes": CalibrationInputs.contact_duration,
     },
 }
 
@@ -276,22 +270,16 @@ def _kernel_params(cfg: dict) -> KernelParams:
         sigma_r=kc["sigma_r_m"],
         sigma_theta=math.radians(kc["sigma_theta_deg"]),
         lambda_decay=kc["lambda_per_h"],
-        mode=TransmissionMode(kc["mode"]),
+        mode=kc["mode"],
     )
 
 
 def _disease_params(cfg: dict) -> epidemic.DiseaseParams:
-    dc = cfg["disease"]
-    if dc["dt_s"] != 1.0:  # kept so manifests keep their bytes; the grid is 1 Hz
-        raise ValueError(f"dt_s must be 1.0, the 1 Hz trajectory grid, got {dc['dt_s']!r}")
-    return epidemic.DiseaseParams(
-        latency_h=dc["latency_h"],
-        p_symptomatic=dc["p_symptomatic"],
-        mean_incubation_days=dc["mean_incubation_days"],
-        gamma_per_day=dc["gamma_per_day"],
-        incubation_model=epidemic.IncubationModel(dc["incubation_model"]),
-        recovery_model=epidemic.RecoveryModel(dc["recovery_model"]),
-    )
+    section = dict(cfg["disease"])
+    dt_s = section.pop("dt_s")
+    if dt_s != 1.0:  # kept so manifests keep their bytes; the grid is 1 Hz
+        raise ValueError(f"dt_s must be 1.0, the 1 Hz trajectory grid, got {dt_s!r}")
+    return epidemic.DiseaseParams(**section)
 
 
 def _sha256(path: Path) -> str:
@@ -441,27 +429,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"classim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    cal = CalibrationInputs
     p = sub.add_parser("calibrate", help="derive beta_max from contact guidance")
-    p.add_argument("--r0", type=float, default=2.0)
-    p.add_argument("--gamma", type=float, default=0.1, help="recovery rate per day")
-    p.add_argument("--contacts", type=float, default=10.0)
-    p.add_argument("--contact-radius", default="6ft",
-                   help="close-contact radius; suffix ft or m (default 6ft)")
-    p.add_argument("--contact-minutes", type=float, default=15.0)
-    p.add_argument("--sigma-r", type=float, default=2.0, help="kernel range, meters")
-    p.add_argument("--sigma-theta-deg", type=float, default=45.0)
+    p.add_argument("--r0", type=float, default=cal.r0)
+    p.add_argument("--gamma", type=float, default=cal.gamma, help="recovery rate per day")
+    p.add_argument("--contacts", type=float, default=cal.n_contacts)
+    p.add_argument("--contact-radius", default=f"{cal.contact_radius / FEET_TO_M:g}ft",
+                   help="close-contact radius; suffix ft or m (default %(default)s)")
+    p.add_argument("--contact-minutes", type=float, default=cal.contact_duration)
+    p.add_argument("--sigma-r", type=float, default=cal.sigma_r, help="kernel range, meters")
+    p.add_argument("--sigma-theta-deg", type=float, default=math.degrees(cal.sigma_theta))
     p.set_defaults(func=cmd_calibrate)
 
+    syn = synthgen.SynthConfig
     p = sub.add_parser("synth", help="generate a synthetic observation")
-    p.add_argument("--children", type=int, default=12)
-    p.add_argument("--teachers", type=int, default=3)
-    p.add_argument("--room", default="8x8", help="width x height in meters")
-    p.add_argument("--length", type=int, default=3600, help="session length, seconds")
-    p.add_argument("--schedule", default=None,
+    p.add_argument("--children", type=int, default=syn.n_children)
+    p.add_argument("--teachers", type=int, default=syn.n_teachers)
+    p.add_argument("--room", default=f"{syn.room_w}x{syn.room_h}", help="width x height in meters")
+    p.add_argument("--length", type=int, default=syn.session_length_s,
+                   help="session length, seconds")
+    p.add_argument("--schedule", default=syn.schedule,
                    help="comma list of start-end:regime, e.g. 0-600:structured")
-    p.add_argument("--speed", default="0.3:1.2", help="walking speed range, m/s")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--class-id", default="synthetic")
+    p.add_argument("--speed", default=f"{syn.speed_min}:{syn.speed_max}",
+                   help="walking speed range, m/s")
+    p.add_argument("--seed", type=int, default=syn.seed)
+    p.add_argument("--class-id", default=syn.class_id)
     p.add_argument("--out", required=True, help="output fused CSV path")
     p.set_defaults(func=cmd_synth)
 
@@ -476,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config or a previous manifest")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scenarios", default=None,
-                   help="comma list from full-novax,half-novax,full-vax,half-vax")
+                   help=f"comma list from {','.join(scenario.SCENARIO_CELLS)}")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--horizon-days", type=int, default=None)
     p.add_argument("--base-seed", type=int, default=None)

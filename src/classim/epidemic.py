@@ -90,7 +90,8 @@ class DiseaseParams:
 
     incubation_model picks exponential waiting times (default) or
     integer Poisson-distributed days; recovery_model picks exponential
-    durations (default) or the exact per-step geometric equivalent.
+    durations (default) or the exact per-step geometric equivalent.  Each
+    takes its enum member or its value, such as "poisson_days".
     """
 
     latency_h: float = 24.0
@@ -101,6 +102,8 @@ class DiseaseParams:
     recovery_model: RecoveryModel = RecoveryModel.EXPONENTIAL
 
     def __post_init__(self):
+        object.__setattr__(self, "incubation_model", IncubationModel(self.incubation_model))
+        object.__setattr__(self, "recovery_model", RecoveryModel(self.recovery_model))
         reject_bools(self)
         if not 0.0 <= self.p_symptomatic <= 1.0:
             raise ValueError(f"p_symptomatic must be in [0, 1], got {self.p_symptomatic}")

@@ -72,6 +72,7 @@ class KernelParams:
     beta_max is in events per second; sigma_r in meters; sigma_theta in
     radians; lambda_decay in inverse hours.  In droplet mode the temporal
     decay term is never applied (only contemporaneous contact transmits).
+    mode takes a TransmissionMode or its value, such as "airborne".
     """
 
     beta_max: float
@@ -81,6 +82,7 @@ class KernelParams:
     mode: TransmissionMode = TransmissionMode.DROPLET
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", TransmissionMode(self.mode))
         reject_bools(self)
         if not 0 < self.beta_max <= 1e200:  # far past certainty; sums of rates stay finite
             raise ValueError(f"beta_max must be in (0, 1e200], got {self.beta_max}")
@@ -112,9 +114,6 @@ class PairGeometry:
             if not 0.0 <= value <= math.pi:
                 raise ValueError(f"{name} must lie in [0, pi], got {value}")
 
-    def swapped(self) -> "PairGeometry":
-        return PairGeometry(self.r, self.theta_j, self.theta_i)
-
 
 @dataclass(frozen=True)
 class CalibrationInputs:
@@ -123,7 +122,8 @@ class CalibrationInputs:
     r0 is the reproduction number (dimensionless), gamma the recovery rate
     per day, n_contacts the average number of daily contacts, contact_radius
     the close-contact radius in meters, contact_duration the cumulative
-    close-contact time in minutes per day.
+    close-contact time in minutes per day.  The kernel widths default to
+    the kernel's own.
     """
 
     r0: float = 2.0
@@ -131,8 +131,8 @@ class CalibrationInputs:
     n_contacts: float = 10.0
     contact_radius: float = 6.0 * FEET_TO_M
     contact_duration: float = 15.0
-    sigma_r: float = 2.0
-    sigma_theta: float = math.pi / 4
+    sigma_r: float = KernelParams.sigma_r
+    sigma_theta: float = KernelParams.sigma_theta
 
     def __post_init__(self):
         reject_bools(self)

@@ -63,6 +63,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.horizon_days < 1:
             raise ConfigError(f"horizon_days must be >= 1, got {self.horizon_days}")
+        if self.horizon_days > 3650:  # ten years; the calendar and hourly counts grow with it
+            raise ConfigError(f"horizon_days must be <= 3650, got {self.horizon_days}")
         if self.reps_per_patient_zero < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps_per_patient_zero}")
 
@@ -83,7 +85,7 @@ SCENARIO_CELLS = {
 # calendar
 # ---------------------------------------------------------------------------
 
-MONDAY, FRIDAY = 0, 4
+FRIDAY = 4  # weekday index, Monday = 0
 
 
 @dataclass(frozen=True)
@@ -98,26 +100,15 @@ class SchoolCalendar:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ConfigError("session starts must be strictly increasing")
 
-    @property
-    def n_sessions(self) -> int:
-        return len(self.session_starts_s)
 
-
-def build_calendar(
-    horizon_days: int,
-    session_length_s: float,
-    start_weekday: int = MONDAY,
-) -> SchoolCalendar:
+def build_calendar(horizon_days: int, session_length_s: float) -> SchoolCalendar:
     """School-day sessions within the horizon, one per weekday, Day 0 first.
 
-    Day k starts at k * 86400 s; weekends are skipped, giving the 24 h
-    weekday / 72 h Friday-to-Monday gaps.  start_weekday must itself be a
-    weekday (0 = Monday .. 4 = Friday) so the first session lands on Day 0.
+    Day k starts at k * 86400 s and Day 0 is a Monday; weekends are
+    skipped, giving the 24 h weekday / 72 h Friday-to-Monday gaps.
     """
     if horizon_days < 1:
         raise ConfigError(f"horizon_days must be >= 1, got {horizon_days}")
-    if not MONDAY <= start_weekday <= FRIDAY:
-        raise ConfigError(f"start_weekday must be 0 (Mon) .. 4 (Fri), got {start_weekday}")
     if not 0 < session_length_s <= SECONDS_PER_DAY:
         raise ConfigError(
             f"session_length_s must be in (0, 86400], got {session_length_s}"
@@ -125,7 +116,7 @@ def build_calendar(
     starts = [
         float(day) * SECONDS_PER_DAY
         for day in range(horizon_days)
-        if (start_weekday + day) % 7 <= FRIDAY
+        if day % 7 <= FRIDAY
     ]
     return SchoolCalendar(session_starts_s=tuple(starts), session_length_s=float(session_length_s))
 
@@ -387,7 +378,7 @@ def _worker_init(*args):
 
 
 def _worker_run(task):
-    return task, _WORKER["run"](task)
+    return _WORKER["run"](task)
 
 
 def sweep(
@@ -401,7 +392,7 @@ def sweep(
 
     ``sc`` is one scenario cell or a sequence of them; every (cell, patient
     zero, replicate) task runs in one pass over one worker pool.  Results
-    are returned sorted by (cell order, patient zero index, replicate) and
+    are returned in (cell order, patient zero index, replicate) order and
     are bitwise independent of ``workers``.  Each cell runs on its own
     calendar over its horizon.
 
@@ -425,6 +416,4 @@ def sweep(
     # the parent never builds the cache: each worker does, in its initializer
     with Pool(processes=workers, initializer=_worker_init, initargs=args) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
-        tagged = list(pool.imap_unordered(_worker_run, tasks, chunksize=chunk))
-    tagged.sort(key=lambda pair: pair[0])
-    return [outcome for _task, outcome in tagged]
+        return pool.map(_worker_run, tasks, chunksize=chunk)

@@ -26,7 +26,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -140,7 +140,6 @@ class Observation:
     facings: np.ndarray
     present: np.ndarray
     activity: np.ndarray | None = None  # (T,) uint8 codes, see ACTIVITY_CODES
-    source_path: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -604,7 +603,6 @@ def _load_fused(csv_path: Path, meta: dict) -> Observation:
         facings=facings,
         present=present,
         activity=_activity_from_sidecar(meta, len(positions)),
-        source_path=str(csv_path),
     )
 
 
@@ -681,7 +679,6 @@ def _load_raw(csv_path: Path, meta: dict) -> Observation:
         facings=facings,
         present=present,
         activity=_activity_from_sidecar(meta, len(grid)),
-        source_path=str(csv_path),
     )
 
 

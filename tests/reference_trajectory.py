@@ -274,7 +274,6 @@ def _load_fused(csv_path, meta):
         class_id=str(meta.get("class_id", csv_path.stem)), roster=roster,
         room_area_m2=float(meta["room_area_m2"]), positions=positions, facings=facings,
         present=present, activity=_activity_from_sidecar(meta, t_total),
-        source_path=str(csv_path),
     )
 
 
@@ -327,7 +326,6 @@ def _load_raw(csv_path, meta):
         class_id=str(meta.get("class_id", csv_path.stem)), roster=roster,
         room_area_m2=float(meta["room_area_m2"]), positions=positions, facings=facings,
         present=present, activity=_activity_from_sidecar(meta, len(grid)),
-        source_path=str(csv_path),
     )
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from classim import cli
-from classim.cli import main
+from classim.cli import DEFAULT_CONFIG, main
+from classim.kernel import CalibrationInputs
+from classim.synthgen import SynthConfig
 from classim.trajectory import TrackFormat
 from reference_trajectory import load_rowwise, save_rowwise
 
@@ -41,6 +43,28 @@ def test_calibrate_defaults(capsys):
     assert float(kv["beta_max_per_day"]) == pytest.approx(8.176054419356268, rel=1e-12)
     assert float(kv["rho_daily_per_m2"]) == pytest.approx(0.009913944154037586, rel=1e-12)
     assert float(kv["beta_max_per_s"]) == pytest.approx(9.463025948329014e-05, rel=1e-12)
+    assert out == ("rho_daily_per_m2=0.009913944154037586\nbeta_bar_per_day=0.2\n"
+                   "beta_max_per_day=8.176054419356268\nbeta_max_per_s=9.463025948329014e-05\n")
+
+
+def test_default_config_bytes_are_pinned():
+    text = json.dumps(DEFAULT_CONFIG, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c4ccf0882f673708dd0ba740039d3f0b27412ea4ed74e05c4b1addf4843fdf98")
+
+
+def test_calibrate_and_synth_flag_defaults_are_the_class_defaults():
+    parser = cli.build_parser()
+    a, c = parser.parse_args(["calibrate"]), CalibrationInputs()
+    assert (a.r0, a.gamma, a.contacts, cli._parse_length_m(a.contact_radius),
+            a.contact_minutes, a.sigma_r, math.radians(a.sigma_theta_deg)) == (
+        c.r0, c.gamma, c.n_contacts, c.contact_radius,
+        c.contact_duration, c.sigma_r, c.sigma_theta)
+    a, s = parser.parse_args(["synth", "--out", "x"]), SynthConfig()
+    assert (a.children, a.teachers, cli._parse_room(a.room), a.length, a.schedule,
+            cli._parse_speed(a.speed), a.seed, a.class_id) == (
+        s.n_children, s.n_teachers, (s.room_w, s.room_h), s.session_length_s, s.schedule,
+        (s.speed_min, s.speed_max), s.seed, s.class_id)
 
 
 def test_calibrate_zero_r0(capsys):
@@ -293,6 +317,17 @@ def test_simulate_no_observations_exit_1(tmp_path, capsys):
     assert "no observation" in err
 
 
+@pytest.mark.parametrize("days", ["3651", "100000000"])
+def test_simulate_horizon_past_ten_years_exit_1(tmp_path, small_obs, capsys, days):
+    out_dir = tmp_path / "o"
+    code, _, err = _run(capsys, "simulate", str(small_obs), "--out", str(out_dir), "--reps", "1",
+                        "--horizon-days", days, "--scenarios", "full-novax", "--workers", "1")
+    assert code == 1
+    _one_error_line(err)
+    assert "horizon_days must be <= 3650" in err
+    assert not out_dir.exists()
+
+
 def test_simulate_unknown_scenario_exit_1(tmp_path, small_obs, capsys):
     code, _, err = _run(capsys, "simulate", str(small_obs), "--out", str(tmp_path / "o"),
                         "--scenarios", "full-maybe", "--workers", "1")
@@ -389,6 +424,8 @@ def test_simulate_workers_flag_below_one_exit_1(tmp_path, small_obs, capsys):
     {"disease": {"p_symptomatic": "most"}},
     {"kernel": {"sigma_r_m": -1.0}},
     {"kernel": {"mode": "telepathic"}},
+    {"disease": {"incubation_model": "x"}},
+    {"disease": {"recovery_model": "x"}},
     {"calibration": {"r0": -1}},
 ])
 def test_simulate_bad_parameter_in_config_exit_1(tmp_path, small_obs, capsys, override):

@@ -39,7 +39,7 @@ SMALL = {"reps": 1, "horizon_days": 1, "scenarios": ["full-novax", "half-vax"]}
 FLAG_VALUES = st.sampled_from(["1", "2", "0", "-1", "1.5", "x", "", "nan", "1e3"])
 FLAGS = {
     "--reps": FLAG_VALUES,
-    "--horizon-days": FLAG_VALUES,
+    "--horizon-days": st.one_of(FLAG_VALUES, st.just("100000000")),
     "--base-seed": FLAG_VALUES,
     "--workers": st.sampled_from(["1", "0", "-1", "1.5", "x", ""]),
     "--scenarios": st.sampled_from(["full-novax", "half-vax,full-vax", "", "x", "full-novax,"]),

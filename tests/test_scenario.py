@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from classim import kernel, scenario, synthgen
-from classim.epidemic import DiseaseParams, hourly_compartment_counts
+from classim.epidemic import (
+    DiseaseParams,
+    IncubationModel,
+    RecoveryModel,
+    hourly_compartment_counts,
+)
 from classim.errors import ConfigError, NoTeacher, UnknownPerson
 from classim.kernel import (
     CalibrationInputs,
@@ -65,7 +70,7 @@ def _pair_obs(r=1.0, t_total=400):
 
 def test_one_school_week():
     cal = build_calendar(7, 3600.0)
-    assert cal.n_sessions == 5
+    assert len(cal.session_starts_s) == 5
     gaps = np.diff(cal.session_starts_s)
     assert (gaps == DAY).all()
     # the following Monday would start 72 h after Friday
@@ -80,24 +85,19 @@ def test_single_day():
 
 def test_four_weeks_twenty_sessions():
     cal = build_calendar(28, 3600.0)
-    assert cal.n_sessions == 20
+    assert len(cal.session_starts_s) == 20
 
 
 def test_gap_invariant_72h_iff_friday():
-    cal = build_calendar(30, 3600.0, start_weekday=2)  # Wednesday start
+    cal = build_calendar(30, 3600.0)  # Day 0 is a Monday
     starts = cal.session_starts_s
     for a, b in zip(starts, starts[1:]):
         gap = b - a
-        weekday = (2 + int(a // DAY)) % 7
+        weekday = int(a // DAY) % 7
         if weekday == 4:  # Friday
             assert gap == 3 * DAY
         else:
             assert gap == DAY
-
-
-def test_weekend_start_rejected():
-    with pytest.raises(ConfigError):
-        build_calendar(7, 3600.0, start_weekday=5)
 
 
 def test_bad_session_length_rejected():
@@ -215,6 +215,30 @@ def test_derive_seed_stable_and_distinct():
 def test_parameters_reject_bools_for_numbers(make):
     with pytest.raises((ValueError, ConfigError), match="(?i)true"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KernelParams(beta_max=1.0, mode="x"),
+    lambda: DiseaseParams(incubation_model="x"),
+    lambda: DiseaseParams(recovery_model="x"),
+])
+def test_parameters_reject_unknown_enum_values(make):
+    with pytest.raises(ValueError, match="'x' is not a valid"):
+        make()
+
+
+def test_parameters_turn_enum_values_into_members():
+    kp = KernelParams(beta_max=1.0, mode="airborne")
+    dp = DiseaseParams(incubation_model="poisson_days", recovery_model="geometric_steps")
+    assert kp.mode is TransmissionMode.AIRBORNE
+    assert dp.incubation_model is IncubationModel.POISSON_DAYS
+    assert dp.recovery_model is RecoveryModel.GEOMETRIC_STEPS
+
+
+def test_horizon_is_at_most_ten_years():
+    assert ScenarioConfig(horizon_days=3650).horizon_days == 3650
+    with pytest.raises(ConfigError, match="horizon_days must be <= 3650"):
+        ScenarioConfig(horizon_days=3651)
 
 
 def _hourly(out):

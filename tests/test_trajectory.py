@@ -876,8 +876,7 @@ def test_subset_is_valid_and_gathers_columns(obs, data):
     if obs.activity is not None:
         assert sub.activity.tobytes() == obs.activity.tobytes()
         assert sub.activity is not obs.activity
-    assert (sub.class_id, sub.room_area_m2, sub.source_path) == (
-        obs.class_id, obs.room_area_m2, obs.source_path)
+    assert (sub.class_id, sub.room_area_m2) == (obs.class_id, obs.room_area_m2)
 
 
 def test_subset_still_checks_structure():
