@@ -37,7 +37,6 @@ from .metrics import (  # noqa: F401
     OutcomeSummary,
     aggregate_hourly,
     emergence_proportion,
-    nth_symptomatic,
     saturation,
     summarize_run,
     transmission_likelihood,

@@ -313,6 +313,15 @@ def _workers(flag: int | None) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """Sweep every observation's cells; write the three CSVs and the manifest.
+
+    Every input is loaded and checked before any output exists.  Runs then
+    stream out of ``scenario.sweep`` and are folded as they arrive: each
+    one's summary row is written to summary.csv, its hourly counts join its
+    group's integer sums and its three onset days its group's list, and the
+    outcome itself is dropped.  On any failure, an interrupt included, the
+    sweep's workers are stopped and every output file is removed.
+    """
     cfg, manifest_inputs = _load_config(args.config)
     if args.reps is not None:
         cfg = _merge(cfg, {"reps": args.reps})
@@ -363,30 +372,33 @@ def cmd_simulate(args) -> int:
                               f"and {path}; each observation needs its own")
         first_path[obs.class_id] = path
 
+    curve_groups: dict[str, metrics.HourlySums] = {}
+    onset_days: dict[str, list] = {}
+    multi = len(observations) > 1
+
+    def folded_runs():
+        """Each run with its summary row, in sweep order, after folding it into
+        its group's hourly sums and onset days; no outcome is kept."""
+        for obs in observations:
+            with contextlib.closing(scenario.sweep(obs, cells, kp, dp, workers=workers)) as runs:
+                for outcome in runs:
+                    summary = metrics.summarize_run(outcome)
+                    group = f"{obs.class_id}:{outcome.scenario}" if multi else outcome.scenario
+                    curve_groups.setdefault(group, metrics.HourlySums()).add(outcome)
+                    onset_days.setdefault(group, []).append(summary.t_symptomatic_days)
+                    yield outcome, summary
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    created: list[Path] = []
+    paths = {name: out_dir / name for name in
+             ("summary.csv", "curves.csv", "emergence.csv", "manifest.json")}
     try:
-        summary_rows = []
-        curve_groups: dict[str, metrics.HourlyAggregate] = {}
-        emergence_groups: dict[str, list] = {}
-        multi = len(observations) > 1
-        for obs in observations:
-            by_cell: dict[str, list] = {}
-            for outcome in scenario.sweep(obs, cells, kp, dp, workers=workers):
-                summary_rows.append((outcome, metrics.summarize_run(outcome)))
-                by_cell.setdefault(outcome.scenario, []).append(outcome)
-            for cell, outcomes in by_cell.items():
-                group = f"{obs.class_id}:{cell}" if multi else cell
-                curve_groups[group] = metrics.aggregate_hourly(outcomes)
-                emergence_groups[group] = outcomes
-
-        paths = {name: out_dir / name for name in
-                 ("summary.csv", "curves.csv", "emergence.csv", "manifest.json")}
-        created.extend(paths.values())
-        metrics.write_summary_csv(paths["summary.csv"], summary_rows)
-        metrics.write_curves_csv(paths["curves.csv"], curve_groups)
-        metrics.write_emergence_csv(paths["emergence.csv"], emergence_groups)
+        # closing the stream ends the sweep's pool workers now, not at collection
+        with contextlib.closing(folded_runs()) as rows:
+            metrics.write_summary_csv(paths["summary.csv"], rows)
+        metrics.write_curves_csv(paths["curves.csv"],
+                                 {g: sums.aggregate() for g, sums in curve_groups.items()})
+        metrics.write_emergence_csv(paths["emergence.csv"], onset_days)
 
         manifest = {
             "tool": "classim",
@@ -401,12 +413,12 @@ def cmd_simulate(args) -> int:
         with open(paths["manifest.json"], "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except Exception:
-        for p in created:
+    except BaseException:  # an interrupt included: leave no partial output
+        for p in paths.values():
             p.unlink(missing_ok=True)
         raise
     print(f"outputs={out_dir}")
-    print(f"runs={len(summary_rows)}")
+    print(f"runs={sum(sums.n_runs for sums in curve_groups.values())}")
     return 0
 
 

@@ -162,11 +162,6 @@ class EpidemicState:
         masks = _compartment_masks(self, self.clock if at is None else at)
         return tuple(int(m.sum()) for m in masks)
 
-    def compartment_at(self, k: int, t: float) -> Compartment:
-        """Compartment of roster position ``k`` at time ``t``."""
-        masks = _compartment_masks(self, t)
-        return next(c for c, m in zip(Compartment, masks) if m[k])
-
 
 def _compartment_masks(state: EpidemicState, t) -> tuple[np.ndarray, ...]:
     """Boolean (S, E, I, R) masks at time ``t``.

@@ -83,88 +83,103 @@ def transmission_likelihood(
     return beta_hat, t_exposure, beta_hat * t_exposure
 
 
-def nth_symptomatic(outcome: RunOutcome, n: int) -> float | None:
-    """Days from Day 0 to the nth symptomatic onset; None if it never occurs."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    onsets = sorted(e.t_s for e in outcome.events if e.kind == "symptomatic")
-    if len(onsets) < n:
-        return None
-    return onsets[n - 1] / SECONDS_PER_DAY
+def _nth_onsets(onset_days, n: int) -> list[float | None]:
+    """Each run's nth symptomatic onset day, None where it never occurs."""
+    if n not in (1, 2, 3):
+        raise ValueError(f"n must be 1, 2 or 3, got {n}")
+    days = [run[n - 1] for run in onset_days]
+    if not days:
+        raise EmptyCollection("no runs supplied")
+    return days
 
 
-def emergence_proportion(outcomes, n: int) -> float:
-    """Fraction of runs in which the nth symptomatic case never emerges."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise EmptyCollection("no outcomes supplied")
-    misses = sum(1 for o in outcomes if nth_symptomatic(o, n) is None)
-    return misses / len(outcomes)
+def emergence_proportion(onset_days, n: int) -> float:
+    """Fraction of runs in which the nth symptomatic case never emerges.
+
+    ``onset_days`` holds each run's ``OutcomeSummary.t_symptomatic_days``.
+    """
+    days = _nth_onsets(onset_days, n)
+    return sum(1 for d in days if d is None) / len(days)
 
 
-def median_emergence_days(outcomes, n: int) -> float | None:
+def median_emergence_days(onset_days, n: int) -> float | None:
     """Median days to the nth symptomatic case, treating non-emergence as +inf.
 
-    None when the median itself is "never" (at least half the runs have no
-    nth case), mirroring a not-observed report.
+    ``onset_days`` is as for ``emergence_proportion``.  None when the median
+    itself is "never" (at least half the runs have no nth case), mirroring a
+    not-observed report.
     """
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise EmptyCollection("no outcomes supplied")
-    values = np.array(
-        [v if (v := nth_symptomatic(o, n)) is not None else math.inf for o in outcomes]
-    )
-    med = float(np.median(values))
+    days = _nth_onsets(onset_days, n)
+    med = float(np.median([math.inf if d is None else d for d in days]))
     return med if math.isfinite(med) else None
 
 
-def aggregate_hourly(outcomes) -> HourlyAggregate:
-    """Mean and population std of hourly compartment counts across runs.
+class HourlySums:
+    """Integer-exact sums of hourly compartment counts, one run at a time.
 
-    All outcomes must share roster size and horizon.  Each run's counts come
-    from its event log and fold into integer-exact sums, so the result does
-    not depend on accumulation order.
+    Every run must share the first run's roster size and horizon.  Each
+    run's counts come from its event log, so no per-run hourly array is
+    kept, and the sums do not depend on the order runs are added in.
     """
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise EmptyCollection("no outcomes supplied")
-    roster = len(outcomes[0].roster_ids)
-    horizon = outcomes[0].horizon_days
-    s1 = s2 = i1 = i2 = 0
-    for o in outcomes:
-        if len(o.roster_ids) != roster or o.horizon_days != horizon:
+
+    def __init__(self):
+        self.n_runs = 0
+        self.roster = self.horizon = None
+        self.s1 = self.s2 = 0  # per hour: S, E, I, R and infected (E + I + R)
+
+    def add(self, outcome: RunOutcome) -> None:
+        roster = len(outcome.roster_ids)
+        if not self.n_runs:
+            self.roster, self.horizon = roster, outcome.horizon_days
+        elif (roster, outcome.horizon_days) != (self.roster, self.horizon):
             raise MixedCohorts(
-                f"roster {len(o.roster_ids)}/horizon {o.horizon_days} does not "
-                f"match {roster}/{horizon}"
+                f"roster {roster}/horizon {outcome.horizon_days} does not "
+                f"match {self.roster}/{self.horizon}"
             )
-        counts = epidemic.hourly_compartment_counts(o.events, roster, horizon * 24)  # (H+1, 4)
-        infected = roster - counts[:, 0]  # E + I + R
-        s1, s2 = s1 + counts, s2 + counts * counts
-        i1, i2 = i1 + infected, i2 + infected * infected
-    n = len(outcomes)
-    mean = s1 / n
-    var = np.maximum(s2 / n - mean * mean, 0.0)
-    imean = i1 / n
-    ivar = np.maximum(i2 / n - imean * imean, 0.0)
-    return HourlyAggregate(
-        hours=np.arange(horizon * 24 + 1),
-        mean_counts=mean,
-        std_counts=np.sqrt(var),
-        mean_infected_prop=imean / roster,
-        std_infected_prop=np.sqrt(ivar) / roster,
-        n_runs=n,
-        roster_size=roster,
-    )
+        counts = epidemic.hourly_compartment_counts(outcome.events, roster, self.horizon * 24)
+        x = np.column_stack([counts, roster - counts[:, 0]])
+        self.s1, self.s2 = self.s1 + x, self.s2 + x * x
+        self.n_runs += 1
+
+    def aggregate(self) -> HourlyAggregate:
+        """Mean and population std of the added runs' hourly counts."""
+        if not self.n_runs:
+            raise EmptyCollection("no outcomes supplied")
+        mean = self.s1 / self.n_runs
+        std = np.sqrt(np.maximum(self.s2 / self.n_runs - mean * mean, 0.0))
+        return HourlyAggregate(
+            hours=np.arange(self.horizon * 24 + 1),
+            mean_counts=mean[:, :4],
+            std_counts=std[:, :4],
+            mean_infected_prop=mean[:, 4] / self.roster,
+            std_infected_prop=std[:, 4] / self.roster,
+            n_runs=self.n_runs,
+            roster_size=self.roster,
+        )
+
+
+def aggregate_hourly(outcomes) -> HourlyAggregate:
+    """``HourlySums.aggregate`` of an iterable of outcomes, folded as it is read."""
+    sums = HourlySums()
+    for outcome in outcomes:
+        sums.add(outcome)
+    return sums.aggregate()
 
 
 def summarize_run(outcome: RunOutcome) -> OutcomeSummary:
-    """Scalar summary of one run."""
+    """Scalar summary of one run.
+
+    Its first three symptomatic onsets, in days from Day 0 (None past the
+    last), are the only place onsets are read from an event log.
+    """
+    onsets = sorted(e.t_s for e in outcome.events if e.kind == "symptomatic")[:3]
     return OutcomeSummary(
         saturation=saturation(outcome),
         beta_hat=outcome.beta_hat,
         exposure_t_s=outcome.exposure_t_s,
         beta_hat_t=outcome.beta_hat * outcome.exposure_t_s,
-        t_symptomatic_days=tuple(nth_symptomatic(outcome, n) for n in (1, 2, 3)),
+        t_symptomatic_days=tuple(
+            [t / SECONDS_PER_DAY for t in onsets] + [None] * (3 - len(onsets))),
     )
 
 
@@ -218,15 +233,15 @@ def write_curves_csv(path: str | Path, aggregates: dict[str, HourlyAggregate]) -
 
 
 def write_emergence_csv(path: str | Path, groups: dict[str, list]) -> None:
-    """groups: scenario name -> outcomes of that scenario."""
+    """groups: scenario name -> each run's ``t_symptomatic_days``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(EMERGENCE_HEADER)
         for scenario in sorted(groups):
-            outcomes = groups[scenario]
+            onset_days = groups[scenario]
             for n in (1, 2, 3):
                 w.writerow([
                     scenario, n,
-                    _fmt(emergence_proportion(outcomes, n)),
-                    _fmt(median_emergence_days(outcomes, n)),
+                    _fmt(emergence_proportion(onset_days, n)),
+                    _fmt(median_emergence_days(onset_days, n)),
                 ])

@@ -17,7 +17,7 @@ across scenario cells for coupled comparisons.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from multiprocessing import Pool
@@ -381,25 +381,32 @@ def _worker_run(task):
     return _WORKER["run"](task)
 
 
+#: Most tasks one pool hand-off carries.  Ordered ``imap`` delivers a chunk
+#: to the parent whole, so this bounds the outcomes in flight as reps grow.
+_MAX_CHUNK = 32
+
+
 def sweep(
     obs: Observation,
     sc: ScenarioConfig | Sequence[ScenarioConfig],
     kp: KernelParams,
     dp: DiseaseParams,
     workers: int = 1,
-) -> list[RunOutcome]:
+) -> Iterator[RunOutcome]:
     """Every roster member as patient zero x replicates, for one or more cells.
 
     ``sc`` is one scenario cell or a sequence of them; every (cell, patient
-    zero, replicate) task runs in one pass over one worker pool.  Results
-    are returned in (cell order, patient zero index, replicate) order and
-    are bitwise independent of ``workers``.  Each cell runs on its own
-    calendar over its horizon.
+    zero, replicate) task runs in one pass over one worker pool.  Outcomes
+    are yielded one at a time in (cell order, patient zero index,
+    replicate) order and are bitwise independent of ``workers``, so a
+    caller can fold each run as it arrives and hold none.  Each cell runs
+    on its own calendar over its horizon.
 
     Each process (the caller itself at ``workers=1``, else each pool
     worker) builds its pair arrays, the cumulative-hazard cache of the pair
     triangle included, once per sweep; runs then reduce to array gathers
-    and draws.
+    and draws.  The pool lives as long as the generator: exhausting or
+    closing it terminates the workers.
     """
     cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)
     cals = tuple(build_calendar(c.horizon_days, obs.session_length_s) for c in cells)
@@ -411,9 +418,8 @@ def sweep(
     ]
     args = (obs, cells, cals, kp, dp)
     if workers <= 1 or len(tasks) <= 1:
-        return list(map(_task_runner(*args), tasks))
-
-    # the parent never builds the cache: each worker does, in its initializer
-    with Pool(processes=workers, initializer=_worker_init, initargs=args) as pool:
-        chunk = max(1, len(tasks) // (workers * 8))
-        return pool.map(_worker_run, tasks, chunksize=chunk)
+        yield from map(_task_runner(*args), tasks)
+    else:  # the parent never builds the cache: each worker does, in its initializer
+        with Pool(processes=workers, initializer=_worker_init, initargs=args) as pool:
+            chunk = min(_MAX_CHUNK, max(1, len(tasks) // (workers * 8)))
+            yield from pool.imap(_worker_run, tasks, chunksize=chunk)

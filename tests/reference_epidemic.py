@@ -1,16 +1,25 @@
-"""Mask-based references for the hourly compartment counts and their aggregate.
+"""Mask-based references for compartments, the hourly counts and their aggregate.
 
 ``classim.epidemic.hourly_compartment_counts`` counts a run's event log.
 Runs once counted their run state instead: a (hours, people) mask per
 compartment, taken straight from the per-person transition times, and every
 run's (H+1, 4) array was stacked before the moments were taken.  Both are
 kept here so the tests can compare the event-log counts and the folded
-aggregate against them bit for bit.
+aggregate against them bit for bit.  ``compartment_at`` reads one person's
+compartment from the same transition times; no run path needs it.
 """
 
 import numpy as np
 
-from classim.epidemic import SECONDS_PER_HOUR, EpidemicState
+from classim.epidemic import SECONDS_PER_HOUR, Compartment, EpidemicState
+
+
+def compartment_at(state: EpidemicState, k: int, t: float) -> Compartment:
+    """Compartment of roster position ``k`` at time ``t``."""
+    infected, infectious, recovered = (
+        t >= times[k] for times in (state.t_infected, state.t_infectious, state.t_recovered))
+    masks = not infected, infected and not infectious, infectious and not recovered, recovered
+    return next(c for c, m in zip(Compartment, masks) if m)
 
 
 def mask_counts(state: EpidemicState, horizon_hours: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from classim.kernel import (
     pair_rate,
     relative_geometry,
 )
-from classim.metrics import emergence_proportion, saturation
+from classim.metrics import emergence_proportion, saturation, summarize_run
 from classim.scenario import (
     SCENARIO_CELLS,
     ScenarioConfig,
@@ -201,7 +201,7 @@ def test_criterion_5_patient_zero_symptomatic_share():
             session_length_s=600, seed=9))
         kp = KernelParams(beta_max=default_beta_max_per_s())
         sc = ScenarioConfig(horizon_days=28, reps_per_patient_zero=1100, base_seed=77)
-        outcomes = sweep(obs, sc, kp, DP, workers=WORKERS)
+        outcomes = list(sweep(obs, sc, kp, DP, workers=WORKERS))
         hits = 0
         for o in outcomes:
             onsets = sorted((e.t_s, e.person_id) for e in o.events
@@ -237,7 +237,7 @@ def dense_cells():
     for name, (dvar, vvar) in SCENARIO_CELLS.items():
         sc = ScenarioConfig(density=dvar, vaccination=vvar, horizon_days=28,
                             reps_per_patient_zero=34, base_seed=20260811)
-        cells[name] = sweep(obs, sc, kp, DP, workers=WORKERS)
+        cells[name] = list(sweep(obs, sc, kp, DP, workers=WORKERS))
         assert len(cells[name]) >= 500
     return cells
 
@@ -281,10 +281,12 @@ def test_criterion_7_non_emergence_ordering(dense_cells):
                 return math.inf if p2 != p1 else 0.0
             return (p2 - p1) / math.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
 
-        full = dense_cells["full-novax"] + dense_cells["full-vax"]
-        half = dense_cells["half-novax"] + dense_cells["half-vax"]
-        novax = dense_cells["full-novax"] + dense_cells["half-novax"]
-        vax = dense_cells["full-vax"] + dense_cells["half-vax"]
+        onsets = {name: [summarize_run(o).t_symptomatic_days for o in outs]
+                  for name, outs in dense_cells.items()}
+        full = onsets["full-novax"] + onsets["full-vax"]
+        half = onsets["half-novax"] + onsets["half-vax"]
+        novax = onsets["full-novax"] + onsets["half-novax"]
+        vax = onsets["full-vax"] + onsets["half-vax"]
         p_full = emergence_proportion(full, 2)
         p_half = emergence_proportion(half, 2)
         p_novax = emergence_proportion(novax, 2)
@@ -364,7 +366,7 @@ def test_criterion_9b_full_sweep_within_budget(three_hour_obs):
         for name, (dvar, vvar) in SCENARIO_CELLS.items():
             sc = ScenarioConfig(density=dvar, vaccination=vvar, horizon_days=28,
                                 reps_per_patient_zero=60, base_seed=6)
-            total_runs += len(sweep(obs, sc, kp, DP, workers=WORKERS))
+            total_runs += len(list(sweep(obs, sc, kp, DP, workers=WORKERS)))
         wall = time.perf_counter() - t0
         assert total_runs == 4 * 60 * 15
         # embarrassingly parallel: project the measured core-seconds onto 8 cores

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from classim import cli
+from classim import cli, metrics
 from classim.cli import DEFAULT_CONFIG, main
+from classim.errors import ClassimError
 from classim.kernel import CalibrationInputs
 from classim.synthgen import SynthConfig
 from classim.trajectory import TrackFormat
@@ -266,6 +268,39 @@ def test_simulate_invalid_observation_cleans_up(tmp_path, capsys):
     assert code == 1
     assert "error" in err
     assert not any(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("failure", [ClassimError("injected"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+@pytest.mark.parametrize("where", ["second_run", "emergence_write"])
+def test_simulate_failure_leaves_no_output_and_no_worker(tmp_path, small_obs, capsys,
+                                                         monkeypatch, failure, where):
+    # summary.csv is open while runs arrive: a failure after the first run,
+    # or after the summary is written, removes every output and ends the pool
+    target, n_ok = {"second_run": ("summarize_run", 1),
+                    "emergence_write": ("write_emergence_csv", 0)}[where]
+    real, calls = getattr(metrics, target), []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) > n_ok:
+            raise failure
+        return real(*args)
+
+    monkeypatch.setattr(metrics, target, failing)
+    out_dir = tmp_path / "out"
+    argv = ["simulate", str(small_obs), "--out", str(out_dir), "--reps", "2",
+            "--horizon-days", "7", "--workers", "2"]
+    if isinstance(failure, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        code, _, err = _run(capsys, *argv)
+        assert code == 1
+        _one_error_line(err)
+    assert len(calls) == n_ok + 1
+    assert out_dir.is_dir() and not any(out_dir.iterdir())
+    assert multiprocessing.active_children() == []
 
 
 def _synth_class(tmp_path, name, class_id, children):

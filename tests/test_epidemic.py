@@ -37,7 +37,7 @@ from classim.kernel import (
     relative_geometry,
 )
 from classim.trajectory import Observation, Person, Role, TrajectoryFrame
-from reference_epidemic import mask_counts
+from reference_epidemic import compartment_at, mask_counts
 
 DP = DiseaseParams()
 DAY = 86400.0
@@ -69,11 +69,11 @@ def _pair_obs(r=1.0, t_total=600):
 def test_seed_patient_zero_basic():
     st = new_epidemic_state(["a", "b", "c"], _rng())
     seed_patient_zero(st, "a", DP)
-    assert st.compartment_at(0, 0.0) == Compartment.INFECTIOUS
+    assert compartment_at(st, 0, 0.0) == Compartment.INFECTIOUS
     assert st.t_infected[0] == -DP.latency_s
     assert st.t_infectious[0] == 0.0
-    assert st.compartment_at(1, 0.0) == Compartment.SUSCEPTIBLE
-    assert st.compartment_at(2, 0.0) == Compartment.SUSCEPTIBLE
+    assert compartment_at(st, 1, 0.0) == Compartment.SUSCEPTIBLE
+    assert compartment_at(st, 2, 0.0) == Compartment.SUSCEPTIBLE
 
 
 def test_seed_unknown_person():
@@ -86,7 +86,7 @@ def test_seed_immune_is_noop():
     st = new_epidemic_state(["a", "b"], _rng(), immune_ids={"a"})
     seed_patient_zero(st, "a", DP)
     assert st.t_infected[0] == math.inf
-    assert st.compartment_at(0, 0.0) == Compartment.SUSCEPTIBLE
+    assert compartment_at(st, 0, 0.0) == Compartment.SUSCEPTIBLE
     assert is_run_complete(st)
 
 
@@ -153,8 +153,8 @@ def test_exposed_becomes_infectious_at_exactly_24h():
     _schedule_infection(st, 1, 0.0, 0, DP)
     progress_offclass(st, DAY)
     assert st.clock == DAY
-    assert st.compartment_at(1, st.clock) == Compartment.INFECTIOUS
-    assert st.compartment_at(1, st.clock - 1e-6) == Compartment.EXPOSED
+    assert compartment_at(st, 1, st.clock) == Compartment.INFECTIOUS
+    assert compartment_at(st, 1, st.clock - 1e-6) == Compartment.EXPOSED
 
 
 def test_progress_all_recovered_only_moves_clock():
@@ -392,7 +392,7 @@ def test_session_engine_midsession_infectiousness():
     from classim.epidemic import _schedule_infection
     _schedule_infection(st, 0, -DP.latency_s + 50.0, -1, DP)  # infectious at t=50
     st.t_recovered[0] = 1e9
-    assert st.compartment_at(0, 0.0) == Compartment.EXPOSED
+    assert compartment_at(st, 0, 0.0) == Compartment.EXPOSED
     simulate_session(st, obs, 0.0, kp, DP)
     assert st.t_infected[1] == 50.0  # p1 infected the second p0 turns infectious
     assert st.t_infected[2] == math.inf  # far corner never reached
@@ -607,7 +607,7 @@ def test_immune_agents_never_exposed():
     seed_patient_zero(st, "p0", DP)
     simulate_session(st, obs, 0.0, kp, DP)
     assert st.t_infected[1] == math.inf
-    assert st.compartment_at(1, st.clock) == Compartment.SUSCEPTIBLE
+    assert compartment_at(st, 1, st.clock) == Compartment.SUSCEPTIBLE
 
 
 def test_counts_before_infection_agree_with_hourly_counts():
@@ -619,7 +619,7 @@ def test_counts_before_infection_agree_with_hourly_counts():
     _schedule_infection(st, 1, 5000.0, 0, DP)
     st.clock = 6000.0
     assert st.counts(at=1000.0) == (1, 0, 1, 0)
-    assert st.compartment_at(1, 1000.0) == Compartment.SUSCEPTIBLE
+    assert compartment_at(st, 1, 1000.0) == Compartment.SUSCEPTIBLE
     assert hourly_compartment_counts(event_log(st, 3600.0), 2, 1)[0].tolist() == [1, 0, 1, 0]
     assert st.counts() == (0, 1, 1, 0)
 

@@ -21,7 +21,6 @@ from classim.metrics import (
     aggregate_hourly,
     emergence_proportion,
     median_emergence_days,
-    nth_symptomatic,
     saturation,
     summarize_run,
     transmission_likelihood,
@@ -35,6 +34,7 @@ from classim.metrics import (
 from classim.scenario import RunOutcome
 from classim.trajectory import Observation, Person, Role
 from reference_epidemic import mask_counts, stacked_moments
+import reference_metrics
 
 DAY = 86400.0
 KP = KernelParams(beta_max=1.0)
@@ -174,7 +174,7 @@ def test_sweep_beta_hat_is_transmission_likelihood_of_run_roster():
                       present=present)
     cells = [ScenarioConfig(density=d, horizon_days=3, reps_per_patient_zero=2, base_seed=2)
              for d in (DensityVariant.FULL, DensityVariant.HALF)]
-    outs = sweep(obs, cells, KP, DiseaseParams(), workers=1)
+    outs = list(sweep(obs, cells, KP, DiseaseParams(), workers=1))
     assert {len(o.roster_ids) for o in outs} == {n, 4}
     for o in outs:
         sub = obs.subset([obs.index_of(pid) for pid in o.roster_ids])
@@ -185,56 +185,101 @@ def test_sweep_beta_hat_is_transmission_likelihood_of_run_roster():
 # nth symptomatic / emergence
 # ---------------------------------------------------------------------------
 
+NEVER = (None, None, None)  # a run's onset days with no symptomatic case
+
+
 def test_nth_symptomatic_lookup():
     out = _outcome([_sympt("p0", 3.7 * DAY)])
-    assert nth_symptomatic(out, 1) == pytest.approx(3.7)
-    assert nth_symptomatic(out, 2) is None
+    assert reference_metrics.nth_symptomatic(out, 1) == pytest.approx(3.7)
+    assert reference_metrics.nth_symptomatic(out, 2) is None
+    assert summarize_run(out).t_symptomatic_days == (pytest.approx(3.7), None, None)
 
 
 def test_nth_symptomatic_empty():
     out = _outcome([])
-    assert all(nth_symptomatic(out, n) is None for n in (1, 2, 3))
+    assert all(reference_metrics.nth_symptomatic(out, n) is None for n in (1, 2, 3))
+    assert summarize_run(out).t_symptomatic_days == NEVER
 
 
 def test_nth_symptomatic_ordering():
     out = _outcome([_sympt("a", 4 * DAY), _sympt("b", 9 * DAY), _sympt("c", 12 * DAY)])
-    assert nth_symptomatic(out, 3) == pytest.approx(12.0)
-    assert nth_symptomatic(out, 1) == pytest.approx(4.0)
+    assert reference_metrics.nth_symptomatic(out, 3) == pytest.approx(12.0)
+    assert reference_metrics.nth_symptomatic(out, 1) == pytest.approx(4.0)
+    assert summarize_run(out).t_symptomatic_days == pytest.approx((4.0, 9.0, 12.0))
 
 
 def test_nth_symptomatic_rejects_bad_n():
     with pytest.raises(ValueError):
-        nth_symptomatic(_outcome([]), 0)
+        reference_metrics.nth_symptomatic(_outcome([]), 0)
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_emergence_rejects_bad_n(n):
+    with pytest.raises(ValueError):
+        emergence_proportion([NEVER], n)
+    with pytest.raises(ValueError):
+        median_emergence_days([NEVER], n)
 
 
 def test_emergence_proportion_all_present():
-    outs = [_outcome([_sympt("a", 1 * DAY), _sympt("b", 2 * DAY), _sympt("c", 3 * DAY)])
-            for _ in range(5)]
+    onset_days = [(1.0, 2.0, 3.0)] * 5
     for n in (1, 2, 3):
-        assert emergence_proportion(outs, n) == 0.0
+        assert emergence_proportion(onset_days, n) == 0.0
 
 
 def test_emergence_proportion_none_symptomatic():
-    outs = [_outcome([]) for _ in range(4)]
     for n in (1, 2, 3):
-        assert emergence_proportion(outs, n) == 1.0
+        assert emergence_proportion([NEVER] * 4, n) == 1.0
 
 
 def test_emergence_proportion_mixed():
-    outs = [_outcome([_sympt("a", DAY)]), _outcome([])]
-    assert emergence_proportion(outs, 1) == 0.5
+    assert emergence_proportion([(1.0, None, None), NEVER], 1) == 0.5
 
 
 def test_emergence_empty_collection():
     with pytest.raises(EmptyCollection):
         emergence_proportion([], 1)
+    with pytest.raises(EmptyCollection):
+        median_emergence_days([], 1)
 
 
 def test_median_emergence_not_observed():
-    outs = [_outcome([_sympt("a", DAY)]), _outcome([]), _outcome([])]
-    assert median_emergence_days(outs, 1) is None
-    outs2 = [_outcome([_sympt("a", 2 * DAY)]) for _ in range(3)]
-    assert median_emergence_days(outs2, 1) == pytest.approx(2.0)
+    assert median_emergence_days([(1.0, None, None), NEVER, NEVER], 1) is None
+    assert median_emergence_days([(2.0, None, None)] * 3, 1) == pytest.approx(2.0)
+
+
+def test_emergence_from_onset_days_equals_event_log_reference():
+    # the onset days summarize_run reads once give the bits the event-log
+    # derivation gave, with missing, tied and "never" onsets all present
+    from classim import synthgen
+    from classim.scenario import ScenarioConfig, sweep
+
+    obs = synthgen.generate(synthgen.SynthConfig(n_children=5, n_teachers=1,
+                                                 session_length_s=300, seed=2))
+    outs = list(sweep(obs, ScenarioConfig(horizon_days=14, reps_per_patient_zero=8, base_seed=13),
+                      KernelParams(beta_max=3e-3), DiseaseParams(), workers=1))
+    # a copy of each run whose first onset another person shares: a tie
+    tied = [dataclasses.replace(o, events=o.events + (_sympt("tie", first.t_s),))
+            for o in outs
+            for first in [next((e for e in o.events if e.kind == "symptomatic"), None)]
+            if first is not None]
+    groups = {"all": outs + tied, "early": outs[:6], "tied": tied}
+    for n in (1, 2, 3):
+        assert [summarize_run(o).t_symptomatic_days[n - 1] for o in outs + tied] == [
+            reference_metrics.nth_symptomatic(o, n) for o in outs + tied]
+    medians = []
+    for runs in groups.values():
+        onset_days = [summarize_run(o).t_symptomatic_days for o in runs]
+        for n in (1, 2, 3):
+            got = emergence_proportion(onset_days, n), median_emergence_days(onset_days, n)
+            want = (reference_metrics.emergence_proportion(runs, n),
+                    reference_metrics.median_emergence_days(runs, n))
+            assert repr(got) == repr(want)
+            medians.append(got[1])
+    missing = {summarize_run(o).t_symptomatic_days.count(None) for o in outs}
+    assert {0, 1, 3} <= missing  # runs with every onset, with some and with none
+    assert tied and all(d[0] == d[1] for d in (summarize_run(o).t_symptomatic_days for o in tied))
+    assert None in medians and any(m is not None for m in medians)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +328,8 @@ def test_cumulative_curve_monotone_from_simulation():
 
     obs = synthgen.generate(synthgen.SynthConfig(n_children=5, n_teachers=1,
                                                  session_length_s=300, seed=2))
-    outs = sweep(obs, ScenarioConfig(horizon_days=7, reps_per_patient_zero=5, base_seed=4),
-                 KernelParams(beta_max=3e-3), DiseaseParams(), workers=1)
+    outs = list(sweep(obs, ScenarioConfig(horizon_days=7, reps_per_patient_zero=5, base_seed=4),
+                      KernelParams(beta_max=3e-3), DiseaseParams(), workers=1))
     agg = aggregate_hourly(outs)
     assert (np.diff(agg.mean_infected_prop) >= -1e-12).all()
 
@@ -339,11 +384,12 @@ def test_median_emergence_non_decreasing_in_n():
     obs = synthgen.generate(synthgen.SynthConfig(n_children=6, n_teachers=1,
                                                  room_w=4.0, room_h=4.0,
                                                  session_length_s=600, seed=6))
-    outs = sweep(obs, ScenarioConfig(horizon_days=21, reps_per_patient_zero=30, base_seed=8),
-                 KernelParams(beta_max=2e-4), DiseaseParams(), workers=1)
+    outs = list(sweep(obs, ScenarioConfig(horizon_days=21, reps_per_patient_zero=30, base_seed=8),
+                      KernelParams(beta_max=2e-4), DiseaseParams(), workers=1))
+    onset_days = [summarize_run(o).t_symptomatic_days for o in outs]
     per_run_medians = []
     for n in (1, 2, 3):
-        values = [v if (v := nth_symptomatic(o, n)) is not None else math.inf for o in outs]
+        values = [math.inf if days[n - 1] is None else days[n - 1] for days in onset_days]
         per_run_medians.append(np.median(values))
     assert per_run_medians[0] <= per_run_medians[1] <= per_run_medians[2]
 
@@ -359,8 +405,9 @@ def test_emergence_falls_as_symptomaticity_rises():
     kp = KernelParams(beta_max=1e-4)
     props = []
     for p_sym in (0.4, 0.9):
-        outs = sweep(obs, sc, kp, DiseaseParams(p_symptomatic=p_sym), workers=1)
-        props.append((emergence_proportion(outs, 1), len(outs)))
+        outs = list(sweep(obs, sc, kp, DiseaseParams(p_symptomatic=p_sym), workers=1))
+        onset_days = [summarize_run(o).t_symptomatic_days for o in outs]
+        props.append((emergence_proportion(onset_days, 1), len(outs)))
     (p_lo, n_lo), (p_hi, n_hi) = props
     pooled = (p_lo * n_lo + p_hi * n_hi) / (n_lo + n_hi)
     z = (p_lo - p_hi) / math.sqrt(pooled * (1 - pooled) * (1 / n_lo + 1 / n_hi))
@@ -405,9 +452,8 @@ def test_curves_csv_schema(tmp_path):
 
 
 def test_emergence_csv_schema_and_empty_median(tmp_path):
-    outs = [_outcome([_sympt("a", DAY)]), _outcome([]), _outcome([])]
     path = tmp_path / "emergence.csv"
-    write_emergence_csv(path, {"full-novax": outs})
+    write_emergence_csv(path, {"full-novax": [(1.0, None, None), NEVER, NEVER]})
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == EMERGENCE_HEADER

@@ -330,7 +330,7 @@ def test_calendar_session_length_must_match():
 def test_sweep_counts_13_by_60():
     obs = _roster_obs(12, 1, t_total=5)
     sc = ScenarioConfig(horizon_days=1, reps_per_patient_zero=60, base_seed=3)
-    outs = sweep(obs, sc, KernelParams(beta_max=1e-6), DP, workers=1)
+    outs = list(sweep(obs, sc, KernelParams(beta_max=1e-6), DP, workers=1))
     assert len(outs) == 13 * 60
 
 
@@ -338,12 +338,12 @@ def test_sweep_reproducible_and_seed_sensitive():
     obs = _roster_obs(3, 1, t_total=50)
     kp = KernelParams(beta_max=2e-3)
     sc = ScenarioConfig(horizon_days=5, reps_per_patient_zero=2, base_seed=1)
-    a = sweep(obs, sc, kp, DP, workers=1)
-    b = sweep(obs, sc, kp, DP, workers=1)
+    a = list(sweep(obs, sc, kp, DP, workers=1))
+    b = list(sweep(obs, sc, kp, DP, workers=1))
     assert [o.events for o in a] == [o.events for o in b]
     assert [o.seed for o in a] == [o.seed for o in b]
     sc2 = ScenarioConfig(horizon_days=5, reps_per_patient_zero=2, base_seed=2)
-    c = sweep(obs, sc2, kp, DP, workers=1)
+    c = list(sweep(obs, sc2, kp, DP, workers=1))
     assert [o.seed for o in c] != [o.seed for o in a]
 
 
@@ -351,8 +351,8 @@ def test_sweep_worker_count_invariant():
     obs = _roster_obs(4, 1, t_total=120)
     kp = KernelParams(beta_max=3e-3)
     sc = ScenarioConfig(horizon_days=7, reps_per_patient_zero=4, base_seed=8)
-    one = sweep(obs, sc, kp, DP, workers=1)
-    two = sweep(obs, sc, kp, DP, workers=2)
+    one = list(sweep(obs, sc, kp, DP, workers=1))
+    two = list(sweep(obs, sc, kp, DP, workers=2))
     assert len(one) == len(two) == 20
     for a, b in zip(one, two):
         assert a.patient_zero == b.patient_zero
@@ -371,7 +371,7 @@ def test_multi_cell_sweep_matches_single_cell_sweeps(workers):
     obs = _roster_obs(4, 2, t_total=120)
     kp = KernelParams(beta_max=3e-3)
     cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=8)
-    multi = sweep(obs, cells, kp, DP, workers=workers)
+    multi = list(sweep(obs, cells, kp, DP, workers=workers))
     single = [o for sc in cells for o in sweep(obs, sc, kp, DP, workers=1)]
     assert len(multi) == len(single) == 4 * 6 * 2
     for a, b in zip(multi, single):
@@ -402,7 +402,7 @@ def test_multi_cell_sweep_builds_rate_cache_once(monkeypatch):
     obs = _roster_obs(4, 2, t_total=60)
     calls = _count_calls(monkeypatch, "pair_rates")
     cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=3)
-    outs = sweep(obs, cells, KernelParams(beta_max=3e-3), DP, workers=1)
+    outs = list(sweep(obs, cells, KernelParams(beta_max=3e-3), DP, workers=1))
     assert len(outs) == 4 * 6 * 2
     assert calls == [obs.positions.shape]
 
@@ -430,7 +430,7 @@ def test_sweep_rates_a_multi_chunk_recording_once(monkeypatch):
     monkeypatch.setattr(kernel, "pair_rates", rating)
     monkeypatch.setattr(scenario, "run_simulation", run)
     cells = _four_cells(horizon_days=7, reps_per_patient_zero=1, base_seed=3)
-    outs = sweep(obs, cells, KernelParams(beta_max=3e-3), DP, workers=1)
+    outs = list(sweep(obs, cells, KernelParams(beta_max=3e-3), DP, workers=1))
     assert len(outs) == 4 * 6
     assert sum(len(o.events) for o in outs) > 4 * len(outs)  # infections happen
     assert len(rated) > 1
@@ -468,10 +468,10 @@ def test_sweep_past_cache_cap_matches_cached_sweep(monkeypatch):
     obs = _roster_obs(4, 2, t_total=60)
     kp = KernelParams(beta_max=3e-2)
     cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=4)
-    cached = sweep(obs, cells, kp, DP, workers=1)
+    cached = list(sweep(obs, cells, kp, DP, workers=1))
     monkeypatch.setattr(scenario, "_RATE_CACHE_MAX_ELEMENTS", 0)
     hazards = _count_calls(monkeypatch, "cumulative_hazard")
-    uncached = sweep(obs, cells, kp, DP, workers=1)
+    uncached = list(sweep(obs, cells, kp, DP, workers=1))
     # segment blocks only: S x I pairs, never the 15-pair triangle of a cache
     assert hazards and all(shape[1] < 15 for shape in hazards)
     assert sum(len(o.events) for o in cached) > 2 * len(cached)  # infections happen
@@ -487,7 +487,7 @@ def test_airborne_sweep_builds_no_hazard_cache(monkeypatch):
     cells = [ScenarioConfig(horizon_days=1, reps_per_patient_zero=1),
              ScenarioConfig(density=DensityVariant.HALF, horizon_days=1,
                             reps_per_patient_zero=1)]
-    outs = sweep(obs, cells, kp, DP, workers=1)
+    outs = list(sweep(obs, cells, kp, DP, workers=1))
     assert hazards == []
     for o in outs:
         sub = obs.subset([obs.index_of(pid) for pid in o.roster_ids])
@@ -507,7 +507,7 @@ def test_single_run_equals_its_sweep_run(monkeypatch, setting):
     if setting == "over_cap":
         monkeypatch.setattr(scenario, "_RATE_CACHE_MAX_ELEMENTS", 0)
     cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=4)
-    outs = sweep(obs, cells, kp, DP, workers=1)
+    outs = list(sweep(obs, cells, kp, DP, workers=1))
     assert sum(len(o.events) for o in outs) > 2 * len(outs)  # infections happen
     per_cell = obs.n_people * 2
     for k, out in enumerate(outs):
@@ -563,8 +563,8 @@ def test_sweep_builds_pair_maps_once_per_process(monkeypatch):
     counts = []
     for reps in (1, 3):
         calls.clear()
-        outs = sweep(obs, _four_cells(horizon_days=7, reps_per_patient_zero=reps), kp, DP,
-                     workers=1)
+        outs = list(sweep(obs, _four_cells(horizon_days=7, reps_per_patient_zero=reps), kp, DP,
+                          workers=1))
         assert len(outs) == 4 * 6 * reps
         counts.append((calls.count("pair_index"), calls.count("triu_indices")))
     assert counts[0] == counts[1]
@@ -574,7 +574,7 @@ def test_sweep_builds_pair_maps_once_per_process(monkeypatch):
 def test_sweep_order_is_pz_then_rep():
     obs = _roster_obs(2, 1, t_total=5)
     sc = ScenarioConfig(horizon_days=1, reps_per_patient_zero=3, base_seed=0)
-    outs = sweep(obs, sc, KernelParams(beta_max=1e-6), DP, workers=1)
+    outs = list(sweep(obs, sc, KernelParams(beta_max=1e-6), DP, workers=1))
     expected = [(pid, rep) for pid in obs.person_ids for rep in range(3)]
     got = [(o.patient_zero, k % 3) for k, o in enumerate(outs)]
     assert got == expected
@@ -598,11 +598,11 @@ def test_half_sweep_saturation_below_full_when_transmission_strong():
     obs = synthgen.generate(cfg)
     kp = KernelParams(beta_max=default_beta_max_per_s() * 4)
     reps = 20
-    full = sweep(obs, ScenarioConfig(horizon_days=14, reps_per_patient_zero=reps,
-                                     base_seed=21), kp, DP, workers=2)
-    half = sweep(obs, ScenarioConfig(density=DensityVariant.HALF, horizon_days=14,
-                                     reps_per_patient_zero=reps, base_seed=21),
-                 kp, DP, workers=2)
+    full = list(sweep(obs, ScenarioConfig(horizon_days=14, reps_per_patient_zero=reps,
+                                          base_seed=21), kp, DP, workers=2))
+    half = list(sweep(obs, ScenarioConfig(density=DensityVariant.HALF, horizon_days=14,
+                                          reps_per_patient_zero=reps, base_seed=21),
+                      kp, DP, workers=2))
     sat_full = np.array([len({e.person_id for e in o.events if e.kind == "infected"})
                          / len(o.roster_ids) for o in full])
     sat_half = np.array([len({e.person_id for e in o.events if e.kind == "infected"})
