@@ -110,9 +110,12 @@ def cmd_calibrate(args) -> int:
             sigma_r=args.sigma_r,
             sigma_theta=math.radians(args.sigma_theta_deg),
         )
-    rho = daily_contact_density(c)
+        rho = daily_contact_density(c)
+        beta_day = calibrate_beta_max(c)  # infinite too when r0 * gamma overflows
+        if not (math.isfinite(rho) and math.isfinite(beta_day)):
+            raise ValueError(f"calibration is not finite: rho_daily_per_m2={_fmt(rho)}, "
+                             f"beta_max_per_day={_fmt(beta_day)}")
     beta_bar = c.r0 * c.gamma
-    beta_day = calibrate_beta_max(c)
     print(f"rho_daily_per_m2={_fmt(rho)}")
     print(f"beta_bar_per_day={_fmt(beta_bar)}")
     print(f"beta_max_per_day={_fmt(beta_day)}")
@@ -251,19 +254,20 @@ def _load_config(path: str | None) -> tuple[dict, list[str]]:
 
 
 def _kernel_params(cfg: dict) -> KernelParams:
-    kc = cfg["kernel"]
+    """Kernel parameters from the config; the calibration block is checked
+    even when ``beta_max_per_s`` makes it unused, as the manifest records it."""
+    kc, cc = cfg["kernel"], cfg["calibration"]
+    c = CalibrationInputs(
+        r0=cc["r0"],
+        gamma=cc["gamma_per_day"],
+        n_contacts=cc["contacts"],
+        contact_radius=cc["contact_radius_m"],
+        contact_duration=cc["contact_minutes"],
+        sigma_r=kc["sigma_r_m"],
+        sigma_theta=math.radians(kc["sigma_theta_deg"]),
+    )
     beta_max = kc["beta_max_per_s"]
     if beta_max is None:
-        cc = cfg["calibration"]
-        c = CalibrationInputs(
-            r0=cc["r0"],
-            gamma=cc["gamma_per_day"],
-            n_contacts=cc["contacts"],
-            contact_radius=cc["contact_radius_m"],
-            contact_duration=cc["contact_minutes"],
-            sigma_r=kc["sigma_r_m"],
-            sigma_theta=math.radians(kc["sigma_theta_deg"]),
-        )
         beta_max = calibrate_beta_max(c) / SECONDS_PER_DAY
     return KernelParams(
         beta_max=beta_max,

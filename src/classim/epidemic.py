@@ -411,8 +411,14 @@ def simulate_session(
     runs reuse a full-roster cache; it defaults to ``kernel.pair_index(n)``,
     a cache of this roster itself.  Without a cache, each segment rates only
     its own (susceptible, source) pairs over its own seconds and accumulates
-    them the same way.  The rates are bitwise symmetric in the pair, so
-    both paths read the same bits.
+    them the same way.  The rates are bitwise symmetric in the pair, so both
+    paths rate every pair-second to the same bits.  Their accrued sums can
+    differ in the last bits: the cache differences a running sum from the
+    session's first second, a segment sums from its own first second.  So
+    the two paths agree in distribution, and in every seed the tests pin,
+    not bit for bit.  ``scenario.run_simulation`` reads a cache whenever the
+    recording fits one; the uncached path serves recordings past the cap
+    and direct calls without a hazard.
 
     Airborne mode falls back to the per-frame step, which maintains the
     emission buffers.

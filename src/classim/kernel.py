@@ -88,10 +88,10 @@ class KernelParams:
             raise ValueError(f"beta_max must be in (0, 1e200], got {self.beta_max}")
         for name in ("sigma_r", "sigma_theta"):
             value = getattr(self, name)
-            if not (value > 0 and value * value > 0):  # the kernel divides by 2 sigma^2
-                raise ValueError(f"{name} must be > 0 with a nonzero square, got {value}")
-        if self.lambda_decay < 0:
-            raise ValueError(f"lambda_decay must be >= 0, got {self.lambda_decay}")
+            if not (math.inf > value > 0 and value * value > 0):  # the kernel divides by 2 sigma^2
+                raise ValueError(f"{name} must be finite and > 0 with a nonzero square, got {value}")
+        if not 0 <= self.lambda_decay < math.inf:
+            raise ValueError(f"lambda_decay must be finite and >= 0, got {self.lambda_decay}")
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,13 @@ class CalibrationInputs:
 
     def __post_init__(self):
         reject_bools(self)
-        if self.r0 < 0:
-            raise ValueError(f"r0 must be >= 0, got {self.r0}")
+        if not 0 <= self.r0 < math.inf:
+            raise ValueError(f"r0 must be finite and >= 0, got {self.r0}")
         for name in ("gamma", "n_contacts", "contact_radius",
                      "contact_duration", "sigma_r", "sigma_theta"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _check_unit(name: str, v: np.ndarray) -> None:

@@ -239,8 +239,8 @@ class RunOutcome:
 
 
 #: Above this many stored elements (seconds x unordered pairs, 400 MB of
-#: float64), a sweep holds no cache: each session rates its segments' own
-#: pairs instead.
+#: float64), no cache is held: each session rates its segments' own pairs
+#: instead.
 _RATE_CACHE_MAX_ELEMENTS = 50_000_000
 
 
@@ -251,18 +251,19 @@ class _PairArrays:
     (``kernel.pair_index``); ``rate_sums`` and ``pair_seconds`` hold each
     unordered pair's time sum of rates and co-present seconds, from which any
     roster's ``beta_hat`` follows.  All come from one pass over the
-    recording (``kernel.pair_totals``).  With ``cache``, a droplet
-    observation under the cap also gets ``hazard``: that pass keeps its
-    rates, turned in place into the cumulative hazard the session engine
-    reads (T * N(N-1)/2 floats).  Otherwise ``hazard`` is None and no
-    whole-session array is held.
+    recording (``kernel.pair_totals``).  The cache policy is the input's
+    alone: a droplet observation whose T * N(N-1)/2 elements fit under
+    ``_RATE_CACHE_MAX_ELEMENTS`` also gets ``hazard``, the rates of that
+    pass turned in place into the cumulative hazard the session engine
+    reads.  Past the cap, and in airborne mode, ``hazard`` is None and
+    sessions rate per segment or per frame.
     """
 
-    def __init__(self, obs: Observation, kp: KernelParams, cache: bool):
+    def __init__(self, obs: Observation, kp: KernelParams):
         n = obs.n_people
         shape = (obs.session_length_s, n * (n - 1) // 2)
         fits = 0 < math.prod(shape) <= _RATE_CACHE_MAX_ELEMENTS
-        rates = np.empty(shape) if cache and fits and kp.mode == TransmissionMode.DROPLET else None
+        rates = np.empty(shape) if fits and kp.mode == TransmissionMode.DROPLET else None
         self.rate_sums, self.pair_seconds = kernel.pair_totals(
             obs.positions, obs.facings, obs.present, kp, rates)
         self.hazard = None if rates is None else kernel.cumulative_hazard(rates)
@@ -284,16 +285,16 @@ def run_simulation(
     Draw order per run: half-class subset, vaccination flags, patient-zero
     clocks, then transmission.  ``shared`` holds the pair arrays of the
     *full* observation that the run reads through its roster's pair map;
-    given none, the run makes them without a cache, so droplet sessions
-    rate each segment's own (susceptible, source) pairs and airborne
-    sessions step frame by frame.  Whether a cache pays off depends on how
-    many runs share it, which only the caller knows; ``sweep`` builds one
-    per process.
+    given none, the run builds exactly the ``_PairArrays`` a sweep process
+    builds and returns the sweep's outcome for the same (cell, patient
+    zero, seed).  Under the cap, droplet sessions read the hazard cache;
+    past it they rate each segment's own (susceptible, source) pairs, and
+    airborne sessions step frame by frame.
 
     The trajectory replays identically for every session in the calendar;
     between sessions the clock jumps with no transmission.  The run stops
-    early once nobody is exposed or infectious, and is evaluated over the
-    full horizon regardless.
+    early once nobody is exposed or infectious; its event log still covers
+    the full horizon.
     """
     if patient_zero not in obs.person_ids:
         raise UnknownPerson(patient_zero)
@@ -303,7 +304,7 @@ def run_simulation(
             f"length {obs.session_length_s}"
         )
     if shared is None:
-        shared = _PairArrays(obs, kp, cache=False)
+        shared = _PairArrays(obs, kp)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     if sc.density == DensityVariant.HALF:
@@ -334,8 +335,6 @@ def run_simulation(
         if state.clock < start:
             epidemic.progress_offclass(state, start - state.clock)
         epidemic.simulate_session(state, obs_run, start, kp, dp, hazard=shared.hazard, pairs=pairs)
-    if state.clock < horizon_s:
-        epidemic.progress_offclass(state, horizon_s - state.clock)
 
     return RunOutcome(
         scenario=sc.cell_name,
@@ -356,9 +355,9 @@ def run_simulation(
 # ---------------------------------------------------------------------------
 
 def _task_runner(obs, cells, cals, kp, dp):
-    """Build this process's pair arrays, with the cache, and return the
-    function that runs one sweep task (cell, patient zero index, replicate)."""
-    shared = _PairArrays(obs, kp, cache=True)
+    """Build this process's pair arrays and return the function that runs
+    one sweep task (cell, patient zero index, replicate)."""
+    shared = _PairArrays(obs, kp)
 
     def run(task) -> RunOutcome:
         cell, pz_index, rep = task
@@ -403,10 +402,10 @@ def sweep(
     on its own calendar over its horizon.
 
     Each process (the caller itself at ``workers=1``, else each pool
-    worker) builds its pair arrays, the cumulative-hazard cache of the pair
-    triangle included, once per sweep; runs then reduce to array gathers
-    and draws.  The pool lives as long as the generator: exhausting or
-    closing it terminates the workers.
+    worker) builds its pair arrays once per sweep, the cumulative-hazard
+    cache of the pair triangle included when it fits; runs then reduce to
+    array gathers and draws.  The pool lives as long as the generator:
+    exhausting or closing it terminates the workers.
     """
     cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)
     cals = tuple(build_calendar(c.horizon_days, obs.session_length_s) for c in cells)

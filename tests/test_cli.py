@@ -416,6 +416,24 @@ def test_calibrate_bad_radius_exit_1(capsys):
     _one_error_line(err)
 
 
+@pytest.mark.parametrize("flags", [
+    ("--contact-radius", "inf"),
+    ("--contact-radius", "1e-200"),  # the contact area underflows to 0
+    ("--r0", "nan"),
+    ("--r0", "inf"),
+    ("--gamma", "inf"),
+    ("--contact-minutes", "inf"),
+    ("--sigma-r", "inf"),
+    ("--r0", "1e300", "--gamma", "1e300"),  # beta_bar overflows
+    ("--contacts", "1e308", "--contact-radius", "0.01m"),  # rho overflows
+])
+def test_calibrate_non_finite_exit_1(capsys, flags):
+    code, out, err = _run(capsys, "calibrate", *flags)
+    assert code == 1
+    assert out == ""
+    _one_error_line(err)
+
+
 @pytest.mark.parametrize("value", ["x", "0", "-2"])
 def test_simulate_bad_workers_env_exit_1(tmp_path, small_obs, capsys, monkeypatch, value):
     monkeypatch.setenv("CLASSIM_WORKERS", value)
@@ -470,6 +488,41 @@ def test_simulate_bad_parameter_in_config_exit_1(tmp_path, small_obs, capsys, ov
                         "--out", str(tmp_path / "o"), "--workers", "1")
     assert code == 1
     _one_error_line(err)
+
+
+#: Every config key that takes a number; beta_max_per_s defaults to None.
+NUMERIC_KEYS = [(key,) for key, value in DEFAULT_CONFIG.items()
+                if isinstance(value, (int, float))] + [
+    (section, key)
+    for section in ("kernel", "disease", "calibration")
+    for key, value in DEFAULT_CONFIG[section].items()
+    if isinstance(value, (int, float)) or key == "beta_max_per_s"
+]
+
+
+@pytest.mark.parametrize("beta_max", [None, 0.05], ids=["calibrated", "beta_max_given"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_simulate_non_finite_parameter_exit_1(tmp_path, small_obs, capsys, value, beta_max):
+    # json writes these as NaN, Infinity and -Infinity, which json reads back;
+    # none may reach a run or the manifest, used or not
+    assert len(NUMERIC_KEYS) == 18
+    cfg = tmp_path / "cfg.json"
+    failed = []
+    for k, path in enumerate(NUMERIC_KEYS):
+        out_dir = tmp_path / f"o{k}"
+        config = {"reps": 1, "horizon_days": 1, "kernel": {"beta_max_per_s": beta_max}}
+        if len(path) == 1:
+            config[path[0]] = value
+        else:
+            config.setdefault(path[0], {})[path[1]] = value
+        cfg.write_text(json.dumps(config))
+        code, _, err = _run(capsys, "simulate", str(small_obs), "--config", str(cfg),
+                            "--out", str(out_dir), "--workers", "1")
+        lines = err.splitlines()
+        if code != 1 or len(lines) != 1 or not lines[0].startswith("error: ") or out_dir.exists():
+            failed.append((path, code, lines[-1:]))
+    assert not failed, failed
 
 
 # ---------------------------------------------------------------------------

@@ -438,26 +438,25 @@ def test_sweep_rates_a_multi_chunk_recording_once(monkeypatch):
 
 
 @pytest.mark.parametrize("density", list(DensityVariant))
-def test_run_without_hazard_builds_no_roster_cache(monkeypatch, density):
-    # a run given no cache rates each segment's own (susceptible, source)
-    # pairs, never its whole roster's triangle, and gives the cached events
+def test_run_without_pair_arrays_builds_the_sweep_cache(monkeypatch, density):
+    # a run given no pair arrays builds the whole triangle's hazard cache
+    # once, as a sweep process does, and returns the outcome of a run given
+    # a sweep's pair arrays: events, beta_hat and T
     obs = _roster_obs(4, 2, t_total=60)
     kp = KernelParams(beta_max=3e-2)
     sc = ScenarioConfig(density=density, horizon_days=7)
     cal = build_calendar(7, obs.session_length_s)
-    shared = scenario._PairArrays(obs, kp, cache=True)
+    shared = scenario._PairArrays(obs, kp)
     assert shared.hazard is not None
     hazards = _count_calls(monkeypatch, "cumulative_hazard")
     spread = 0
     for seed in range(6):
-        cached = run_simulation(obs, cal, sc, "c1", seed, kp, DP, shared)
+        given = run_simulation(obs, cal, sc, "c1", seed, kp, DP, shared)
         assert hazards == []
-        uncached = run_simulation(obs, cal, sc, "c1", seed, kp, DP)
-        roster = len(uncached.roster_ids)
-        assert hazards and max(shape[1] for shape in hazards) < roster * (roster - 1) // 2
-        assert cached.events == uncached.events
-        assert cached.beta_hat == uncached.beta_hat
-        spread += len(cached.events) > 4  # patient zero has at most 4 events
+        own = run_simulation(obs, cal, sc, "c1", seed, kp, DP)
+        assert hazards == [(obs.session_length_s, 15)]
+        assert own == given  # events, beta_hat and T included
+        spread += len(given.events) > 4  # patient zero has at most 4 events
         hazards.clear()
     assert spread >= 2
 
@@ -496,8 +495,8 @@ def test_airborne_sweep_builds_no_hazard_cache(monkeypatch):
 
 @pytest.mark.parametrize("setting", ["cached", "over_cap", "airborne"])
 def test_single_run_equals_its_sweep_run(monkeypatch, setting):
-    # a run given no pair arrays makes its own, with no cache, and returns
-    # the whole outcome a sweep returns, beta_hat and T included
+    # a run given no pair arrays makes its own, as a sweep process does, and
+    # returns the whole outcome a sweep returns, beta_hat and T included
     if setting == "airborne":
         obs = _roster_obs(2, 1, t_total=30)
         kp = KernelParams(beta_max=3e-2, mode=TransmissionMode.AIRBORNE)
@@ -524,7 +523,7 @@ def test_run_sums_its_pair_rates_in_row_major_order():
     # the transposed order
     obs = _roster_obs(4, 2, t_total=60)
     kp = KernelParams(beta_max=3e-2)
-    shared = scenario._PairArrays(obs, kp, cache=True)
+    shared = scenario._PairArrays(obs, kp)
     rng = np.random.default_rng(5)
     shared.rate_sums = rng.uniform(size=15) * 10.0 ** rng.integers(-8, 8, size=15)
     shared.pair_seconds = np.ones(15, dtype=np.int64)
