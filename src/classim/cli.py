@@ -135,7 +135,7 @@ def _parse_room(text: str) -> tuple[float, float]:
         raise ConfigError(f"room must look like 8x8, got {text!r}") from None
 
 
-def _parse_schedule(text: str, session_length_s: int):
+def _parse_schedule(text: str):
     intervals = []
     for part in text.split(","):
         try:
@@ -160,9 +160,7 @@ def _parse_speed(text: str) -> tuple[float, float]:
 def cmd_synth(args) -> int:
     room_w, room_h = _parse_room(args.room)
     speed_min, speed_max = _parse_speed(args.speed)
-    schedule = (
-        _parse_schedule(args.schedule, args.length) if args.schedule else None
-    )
+    schedule = _parse_schedule(args.schedule) if args.schedule else None
     cfg = synthgen.SynthConfig(
         n_children=args.children,
         n_teachers=args.teachers,
@@ -215,10 +213,11 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _load_config(path: str | None) -> tuple[dict, list[str]]:
-    """Resolved config dict plus any input paths recorded in a manifest."""
+def _load_config(path: str | None) -> tuple[dict, list[tuple[str, str | None]]]:
+    """Resolved config dict plus any inputs recorded in a manifest, each a
+    path and its recorded sha256 (None when the entry has none)."""
     resolved = DEFAULT_CONFIG
-    manifest_inputs: list[str] = []
+    manifest_inputs: list[tuple[str, str | None]] = []
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -234,7 +233,10 @@ def _load_config(path: str | None) -> tuple[dict, list[str]]:
             if not isinstance(inputs, list) or not all(
                     isinstance(e, dict) and isinstance(e.get("path"), str) for e in inputs):
                 raise ConfigError(f"manifest inputs in {path} must be objects with a path")
-            manifest_inputs = [entry["path"] for entry in inputs]
+            manifest_inputs = [(entry["path"], entry.get("sha256")) for entry in inputs]
+            for entry_path, digest in manifest_inputs:
+                if digest is not None and not isinstance(digest, str):
+                    raise ConfigError(f"manifest sha256 of {entry_path} in {path} must be a string")
             raw = raw["parameters"]
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
@@ -288,8 +290,10 @@ def _disease_params(cfg: dict) -> epidemic.DiseaseParams:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
+    # inputs are hashed before the sweep's pool forks; a freed 1-MB block
+    # stayed resident in the heap that every worker inherits, a 64-KB one does not
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(1 << 16), b""):
             h.update(block)
     return h.hexdigest()
 
@@ -345,8 +349,9 @@ def cmd_simulate(args) -> int:
                 f"unknown scenario {name!r}; pick from {sorted(scenario.SCENARIO_CELLS)}"
             )
 
-    obs_paths = list(args.observations) or manifest_inputs
-    if not obs_paths:
+    # paths on the command line replace a manifest's inputs and are not checked
+    inputs = [(p, None) for p in args.observations] or manifest_inputs
+    if not inputs:
         raise ConfigError("no observation files given (and the config is not a manifest)")
     workers = _workers(args.workers)
 
@@ -365,9 +370,15 @@ def cmd_simulate(args) -> int:
             for name in cfg["scenarios"]
         ]
     cfg = _merge(cfg, {"kernel": {"beta_max_per_s": kp.beta_max}})  # resolved snapshot
+    obs_paths = [p for p, _ in inputs]
     observations = [
         trajectory.load_observation(p, trajectory.TrackFormat.FUSED) for p in obs_paths
     ]
+    digests = [_sha256(Path(p)) for p in obs_paths]  # once: checked here, recorded below
+    for (path, recorded), digest in zip(inputs, digests):
+        if recorded is not None and digest != recorded:
+            raise ConfigError(f"{path} has changed since the manifest recorded it "
+                              f"(sha256 {digest}, recorded {recorded})")
     # outputs are grouped by class_id, so a shared id would merge two classes
     first_path: dict[str, str] = {}
     for path, obs in zip(obs_paths, observations):
@@ -410,7 +421,7 @@ def cmd_simulate(args) -> int:
             "base_seed": cfg["base_seed"],
             "parameters": cfg,
             "inputs": [
-                {"path": str(p), "sha256": _sha256(Path(p))} for p in obs_paths
+                {"path": str(p), "sha256": d} for p, d in zip(obs_paths, digests)
             ],
             "outputs": ["summary.csv", "curves.csv", "emergence.csv"],
         }

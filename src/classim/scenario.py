@@ -409,16 +409,17 @@ def sweep(
     """
     cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)
     cals = tuple(build_calendar(c.horizon_days, obs.session_length_s) for c in cells)
-    tasks = [
+    n_tasks = obs.n_people * sum(c.reps_per_patient_zero for c in cells)
+    tasks = (  # drawn as runs are handed out, so no task list is held
         (cell, pz_index, rep)
         for cell, c in enumerate(cells)
         for pz_index in range(obs.n_people)
         for rep in range(c.reps_per_patient_zero)
-    ]
+    )
     args = (obs, cells, cals, kp, dp)
-    if workers <= 1 or len(tasks) <= 1:
+    if workers <= 1 or n_tasks <= 1:
         yield from map(_task_runner(*args), tasks)
     else:  # the parent never builds the cache: each worker does, in its initializer
         with Pool(processes=workers, initializer=_worker_init, initargs=args) as pool:
-            chunk = min(_MAX_CHUNK, max(1, len(tasks) // (workers * 8)))
+            chunk = min(_MAX_CHUNK, max(1, n_tasks // (workers * 8)))
             yield from pool.imap(_worker_run, tasks, chunksize=chunk)

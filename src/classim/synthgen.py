@@ -153,24 +153,11 @@ def generate(cfg: SynthConfig) -> Observation:
     facings = np.full((t_total, n, 2), np.nan)
     present = np.ones((t_total, n), dtype=bool)
     activity = np.zeros(t_total, dtype=np.uint8)
-
-    if t_total == 0 or n == 0:
-        return Observation(
-            class_id=cfg.class_id,
-            roster=roster,
-            room_area_m2=cfg.room_w * cfg.room_h,
-            positions=positions[:, :n],
-            facings=facings[:, :n],
-            present=present[:, :n],
-            activity=activity if t_total else None,
-        )
-
     seating = _make_seating(cfg, roles)
     intervals = cfg.intervals()
 
     # initial placement: seated if the session opens structured, else scattered
-    first_regime = intervals[0][2]
-    if first_regime == Activity.STRUCTURED:
+    if intervals and intervals[0][2] == Activity.STRUCTURED:
         pos = seating.seat.copy()
         fac = _toward(seating.center, pos)
     else:
@@ -178,42 +165,25 @@ def generate(cfg: SynthConfig) -> Observation:
         ang = rng.uniform(0.0, 2.0 * math.pi, size=n)
         fac = np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
-    target = pos.copy()
-    speed = np.zeros(n)
     lo = np.array([0.0, 0.0])
     hi = np.array([cfg.room_w, cfg.room_h])
 
     for start, end, regime in intervals:
         activity[start:end] = ACTIVITY_CODES[regime]
-        if regime == Activity.UNSTRUCTURED:
+        free_play = regime == Activity.UNSTRUCTURED
+        if free_play:
             target = rng.uniform(lo, hi, size=(n, 2))
-            speed = rng.uniform(cfg.speed_min, cfg.speed_max, size=n)
-        else:
-            speed = rng.uniform(cfg.speed_min, cfg.speed_max, size=n)
+        speed = rng.uniform(cfg.speed_min, cfg.speed_max, size=n)
         for t in range(start, end):
-            if regime == Activity.UNSTRUCTURED:
-                step = target - pos
-                dist = np.linalg.norm(step, axis=1)
-                arrived = dist <= speed
-                moving = ~arrived & (dist > 0)
-                if moving.any():
-                    d = step[moving] / dist[moving, None]
-                    pos[moving] += d * speed[moving, None]
-                    fac[moving] = d
+            if free_play:
+                arrived = _walk(pos, fac, target, speed)
                 if arrived.any():
                     pos[arrived] = target[arrived]
                     n_new = int(arrived.sum())
                     target[arrived] = rng.uniform(lo, hi, size=(n_new, 2))
                     speed[arrived] = rng.uniform(cfg.speed_min, cfg.speed_max, size=n_new)
             else:
-                step = seating.seat - pos
-                dist = np.linalg.norm(step, axis=1)
-                walking = dist > speed
-                if walking.any():
-                    d = step[walking] / dist[walking, None]
-                    pos[walking] += d * speed[walking, None]
-                    fac[walking] = d
-                seated = ~walking
+                seated = _walk(pos, fac, seating.seat, speed)
                 if seated.any():
                     n_seated = int(seated.sum())
                     jitter = rng.normal(0.0, JITTER_SIGMA_M, size=(n_seated, 2))
@@ -234,8 +204,21 @@ def generate(cfg: SynthConfig) -> Observation:
         positions=positions,
         facings=facings,
         present=present,
-        activity=activity,
+        activity=activity if t_total else None,
     )
+
+
+def _walk(pos: np.ndarray, fac: np.ndarray, goal: np.ndarray, speed: np.ndarray) -> np.ndarray:
+    """Move everyone farther than their speed from ``goal`` one step toward it,
+    facing the way they walk; return who is within reach."""
+    step = goal - pos
+    dist = np.linalg.norm(step, axis=1)
+    walking = dist > speed
+    if walking.any():
+        d = step[walking] / dist[walking, None]
+        pos[walking] += d * speed[walking, None]
+        fac[walking] = d
+    return ~walking
 
 
 def _toward(dst: np.ndarray, src: np.ndarray) -> np.ndarray:

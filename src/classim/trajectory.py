@@ -590,20 +590,12 @@ def _fused_grid(t, who, is_present, coords, roster, column):
             present.reshape(t_total, n))
 
 
-def _load_fused(csv_path: Path, meta: dict) -> Observation:
+def _read_fused(csv_path: Path, roster: tuple[Person, ...] | None):
+    """The roster and the (T, N) positions, facings and presence of a fused CSV."""
     people = _People()
     rows = _fused_rows(csv_path, people)
-    roster, column = people.check_roster(_roster_from_sidecar(meta), "frames")
-    positions, facings, present = _fused_grid(*rows, roster, column)
-    return Observation(
-        class_id=str(meta.get("class_id", csv_path.stem)),
-        roster=roster,
-        room_area_m2=float(meta["room_area_m2"]),
-        positions=positions,
-        facings=facings,
-        present=present,
-        activity=_activity_from_sidecar(meta, len(positions)),
-    )
+    roster, column = people.check_roster(roster, "frames")
+    return (roster, *_fused_grid(*rows, roster, column))
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +633,12 @@ def _raw_rows(csv_path: Path, people: _People):
     return [column.array() for column in columns]
 
 
-def _load_raw(csv_path: Path, meta: dict) -> Observation:
+def _read_raw(csv_path: Path, roster: tuple[Person, ...] | None):
+    """The roster and the (T, N) positions, facings and presence of a raw-tag
+    CSV: each person's tags fused, then resampled onto the 1 Hz grid."""
     people = _People()
     t, who, side, x, y = _raw_rows(csv_path, people)
-    roster, column = people.check_roster(_roster_from_sidecar(meta), "tag rows")
+    roster, column = people.check_roster(roster, "tag rows")
     if not len(t):
         raise EmptyTrack(f"{csv_path} contains no tag samples")
     # rows of each (person, side) stream in time order; equal times keep file order
@@ -670,16 +664,7 @@ def _load_raw(csv_path: Path, meta: dict) -> Observation:
         positions[:, k] = u.pos
         facings[:, k] = u.facing
         present[:, k] = u.present
-
-    return Observation(
-        class_id=str(meta.get("class_id", csv_path.stem)),
-        roster=roster,
-        room_area_m2=float(meta["room_area_m2"]),
-        positions=positions,
-        facings=facings,
-        present=present,
-        activity=_activity_from_sidecar(meta, len(grid)),
-    )
+    return roster, positions, facings, present
 
 
 def load_observation(
@@ -690,6 +675,14 @@ def load_observation(
     """Load an observation file (fused or raw-tag CSV) plus its sidecar."""
     path = Path(path)
     meta = _load_sidecar(Path(meta_path) if meta_path is not None else default_meta_path(path))
-    if fmt == TrackFormat.FUSED:
-        return _load_fused(path, meta)
-    return _load_raw(path, meta)
+    read = _read_fused if fmt == TrackFormat.FUSED else _read_raw
+    roster, positions, facings, present = read(path, _roster_from_sidecar(meta))
+    return Observation(
+        class_id=str(meta.get("class_id", path.stem)),
+        roster=roster,
+        room_area_m2=float(meta["room_area_m2"]),
+        positions=positions,
+        facings=facings,
+        present=present,
+        activity=_activity_from_sidecar(meta, len(positions)),
+    )

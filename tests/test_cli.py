@@ -258,6 +258,48 @@ def test_simulate_manifest_reproduces_bitwise(tmp_path, small_obs, capsys):
         assert _digest(first / name) == _digest(second / name), name
 
 
+def test_simulate_manifest_replay_rejects_a_changed_input(tmp_path, small_obs, capsys):
+    first = tmp_path / "first"
+    code, _, _ = _run(capsys, "simulate", str(small_obs), "--out", str(first),
+                      "--reps", "1", "--horizon-days", "1", "--workers", "1")
+    assert code == 0
+    code = main(["synth", "--children", "4", "--teachers", "1", "--length", "120",
+                 "--seed", "4", "--class-id", "demo", "--out", str(small_obs)])
+    assert code == 0
+    capsys.readouterr()
+    second = tmp_path / "second"
+    code, _, err = _run(capsys, "simulate", "--config", str(first / "manifest.json"),
+                        "--out", str(second), "--workers", "1")
+    assert code == 1
+    _one_error_line(err)
+    assert str(small_obs) in err and "changed" in err
+    assert not second.exists()
+    # a path on the command line replaces the manifest's inputs, unchecked
+    code, _, _ = _run(capsys, "simulate", str(small_obs), "--config",
+                      str(first / "manifest.json"), "--out", str(second), "--workers", "1")
+    assert code == 0
+
+
+@pytest.mark.parametrize("digest", [None, 7, ["ab"], {}])
+def test_simulate_manifest_digest_must_be_a_string(tmp_path, small_obs, capsys, digest):
+    manifest = {"parameters": {"reps": 1, "horizon_days": 1},
+                "inputs": [{"path": str(small_obs), "sha256": digest}]}
+    if digest is None:
+        del manifest["inputs"][0]["sha256"]  # no digest: the input is not checked
+    cfg = tmp_path / "manifest.json"
+    cfg.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir),
+                        "--workers", "1", "--scenarios", "full-novax")
+    if digest is None:
+        assert code == 0
+        return
+    assert code == 1
+    _one_error_line(err)
+    assert str(small_obs) in err
+    assert not out_dir.exists()
+
+
 def test_simulate_invalid_observation_cleans_up(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t_s,person_id,role,present,x_m,y_m,facing_x,facing_y\n"

@@ -582,6 +582,34 @@ def test_sweep_order_is_pz_then_rep():
     ]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_draws_tasks_lazily(workers):
+    # a reps count whose task list would not fit in memory still yields its
+    # first runs at once, and they are the first runs of a small sweep
+    import contextlib
+    import itertools
+    import tracemalloc
+
+    obs = _roster_obs(2, 1, t_total=30)
+    kp = KernelParams(beta_max=1e-3)
+
+    def first_runs(reps):
+        sc = ScenarioConfig(horizon_days=1, reps_per_patient_zero=reps, base_seed=4)
+        with contextlib.closing(sweep(obs, sc, kp, DP, workers=workers)) as runs:
+            return list(itertools.islice(runs, 3))
+
+    # a list of 300,000 tasks takes tens of MB: fail here, before the huge sweep
+    tracemalloc.start()
+    try:
+        first_runs(10**5)
+        assert tracemalloc.get_traced_memory()[1] < 8 << 20
+    finally:
+        tracemalloc.stop()
+    first = first_runs(10**12)
+    small = ScenarioConfig(horizon_days=1, reps_per_patient_zero=3, base_seed=4)
+    assert first == list(sweep(obs, small, kp, DP, workers=workers))[:3]
+
+
 def test_half_sweep_saturation_below_full_when_transmission_strong():
     # statistical monotonicity on a dense synthetic classroom; needs enough
     # transmission that the density effect beats the smaller-roster baseline

@@ -1,16 +1,50 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from classim.errors import ConfigError
 from classim.kernel import KernelParams, pairwise_rates
 from classim.synthgen import SEAT_RADIUS_M, SynthConfig, _make_seating, generate
-from classim.trajectory import Activity, Role
+from classim.trajectory import Activity, Role, save_observation
 
 
 def test_zero_length_session():
     obs = generate(SynthConfig(session_length_s=0))
     assert obs.session_length_s == 0
     assert obs.n_people == 15
+    assert obs.activity is None
+    assert generate(SynthConfig(n_children=0, n_teachers=0, session_length_s=0)).activity is None
+
+
+def test_empty_roster_activity_follows_schedule(tmp_path):
+    cfg = SynthConfig(n_children=0, n_teachers=0, session_length_s=60,
+                      schedule=((0, 30, Activity.STRUCTURED), (30, 60, Activity.UNSTRUCTURED)))
+    obs = generate(cfg)
+    assert obs.n_people == 0 and obs.session_length_s == 60
+    assert (obs.activity[:30] == 1).all() and (obs.activity[30:] == 0).all()
+    save_observation(obs, tmp_path / "empty.csv")
+    meta = json.loads((tmp_path / "empty.meta.json").read_text())
+    assert meta["activity"] == [
+        {"start_s": 0, "end_s": 30, "label": "structured"},
+        {"start_s": 30, "end_s": 60, "label": "unstructured"},
+    ]
+
+
+def test_both_regimes_write_pinned_bytes(tmp_path):
+    # seated start, free play, then the walk back to the tables: every
+    # movement branch and its draws, pinned to the bytes synth writes
+    cfg = SynthConfig(n_children=5, n_teachers=1, room_w=4.0, room_h=4.0, session_length_s=120,
+                      schedule=((0, 40, Activity.STRUCTURED), (40, 80, Activity.UNSTRUCTURED),
+                                (80, 120, Activity.STRUCTURED)), seed=3)
+    save_observation(generate(cfg), tmp_path / "class.csv")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("class.csv", "class.meta.json")}
+    assert digests == {
+        "class.csv": "c002ef74a9655ec3cf6b4c6fa5b6da827ae588a6442c6779df7c6a98c09ad430",
+        "class.meta.json": "7f04ec50cfd1d86a310f077def2cbc2850488d9d1263b7e1db0f8045c8e7f214",
+    }
 
 
 def test_all_structured_children_stay_at_tables():
