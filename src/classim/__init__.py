@@ -61,7 +61,6 @@ from .trajectory import (  # noqa: F401
     Person,
     Role,
     TrackFormat,
-    TrajectoryFrame,
     fuse_tags,
     load_observation,
     resample,

@@ -19,7 +19,9 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 
@@ -323,12 +325,13 @@ def _workers(flag: int | None) -> int:
 def cmd_simulate(args) -> int:
     """Sweep every observation's cells; write the three CSVs and the manifest.
 
-    Every input is loaded and checked before any output exists.  Runs then
-    stream out of ``scenario.sweep`` and are folded as they arrive: each
-    one's summary row is written to summary.csv, its hourly counts join its
-    group's integer sums and its three onset days its group's list, and the
-    outcome itself is dropped.  On any failure, an interrupt included, the
-    sweep's workers are stopped and every output file is removed.
+    Every input and every sweep's plan is checked before any output exists.
+    Runs then stream out of ``scenario.sweep`` and are folded as they
+    arrive: each one's summary row is written to summary.csv, its hourly
+    counts join its group's integer sums and its three onset days its
+    group's list, and the outcome itself is dropped.  On any failure, an interrupt or SIGTERM
+    included, the sweep's workers are stopped and every output file is
+    removed; SIGTERM then exits 143.
     """
     cfg, manifest_inputs = _load_config(args.config)
     if args.reps is not None:
@@ -387,6 +390,8 @@ def cmd_simulate(args) -> int:
                               f"and {path}; each observation needs its own")
         first_path[obs.class_id] = path
 
+    # each sweep checks its plan now; its runs start at the first read
+    streams = [scenario.sweep(obs, cells, kp, dp, workers=workers) for obs in observations]
     curve_groups: dict[str, metrics.HourlySums] = {}
     onset_days: dict[str, list] = {}
     multi = len(observations) > 1
@@ -394,8 +399,8 @@ def cmd_simulate(args) -> int:
     def folded_runs():
         """Each run with its summary row, in sweep order, after folding it into
         its group's hourly sums and onset days; no outcome is kept."""
-        for obs in observations:
-            with contextlib.closing(scenario.sweep(obs, cells, kp, dp, workers=workers)) as runs:
+        for obs, stream in zip(observations, streams):
+            with contextlib.closing(stream) as runs:
                 for outcome in runs:
                     summary = metrics.summarize_run(outcome)
                     group = f"{obs.class_id}:{outcome.scenario}" if multi else outcome.scenario
@@ -407,6 +412,11 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / name for name in
              ("summary.csv", "curves.csv", "emergence.csv", "manifest.json")}
+    # SIGTERM unwinds like an interrupt: the clean-up below runs, and the exit
+    # code is 143.  Only the main thread may set a handler, and only it runs one.
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
     try:
         # closing the stream ends the sweep's pool workers now, not at collection
         with contextlib.closing(folded_runs()) as rows:
@@ -428,10 +438,13 @@ def cmd_simulate(args) -> int:
         with open(paths["manifest.json"], "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except BaseException:  # an interrupt included: leave no partial output
+    except BaseException:  # an interrupt or SIGTERM included: leave no partial output
         for p in paths.values():
             p.unlink(missing_ok=True)
         raise
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     print(f"outputs={out_dir}")
     print(f"runs={sum(sums.n_runs for sums in curve_groups.values())}")
     return 0

@@ -19,9 +19,10 @@ all present infectious neighbours as  p = 1 - prod_j (1 - min(beta_ij, 1)).
 As a hazard,  h = -log(1 - p) = sum_j -log1p(-min(beta_ij, 1)),  so the
 chance of escaping every second a..b is  exp(-(h_a + ... + h_b)).
 
-``transmission_step`` applies the per-second rule to a single frame and
-draws one uniform per susceptible.  ``simulate_session`` replays a whole
-session in segments between changes of the infectious set (temporal
+``transmission_step`` applies the per-second rule to second t of an
+observation, read from its own arrays, and draws one uniform per
+susceptible.  ``simulate_session`` replays a whole session of the same
+observation in segments between changes of the infectious set (temporal
 Gillespie: Vestergaard & Genois, PLoS Comput Biol 11:e1004579, 2015).  Each
 susceptible draws one Exp(1) threshold E per segment and is infected at the
 first second at which its accrued hazard exceeds E.  Since
@@ -48,7 +49,7 @@ import numpy as np
 from . import kernel
 from .errors import FrameRosterMismatch, UnknownPerson, reject_bools
 from .kernel import KernelParams, TransmissionMode
-from .trajectory import Observation, TrajectoryFrame
+from .trajectory import Observation
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
@@ -268,29 +269,28 @@ def seed_patient_zero(state: EpidemicState, person_id: str, dp: DiseaseParams) -
 
 def transmission_step(
     state: EpidemicState,
-    frame: TrajectoryFrame,
+    obs: Observation,
+    t: int,
     kp: KernelParams,
     dp: DiseaseParams,
 ) -> EpidemicState:
-    """Advance one trajectory frame: infect susceptibles, step the clock.
+    """Advance second ``t`` of the observation: infect susceptibles, step the clock.
 
-    The frame describes the instant at the current clock (caller aligns
+    Second ``t`` describes the instant at the current clock (caller aligns
     times).  One uniform is drawn per susceptible non-immune person in
     roster order, whether or not they can be infected this second; absent
     people neither transmit nor receive.
     """
     n = len(state.person_ids)
-    if frame.positions.shape[0] != n:
-        raise FrameRosterMismatch(
-            f"frame has {frame.positions.shape[0]} people, roster has {n}"
-        )
+    if obs.n_people != n:
+        raise FrameRosterMismatch(f"observation has {obs.n_people} people, roster has {n}")
     now = state.clock
     susceptible, _, infectious, _ = _compartment_masks(state, now)
     sus_idx = np.flatnonzero(susceptible & ~state.immune)
     inf_idx = np.flatnonzero(infectious)
 
     if len(inf_idx) and len(sus_idx):
-        beta = _frame_source_rates(state, frame, kp, now, sus_idx, inf_idx)
+        beta = _frame_source_rates(state, obs, t, kp, now, sus_idx, inf_idx)
         p = 1.0 - np.prod(1.0 - np.clip(beta, 0.0, 1.0), axis=-1)  # see module docstring
         u = state.rng.random(len(sus_idx))
         for pos in np.flatnonzero(u < p):
@@ -300,24 +300,26 @@ def transmission_step(
         state.rng.random(len(sus_idx))  # fixed draw pattern: one per susceptible
 
     if kp.mode == TransmissionMode.AIRBORNE:
-        _record_emissions(state, frame, now, inf_idx)
+        _record_emissions(state, obs, t, now, inf_idx)
     state.clock = now + 1.0
     return state
 
 
 def _frame_source_rates(
     state: EpidemicState,
-    frame: TrajectoryFrame,
+    obs: Observation,
+    t: int,
     kp: KernelParams,
     now: float,
     sus_idx: np.ndarray,
     inf_idx: np.ndarray,
 ) -> np.ndarray:
-    """Per-source rates (n_sus, n_inf) for one frame, inc. airborne history."""
-    pos = np.where(frame.present[:, None], frame.positions, 0.0)
-    fac = np.where(frame.present[:, None], frame.facings, 0.0)
+    """Per-source rates (n_sus, n_inf) at second ``t``, inc. airborne history."""
+    present = obs.present[t]
+    pos = np.where(present[:, None], obs.positions[t], 0.0)
+    fac = np.where(present[:, None], obs.facings[t], 0.0)
     beta = kernel.rates_between(pos[sus_idx], fac[sus_idx], pos[inf_idx], fac[inf_idx], kp)
-    co_present = frame.present[sus_idx][:, None] & frame.present[inf_idx][None, :]
+    co_present = present[sus_idx][:, None] & present[inf_idx][None, :]
     beta[~co_present] = 0.0
 
     if kp.mode == TransmissionMode.AIRBORNE and state.emissions is not None:
@@ -327,7 +329,7 @@ def _frame_source_rates(
         current_slot = int(now // EMISSION_SLOT_S)
         # the slots before the current one, oldest first (stale rows are masked)
         rows = np.arange(current_slot - EMISSION_ROWS + 1, current_slot) % EMISSION_ROWS
-        sus_present = frame.present[sus_idx]
+        sus_present = present[sus_idx]
         for col, j in enumerate(inf_idx):
             arr = state.emissions[j, rows]
             arr = arr[arr[:, 0] >= now - EMISSION_HORIZON_S]
@@ -340,14 +342,14 @@ def _frame_source_rates(
     return beta
 
 
-def _record_emissions(state, frame, now, inf_idx) -> None:
+def _record_emissions(state, obs, t, now, inf_idx) -> None:
     if state.emissions is None:
         state.emissions = np.full((len(state.person_ids), EMISSION_ROWS, 5), -math.inf)
     slot = int(now // EMISSION_SLOT_S)
     row = state.emissions[:, slot % EMISSION_ROWS]
     for j in inf_idx:  # a row still holding an earlier slot is free
-        if frame.present[j] and row[j, 0] < slot * EMISSION_SLOT_S:
-            row[j] = now, *frame.positions[j], *frame.facings[j]
+        if obs.present[t, j] and row[j, 0] < slot * EMISSION_SLOT_S:
+            row[j] = now, *obs.positions[t, j], *obs.facings[t, j]
 
 
 def progress_offclass(state: EpidemicState, duration_s: float) -> EpidemicState:
@@ -395,7 +397,7 @@ def simulate_session(
 ) -> EpidemicState:
     """Replay one full session of the observation against the state.
 
-    Equal in distribution to calling ``transmission_step`` on every frame,
+    Equal in distribution to calling ``transmission_step`` on every second,
     but evaluated in segments between transition events of the infectious
     set.  Within a segment each present susceptible draws one Exp(1)
     threshold and is infected at the first second at which its cumulative
@@ -420,7 +422,7 @@ def simulate_session(
     recording fits one; the uncached path serves recordings past the cap
     and direct calls without a hazard.
 
-    Airborne mode falls back to the per-frame step, which maintains the
+    Airborne mode falls back to the per-second step, which maintains the
     emission buffers.
     """
     n = len(state.person_ids)
@@ -434,7 +436,7 @@ def simulate_session(
 
     if kp.mode == TransmissionMode.AIRBORNE:
         for t in range(t_total):
-            transmission_step(state, obs.frame(t), kp, dp)
+            transmission_step(state, obs, t, kp, dp)
         return state
 
     if hazard is not None:

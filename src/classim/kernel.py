@@ -30,8 +30,9 @@ walks the recording once, chunk by chunk, for each pair's time sum of rates
 and its co-present seconds, in the same column order; it can also keep the
 rates, which the session engine reads as a cumulative hazard
 (``cumulative_hazard``), summed over time per pair column: a cache of the
-whole recording holds T * N(N-1)/2 floats.  ``mean_pair_rate`` divides a
-roster's rate sums by its co-present seconds.
+whole recording holds T * N(N-1)/2 floats, and converting it in place
+allocates no second block.  ``mean_pair_rate`` divides a roster's rate
+sums by its co-present seconds.
 
 All functions here are safe to call concurrently on separate arrays; all
 but ``cumulative_hazard``, which converts its argument in place, are pure.
@@ -381,24 +382,18 @@ def cumulative_hazard(rates: np.ndarray) -> np.ndarray:
     ``HAZARD_CAP``: the hazard of pair k accumulated through second t.  One
     second's term is the hazard of the per-second Bernoulli(min(beta, 1))
     contact, so  exp(-(C[b] - C[a-1]))  is the probability that the pair's
-    contact transmits in none of the seconds a..b.  The running sum is
-    strictly sequential in t, so the result does not depend on the time
-    chunks the work proceeds in.  Returns ``rates``.
+    contact transmits in none of the seconds a..b.  The whole block is
+    converted by in-place ufuncs and an in-place running sum along time,
+    none of which makes a copy, so the conversion needs no memory beyond
+    ``rates``.  Returns ``rates``.
     """
-    t_total = rates.shape[0]
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, rates[:1].size))
-    for a in range(0, t_total, chunk):
-        c = rates[a:a + chunk]
-        np.minimum(c, 1.0, out=c)
-        np.negative(c, out=c)
-        with np.errstate(divide="ignore"):  # log1p(-1) = -inf, capped below
-            np.log1p(c, out=c)
-        np.negative(c, out=c)
-        np.minimum(c, HAZARD_CAP, out=c)
-        if a:
-            c[0] += rates[a - 1]
-        np.cumsum(c, axis=0, out=c)
-    return rates
+    np.minimum(rates, 1.0, out=rates)
+    np.negative(rates, out=rates)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf, capped below
+        np.log1p(rates, out=rates)
+    np.negative(rates, out=rates)
+    np.minimum(rates, HAZARD_CAP, out=rates)
+    return np.cumsum(rates, axis=0, out=rates)
 
 
 def pair_totals(

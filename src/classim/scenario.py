@@ -17,6 +17,7 @@ across scenario cells for coupled comparisons.
 from __future__ import annotations
 
 import math
+import signal
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -151,9 +152,7 @@ def half_class_indices(
     Same draws, in the same order, as ``apply_half_class``.
     """
     child_idx = [k for k, p in enumerate(obs.roster) if p.role == Role.CHILD]
-    teacher_idx = [k for k, p in enumerate(obs.roster) if p.role == Role.TEACHER]
-    if not teacher_idx:
-        raise NoTeacher(f"observation {obs.class_id} has no teacher")
+    teacher_idx = _teacher_indices(obs)
     include_idx = obs.index_of(include) if include is not None else None
 
     n_keep = math.ceil(len(child_idx) / 2)
@@ -172,6 +171,14 @@ def half_class_indices(
         chosen = rng.choice(len(pool), size=n_sample, replace=False)
         keep.extend(pool[int(c)] for c in chosen)
     return np.array(sorted(keep), dtype=np.intp)
+
+
+def _teacher_indices(obs: Observation) -> list[int]:
+    """Roster indices of the teachers, of whom a half class keeps one."""
+    teacher_idx = [k for k, p in enumerate(obs.roster) if p.role == Role.TEACHER]
+    if not teacher_idx:
+        raise NoTeacher(f"observation {obs.class_id} has no teacher")
+    return teacher_idx
 
 
 def apply_vaccination(
@@ -256,7 +263,7 @@ class _PairArrays:
     ``_RATE_CACHE_MAX_ELEMENTS`` also gets ``hazard``, the rates of that
     pass turned in place into the cumulative hazard the session engine
     reads.  Past the cap, and in airborne mode, ``hazard`` is None and
-    sessions rate per segment or per frame.
+    sessions rate per segment or step second by second.
     """
 
     def __init__(self, obs: Observation, kp: KernelParams):
@@ -289,7 +296,7 @@ def run_simulation(
     builds and returns the sweep's outcome for the same (cell, patient
     zero, seed).  Under the cap, droplet sessions read the hazard cache;
     past it they rate each segment's own (susceptible, source) pairs, and
-    airborne sessions step frame by frame.
+    airborne sessions step second by second.
 
     The trajectory replays identically for every session in the calendar;
     between sessions the clock jumps with no transmission.  The run stops
@@ -373,6 +380,7 @@ _WORKER: dict = {}
 
 
 def _worker_init(*args):
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # Pool.terminate ends a worker at once
     _WORKER["run"] = _task_runner(*args)
 
 
@@ -401,14 +409,23 @@ def sweep(
     caller can fold each run as it arrives and hold none.  Each cell runs
     on its own calendar over its horizon.
 
+    The plan is checked when ``sweep`` is called: every cell's calendar is
+    built, and a half cell needs a teacher.  Runs start at the first read.
     Each process (the caller itself at ``workers=1``, else each pool
     worker) builds its pair arrays once per sweep, the cumulative-hazard
     cache of the pair triangle included when it fits; runs then reduce to
-    array gathers and draws.  The pool lives as long as the generator:
+    array gathers and draws.  The pool lives as long as the returned stream:
     exhausting or closing it terminates the workers.
     """
     cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)
     cals = tuple(build_calendar(c.horizon_days, obs.session_length_s) for c in cells)
+    if any(c.density == DensityVariant.HALF for c in cells):
+        _teacher_indices(obs)
+    return _runs(obs, cells, cals, kp, dp, workers)
+
+
+def _runs(obs, cells, cals, kp, dp, workers) -> Iterator[RunOutcome]:
+    """The run stream of a checked sweep plan; it owns the worker pool."""
     n_tasks = obs.n_people * sum(c.reps_per_patient_zero for c in cells)
     tasks = (  # drawn as runs are handed out, so no task list is held
         (cell, pz_index, rep)

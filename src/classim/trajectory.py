@@ -110,20 +110,6 @@ class UniformTrack:
     present: np.ndarray  # (T,) bool
 
 
-@dataclass(frozen=True)
-class TrajectoryFrame:
-    """One second of the observation: who is where, facing which way.
-
-    positions/facings are (N, 2) arrays in roster order; absent people carry
-    NaN coordinates and present[k] = False.
-    """
-
-    t: int
-    positions: np.ndarray
-    facings: np.ndarray
-    present: np.ndarray
-
-
 @dataclass
 class Observation:
     """A full classroom session on the uniform 1 Hz grid.
@@ -200,14 +186,6 @@ class Observation:
             if p.person_id == person_id:
                 return k
         raise KeyError(person_id)
-
-    def frame(self, t: int) -> TrajectoryFrame:
-        return TrajectoryFrame(
-            t=t,
-            positions=self.positions[t],
-            facings=self.facings[t],
-            present=self.present[t],
-        )
 
     def subset(self, indices) -> "Observation":
         """New Observation keeping only the given roster indices (in roster order)."""

@@ -13,7 +13,7 @@ import numpy as np
 from classim import kernel
 from classim.epidemic import EMISSION_HORIZON_S, EMISSION_SLOT_S, SECONDS_PER_HOUR
 from classim.kernel import KernelParams
-from classim.trajectory import TrajectoryFrame
+from classim.trajectory import Observation
 
 
 class ListEmissions:
@@ -27,35 +27,37 @@ class ListEmissions:
         horizon = now - EMISSION_HORIZON_S
         self.buffers = [[e for e in buf if e[0] >= horizon] for buf in self.buffers]
 
-    def record(self, frame: TrajectoryFrame, now: float, inf_idx: np.ndarray) -> None:
+    def record(self, obs: Observation, t: int, now: float, inf_idx: np.ndarray) -> None:
         slot = int(now // EMISSION_SLOT_S)
         for j in inf_idx:
-            if frame.present[j] and self.last_slot[j] < slot:
+            if obs.present[t, j] and self.last_slot[j] < slot:
                 self.buffers[j].append(
-                    (now, float(frame.positions[j, 0]), float(frame.positions[j, 1]),
-                     float(frame.facings[j, 0]), float(frame.facings[j, 1]))
+                    (now, float(obs.positions[t, j, 0]), float(obs.positions[t, j, 1]),
+                     float(obs.facings[t, j, 0]), float(obs.facings[t, j, 1]))
                 )
                 self.last_slot[j] = slot
 
     def frame_source_rates(
         self,
-        frame: TrajectoryFrame,
+        obs: Observation,
+        t: int,
         kp: KernelParams,
         now: float,
         sus_idx: np.ndarray,
         inf_idx: np.ndarray,
     ) -> np.ndarray:
-        """Per-source rates (n_sus, n_inf) of one airborne frame; trims first."""
+        """Per-source rates (n_sus, n_inf) at airborne second ``t``; trims first."""
         self.trim(now)
-        pos = np.where(frame.present[:, None], frame.positions, 0.0)
-        fac = np.where(frame.present[:, None], frame.facings, 0.0)
+        present = obs.present[t]
+        pos = np.where(present[:, None], obs.positions[t], 0.0)
+        fac = np.where(present[:, None], obs.facings[t], 0.0)
         beta = kernel.rates_between(pos[sus_idx], fac[sus_idx], pos[inf_idx], fac[inf_idx], kp)
-        co_present = frame.present[sus_idx][:, None] & frame.present[inf_idx][None, :]
+        co_present = present[sus_idx][:, None] & present[inf_idx][None, :]
         beta[~co_present] = 0.0
 
         weight = kp.lambda_decay / SECONDS_PER_HOUR * EMISSION_SLOT_S
         current_slot = int(now // EMISSION_SLOT_S)
-        sus_present = frame.present[sus_idx]
+        sus_present = present[sus_idx]
         for col, j in enumerate(inf_idx):
             past = [e for e in self.buffers[j] if int(e[0] // EMISSION_SLOT_S) < current_slot]
             if not past:

@@ -3,6 +3,11 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -343,6 +348,74 @@ def test_simulate_failure_leaves_no_output_and_no_worker(tmp_path, small_obs, ca
     assert len(calls) == n_ok + 1
     assert out_dir.is_dir() and not any(out_dir.iterdir())
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("synth_flags", [
+    ["--children", "3", "--teachers", "0", "--length", "60"],    # half cells need a teacher
+    ["--children", "1", "--teachers", "1", "--length", "86401"],  # longer than a day
+    ["--children", "1", "--teachers", "1", "--length", "0"],      # no session
+    ["--children", "0", "--teachers", "0", "--length", "60"],     # empty roster: loads as 0 s
+], ids=["no_teacher", "past_a_day", "zero_length", "empty_roster"])
+def test_simulate_plan_fault_leaves_no_output_dir(tmp_path, capsys, synth_flags):
+    # every sweep checks its plan before --out is made
+    obs = tmp_path / "class.csv"
+    assert main(["synth", *synth_flags, "--out", str(obs)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "simulate", str(obs), "--out", str(out_dir),
+                        "--reps", "1", "--horizon-days", "7", "--workers", "2")
+    assert code == 1
+    _one_error_line(err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_sigterm_removes_outputs_and_ends_workers(tmp_path, small_obs, workers):
+    # a scheduler or `timeout` stops a job with SIGTERM: the sweep unwinds as
+    # on an interrupt, removes its partial outputs and exits 143
+    out_dir = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "classim.cli", "simulate", str(small_obs), "--out", str(out_dir),
+         "--reps", "100000000", "--workers", workers],
+        env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out_dir / "summary.csv").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(1.0)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 143
+    assert err == b""
+    assert list(out_dir.iterdir()) == []
+    # exited workers linger briefly as zombies until they are reaped
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.05)
+    else:
+        pytest.fail("a process of the run outlived it")
+
+
+def test_simulate_runs_off_the_main_thread(tmp_path, small_obs, capsys):
+    # only the main thread may set the SIGTERM handler; elsewhere none is set
+    out_dir, codes = tmp_path / "out", []
+    worker = threading.Thread(target=lambda: codes.append(main(
+        ["simulate", str(small_obs), "--out", str(out_dir), "--reps", "1",
+         "--horizon-days", "1", "--workers", "1"])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and codes == [0]
+    assert (out_dir / "manifest.json").exists()
 
 
 def _synth_class(tmp_path, name, class_id, children):

@@ -36,7 +36,7 @@ from classim.kernel import (
     pairwise_rates,
     relative_geometry,
 )
-from classim.trajectory import Observation, Person, Role, TrajectoryFrame
+from classim.trajectory import Observation, Person, Role
 from reference_epidemic import compartment_at, mask_counts
 
 DP = DiseaseParams()
@@ -207,7 +207,7 @@ def test_no_infectious_only_clock_moves():
     obs = _pair_obs(t_total=3)
     st = new_epidemic_state(obs.person_ids, _rng(11))
     before = st.t_infected.tolist()
-    transmission_step(st, obs.frame(0), KernelParams(beta_max=1.0), DP)
+    transmission_step(st, obs, 0, KernelParams(beta_max=1.0), DP)
     assert st.clock == 1.0
     assert st.t_infected.tolist() == before
 
@@ -221,7 +221,7 @@ def test_absent_susceptible_cannot_be_infected():
     st = new_epidemic_state(obs.person_ids, _rng(12))
     seed_patient_zero(st, "p0", DP)
     for t in range(3):
-        transmission_step(st, obs.frame(t), kp, DP)
+        transmission_step(st, obs, t, kp, DP)
     assert st.t_infected[1] == math.inf
 
 
@@ -234,7 +234,7 @@ def test_absent_infectious_cannot_transmit():
     st = new_epidemic_state(obs.person_ids, _rng(13))
     seed_patient_zero(st, "p0", DP)
     for t in range(3):
-        transmission_step(st, obs.frame(t), kp, DP)
+        transmission_step(st, obs, t, kp, DP)
     assert st.t_infected[1] == math.inf
 
 
@@ -242,7 +242,7 @@ def test_roster_mismatch_rejected():
     obs = _pair_obs(t_total=1)
     st = new_epidemic_state(["a", "b", "c"], _rng())
     with pytest.raises(FrameRosterMismatch):
-        transmission_step(st, obs.frame(0), KernelParams(beta_max=1.0), DP)
+        transmission_step(st, obs, 0, KernelParams(beta_max=1.0), DP)
 
 
 def _two_agent_mc(kp, obs, n_runs, seed0, stepwise):
@@ -253,7 +253,7 @@ def _two_agent_mc(kp, obs, n_runs, seed0, stepwise):
         seed_patient_zero(st, "p0", DP)
         if stepwise:
             for t in range(t_total):
-                transmission_step(st, obs.frame(t), kp, DP)
+                transmission_step(st, obs, t, kp, DP)
         else:
             simulate_session(st, obs, 0.0, kp, DP)
         hits += math.isfinite(st.t_infected[1])
@@ -753,21 +753,22 @@ def test_emission_ring_matches_list_buffers_past_the_horizon():
     present[6000:9000, 1] = False                               # p1 leaves once
     present[::17, 3] = False                                    # p3 flickers
     pos[~present] = fac[~present] = np.nan
+    obs = Observation(class_id="ring", roster=tuple(Person(f"p{k}", Role.CHILD) for k in range(4)),
+                      room_area_m2=64.0, positions=pos, facings=fac, present=present)
     kp = KernelParams(beta_max=0.05, mode=TransmissionMode.AIRBORNE)
-    st = new_epidemic_state(["p0", "p1", "p2", "p3"], _rng(0))
+    st = new_epidemic_state(obs.person_ids, _rng(0))
     ref = ListEmissions(4)
     sus_idx, inf_idx = np.array([2, 3]), np.array([0, 1])
     compared = 0
     for t in range(t_total):
-        frame = TrajectoryFrame(t, pos[t], fac[t], present[t])
         now = start + t
         if t % 7 == 0 or t >= 10_700:
-            got = _frame_source_rates(st, frame, kp, now, sus_idx, inf_idx)
-            want = ref.frame_source_rates(frame, kp, now, sus_idx, inf_idx)
+            got = _frame_source_rates(st, obs, t, kp, now, sus_idx, inf_idx)
+            want = ref.frame_source_rates(obs, t, kp, now, sus_idx, inf_idx)
             assert np.array_equal(got, want), t
             compared += 1
-        _record_emissions(st, frame, now, inf_idx)
-        ref.record(frame, now, inf_idx)
+        _record_emissions(st, obs, t, now, inf_idx)
+        ref.record(obs, t, now, inf_idx)
     assert compared > 2000
     assert len(ref.buffers[0]) < 180  # p0's absence left slots empty at the end
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -497,7 +498,7 @@ def test_coincident_pair_clamped_not_infinite():
     assert rates[0, 0, 1] <= KP.beta_max
 
 
-def test_cumulative_hazard_is_running_sum_of_capped_hazards(monkeypatch):
+def test_cumulative_hazard_is_running_sum_of_capped_hazards():
     rng = np.random.default_rng(13)
     pos, fac, present = _random_field(rng, 50, 4)
     rates = pairwise_rates(pos, fac, present, KernelParams(beta_max=3.0))
@@ -512,14 +513,25 @@ def test_cumulative_hazard_is_running_sum_of_capped_hazards(monkeypatch):
         expected[t] = running
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 7 * 4 * 4)  # 7-s chunks
-        chunked = cumulative_hazard(rates.copy())
-        monkeypatch.setattr(kernel, "_CHUNK_ELEMENTS", 512 * 4 * 4)  # one chunk
         whole = cumulative_hazard(rates.copy())
-    assert np.array_equal(chunked, expected) and np.array_equal(whole, expected)
+    assert np.array_equal(whole, expected)
     assert np.isfinite(whole).all()
     assert whole[7, 0, 1] - whole[6, 0, 1] == HAZARD_CAP
     assert whole[9, 1, 0] - whole[8, 1, 0] == HAZARD_CAP
+
+
+def test_cumulative_hazard_converts_a_whole_cache_without_a_copy():
+    # a 3-h recording of 15 people: 10,800 s x 105 pairs, 9.07 MB of float64;
+    # the conversion must not hold a second block, or any large temporary
+    rates = np.random.default_rng(15).uniform(0.0, 1.5, size=(10_800, 105))
+    tracemalloc.start()
+    try:
+        out = cumulative_hazard(rates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out is rates
+    assert peak < 64 * 1024
 
 
 def test_cumulative_hazard_in_place_on_column_blocks():

@@ -366,6 +366,26 @@ def _four_cells(**kw):
     return [ScenarioConfig(density=d, vaccination=v, **kw) for d, v in SCENARIO_CELLS.values()]
 
 
+@pytest.mark.parametrize("n_teachers,t_total,error", [
+    (0, 10, NoTeacher),          # a half cell keeps one teacher
+    (1, 0, ConfigError),         # no session to replay
+    (1, 86_401, ConfigError),    # a session longer than a day
+], ids=["no_teacher", "zero_length", "past_a_day"])
+def test_sweep_checks_its_plan_when_called(n_teachers, t_total, error):
+    # the faults surface at the call, before any run is read, so a caller
+    # can check every sweep before it makes any output
+    obs = _roster_obs(3, n_teachers, t_total=t_total)
+    cells = _four_cells(horizon_days=7, reps_per_patient_zero=1)
+    with pytest.raises(error):
+        sweep(obs, cells, KernelParams(beta_max=1e-3), DP, workers=2)
+
+
+def test_sweep_without_half_cells_needs_no_teacher():
+    obs = _roster_obs(3, 0)
+    sc = ScenarioConfig(horizon_days=1, reps_per_patient_zero=1)
+    assert len(list(sweep(obs, sc, KernelParams(beta_max=1e-3), DP))) == 3
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_multi_cell_sweep_matches_single_cell_sweeps(workers):
     obs = _roster_obs(4, 2, t_total=120)
