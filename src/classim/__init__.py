@@ -9,7 +9,6 @@ the runs to policy metrics.
 __version__ = "0.1.0"
 
 from .epidemic import (  # noqa: F401
-    Compartment,
     DiseaseParams,
     EpidemicState,
     is_run_complete,
@@ -25,7 +24,6 @@ from .kernel import (  # noqa: F401
     KernelParams,
     PairGeometry,
     TransmissionMode,
-    airborne_decay,
     calibrate_beta_max,
     default_kernel_params,
     density,
@@ -39,7 +37,6 @@ from .metrics import (  # noqa: F401
     emergence_proportion,
     saturation,
     summarize_run,
-    transmission_likelihood,
 )
 from .scenario import (  # noqa: F401
     DensityVariant,

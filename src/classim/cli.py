@@ -215,11 +215,12 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _load_config(path: str | None) -> tuple[dict, list[tuple[str, str | None]]]:
+def _load_config(path: str | None) -> tuple[dict, list[tuple[str, str | None, str | None]]]:
     """Resolved config dict plus any inputs recorded in a manifest, each a
-    path and its recorded sha256 (None when the entry has none)."""
+    path and the recorded sha256 of it and of its sidecar (None when the
+    entry has none)."""
     resolved = DEFAULT_CONFIG
-    manifest_inputs: list[tuple[str, str | None]] = []
+    manifest_inputs: list[tuple[str, str | None, str | None]] = []
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -235,10 +236,11 @@ def _load_config(path: str | None) -> tuple[dict, list[tuple[str, str | None]]]:
             if not isinstance(inputs, list) or not all(
                     isinstance(e, dict) and isinstance(e.get("path"), str) for e in inputs):
                 raise ConfigError(f"manifest inputs in {path} must be objects with a path")
-            manifest_inputs = [(entry["path"], entry.get("sha256")) for entry in inputs]
-            for entry_path, digest in manifest_inputs:
-                if digest is not None and not isinstance(digest, str):
-                    raise ConfigError(f"manifest sha256 of {entry_path} in {path} must be a string")
+            manifest_inputs = [(e["path"], e.get("sha256"), e.get("meta_sha256")) for e in inputs]
+            for entry_path, *recorded in manifest_inputs:
+                for key, digest in zip(("sha256", "meta_sha256"), recorded):
+                    if digest is not None and not isinstance(digest, str):
+                        raise ConfigError(f"manifest {key} of {entry_path} in {path} must be a string")
             raw = raw["parameters"]
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
@@ -353,7 +355,7 @@ def cmd_simulate(args) -> int:
             )
 
     # paths on the command line replace a manifest's inputs and are not checked
-    inputs = [(p, None) for p in args.observations] or manifest_inputs
+    inputs = [(p, None, None) for p in args.observations] or manifest_inputs
     if not inputs:
         raise ConfigError("no observation files given (and the config is not a manifest)")
     workers = _workers(args.workers)
@@ -373,15 +375,17 @@ def cmd_simulate(args) -> int:
             for name in cfg["scenarios"]
         ]
     cfg = _merge(cfg, {"kernel": {"beta_max_per_s": kp.beta_max}})  # resolved snapshot
-    obs_paths = [p for p, _ in inputs]
+    obs_paths = [p for p, _, _ in inputs]
     observations = [
         trajectory.load_observation(p, trajectory.TrackFormat.FUSED) for p in obs_paths
     ]
-    digests = [_sha256(Path(p)) for p in obs_paths]  # once: checked here, recorded below
-    for (path, recorded), digest in zip(inputs, digests):
-        if recorded is not None and digest != recorded:
-            raise ConfigError(f"{path} has changed since the manifest recorded it "
-                              f"(sha256 {digest}, recorded {recorded})")
+    # each CSV and its sidecar, hashed once: checked here, recorded below
+    digests = [(_sha256(Path(p)), _sha256(trajectory.default_meta_path(p))) for p in obs_paths]
+    for (path, *recorded), found in zip(inputs, digests):
+        for f, want, digest in zip((path, trajectory.default_meta_path(path)), recorded, found):
+            if want is not None and digest != want:
+                raise ConfigError(f"{f} has changed since the manifest recorded it "
+                                  f"(sha256 {digest}, recorded {want})")
     # outputs are grouped by class_id, so a shared id would merge two classes
     first_path: dict[str, str] = {}
     for path, obs in zip(obs_paths, observations):
@@ -431,7 +435,8 @@ def cmd_simulate(args) -> int:
             "base_seed": cfg["base_seed"],
             "parameters": cfg,
             "inputs": [
-                {"path": str(p), "sha256": d} for p, d in zip(obs_paths, digests)
+                {"path": str(p), "sha256": d, "meta_sha256": m}
+                for p, (d, m) in zip(obs_paths, digests)
             ],
             "outputs": ["summary.csv", "curves.csv", "emergence.csv"],
         }

@@ -62,13 +62,6 @@ EMISSION_HORIZON_S = 3.0 * SECONDS_PER_HOUR
 EMISSION_ROWS = int(EMISSION_HORIZON_S // EMISSION_SLOT_S) + 1
 
 
-class Compartment(Enum):
-    SUSCEPTIBLE = "S"
-    EXPOSED = "E"
-    INFECTIOUS = "I"
-    RECOVERED = "R"
-
-
 class IncubationModel(str, Enum):
     EXPONENTIAL = "exponential"
     POISSON_DAYS = "poisson_days"
@@ -289,15 +282,13 @@ def transmission_step(
     sus_idx = np.flatnonzero(susceptible & ~state.immune)
     inf_idx = np.flatnonzero(infectious)
 
+    u = state.rng.random(len(sus_idx))  # fixed draw pattern: one per susceptible
     if len(inf_idx) and len(sus_idx):
         beta = _frame_source_rates(state, obs, t, kp, now, sus_idx, inf_idx)
         p = 1.0 - np.prod(1.0 - np.clip(beta, 0.0, 1.0), axis=-1)  # see module docstring
-        u = state.rng.random(len(sus_idx))
         for pos in np.flatnonzero(u < p):
             j = int(inf_idx[int(np.argmax(beta[pos]))])
             _schedule_infection(state, int(sus_idx[pos]), now, j, dp)
-    elif len(sus_idx):
-        state.rng.random(len(sus_idx))  # fixed draw pattern: one per susceptible
 
     if kp.mode == TransmissionMode.AIRBORNE:
         _record_emissions(state, obs, t, now, inf_idx)

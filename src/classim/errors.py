@@ -69,10 +69,6 @@ class NoTeacher(ClassimError):
 
 # --- metrics ---
 
-class SinglePerson(ClassimError):
-    """Transmission likelihood needs at least two people."""
-
-
 class EmptyCollection(ClassimError):
     """An aggregate metric was asked for zero outcomes."""
 

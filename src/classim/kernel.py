@@ -7,7 +7,8 @@ line connecting them:
     rate = beta_max * exp(-r^2 / (2 sigma_r^2) - (theta_i^2 + theta_j^2) / (2 sigma_theta^2))
 
 Airborne transmission additionally decays exponentially with the age of the
-emission (``airborne_decay``); droplet transmission is treated as
+emission, exp(-lambda_decay * age), which the per-second stepper in
+``epidemic`` applies; droplet transmission is treated as
 contemporaneous-only.
 
 ``beta_max`` is an intrinsic pathogen parameter, independent of the room.  It
@@ -185,13 +186,6 @@ def pair_rate(g: PairGeometry, p: KernelParams) -> float:
         - (g.theta_i * g.theta_i + g.theta_j * g.theta_j)
         / (2.0 * p.sigma_theta * p.sigma_theta)
     )
-
-
-def airborne_decay(rate: float, elapsed_hours: float, lambda_decay: float) -> float:
-    """Attenuate a rate by exp(-lambda * elapsed); identity at t=0 or lambda=0."""
-    if elapsed_hours < 0:
-        raise ValueError(f"elapsed_hours must be >= 0, got {elapsed_hours}")
-    return rate * math.exp(-lambda_decay * elapsed_hours)
 
 
 def daily_contact_density(c: CalibrationInputs) -> float:

@@ -3,9 +3,11 @@
 Saturation counts everyone ever infected (patient zero included) against the
 run's roster.  "Infected" in the hourly curves is likewise cumulative
 (E + I + R), which keeps the curves monotone.  The transmission likelihood
-is the mean pairwise kernel rate over every co-present pair-second of the
-session, times the total scheduled class time over the horizon; it predicts
-per-individual infection probability without running any dynamics.
+``beta_hat_t`` is a run's ``beta_hat`` (``kernel.mean_pair_rate`` over its
+roster's ``kernel.pair_totals``: the mean pairwise kernel rate over every
+co-present pair-second of the session) times the total scheduled class time
+over the horizon; it predicts per-individual infection probability without
+running any dynamics.
 
 Aggregations use exact integer sums wherever possible so results are
 independent of reduction order.
@@ -20,11 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import epidemic, kernel
-from .errors import EmptyCollection, MixedCohorts, SinglePerson
-from .kernel import KernelParams
+from . import epidemic
+from .errors import EmptyCollection, MixedCohorts
 from .scenario import RunOutcome
-from .trajectory import Observation
 
 SECONDS_PER_DAY = 86400.0
 
@@ -61,26 +61,6 @@ def ever_infected(outcome: RunOutcome) -> int:
 def saturation(outcome: RunOutcome) -> float:
     """Fraction of the run's roster ever infected."""
     return ever_infected(outcome) / len(outcome.roster_ids)
-
-
-def transmission_likelihood(
-    obs: Observation,
-    kp: KernelParams,
-    horizon_sessions: int,
-) -> tuple[float, float, float]:
-    """(beta_hat, T, beta_hat * T) for an observation.
-
-    beta_hat averages the pairwise rate over all unordered pairs and seconds
-    where both people are present; pair-seconds with an absent member count
-    in neither numerator nor denominator.  T is the total scheduled in-class
-    time: session length times the number of sessions.
-    """
-    if obs.n_people < 2:
-        raise SinglePerson(f"need >= 2 people, roster has {obs.n_people}")
-    beta_hat = kernel.mean_pair_rate(
-        *kernel.pair_totals(obs.positions, obs.facings, obs.present, kp))
-    t_exposure = float(obs.session_length_s) * horizon_sessions
-    return beta_hat, t_exposure, beta_hat * t_exposure
 
 
 def _nth_onsets(onset_days, n: int) -> list[float | None]:

@@ -11,15 +11,15 @@ compartment from the same transition times; no run path needs it.
 
 import numpy as np
 
-from classim.epidemic import SECONDS_PER_HOUR, Compartment, EpidemicState
+from classim.epidemic import SECONDS_PER_HOUR, EpidemicState
 
 
-def compartment_at(state: EpidemicState, k: int, t: float) -> Compartment:
-    """Compartment of roster position ``k`` at time ``t``."""
+def compartment_at(state: EpidemicState, k: int, t: float) -> str:
+    """Compartment letter ("S", "E", "I" or "R") of roster position ``k`` at time ``t``."""
     infected, infectious, recovered = (
         t >= times[k] for times in (state.t_infected, state.t_infectious, state.t_recovered))
     masks = not infected, infected and not infectious, infectious and not recovered, recovered
-    return next(c for c, m in zip(Compartment, masks) if m)
+    return next(c for c, m in zip("SEIR", masks) if m)
 
 
 def mask_counts(state: EpidemicState, horizon_hours: int) -> np.ndarray:

@@ -305,6 +305,66 @@ def test_simulate_manifest_digest_must_be_a_string(tmp_path, small_obs, capsys, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("edit", ["class_id", "reversed_roster"])
+def test_simulate_manifest_replay_rejects_a_changed_sidecar(tmp_path, small_obs, capsys, edit):
+    # the sidecar sets the observation column and the patient-zero order, so
+    # the manifest pins its bytes as it pins the CSV's
+    first = tmp_path / "first"
+    code, _, _ = _run(capsys, "simulate", str(small_obs), "--out", str(first),
+                      "--reps", "1", "--horizon-days", "1", "--workers", "1",
+                      "--scenarios", "full-novax")
+    assert code == 0
+    meta_path = small_obs.with_suffix(".meta.json")
+    assert json.loads((first / "manifest.json").read_text())["inputs"] == [
+        {"path": str(small_obs), "sha256": _digest(small_obs), "meta_sha256": _digest(meta_path)}]
+    meta = json.loads(meta_path.read_text())
+    if edit == "class_id":
+        meta["class_id"] = "other"
+    else:
+        meta["roster"].reverse()
+    meta_path.write_text(json.dumps(meta))
+    second = tmp_path / "second"
+    code, _, err = _run(capsys, "simulate", "--config", str(first / "manifest.json"),
+                        "--out", str(second), "--workers", "1")
+    assert code == 1
+    _one_error_line(err)
+    assert str(meta_path) in err and "changed" in err
+    assert not second.exists()
+
+
+def test_simulate_manifest_without_sidecar_digest_still_replays(tmp_path, small_obs, capsys):
+    first = tmp_path / "first"
+    code, _, _ = _run(capsys, "simulate", str(small_obs), "--out", str(first),
+                      "--reps", "1", "--horizon-days", "3", "--workers", "1",
+                      "--scenarios", "full-novax")
+    assert code == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    del manifest["inputs"][0]["meta_sha256"]  # as written before sidecars were digested
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    second = tmp_path / "second"
+    code, _, _ = _run(capsys, "simulate", "--config", str(old), "--out", str(second),
+                      "--workers", "1")
+    assert code == 0
+    for name in ("summary.csv", "curves.csv", "emergence.csv", "manifest.json"):
+        assert _digest(first / name) == _digest(second / name), name
+
+
+@pytest.mark.parametrize("digest", [7, ["ab"], {}])
+def test_simulate_manifest_sidecar_digest_must_be_a_string(tmp_path, small_obs, capsys, digest):
+    manifest = {"parameters": {"reps": 1, "horizon_days": 1},
+                "inputs": [{"path": str(small_obs), "meta_sha256": digest}]}
+    cfg = tmp_path / "manifest.json"
+    cfg.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir),
+                        "--workers", "1", "--scenarios", "full-novax")
+    assert code == 1
+    _one_error_line(err)
+    assert str(small_obs) in err and "meta_sha256" in err
+    assert not out_dir.exists()
+
+
 def test_simulate_invalid_observation_cleans_up(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t_s,person_id,role,present,x_m,y_m,facing_x,facing_y\n"

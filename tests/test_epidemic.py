@@ -9,7 +9,6 @@ from hypothesis import strategies as hst
 
 from classim.epidemic import (
     EMISSION_ROWS,
-    Compartment,
     DiseaseParams,
     Event,
     IncubationModel,
@@ -69,11 +68,11 @@ def _pair_obs(r=1.0, t_total=600):
 def test_seed_patient_zero_basic():
     st = new_epidemic_state(["a", "b", "c"], _rng())
     seed_patient_zero(st, "a", DP)
-    assert compartment_at(st, 0, 0.0) == Compartment.INFECTIOUS
+    assert compartment_at(st, 0, 0.0) == "I"
     assert st.t_infected[0] == -DP.latency_s
     assert st.t_infectious[0] == 0.0
-    assert compartment_at(st, 1, 0.0) == Compartment.SUSCEPTIBLE
-    assert compartment_at(st, 2, 0.0) == Compartment.SUSCEPTIBLE
+    assert compartment_at(st, 1, 0.0) == "S"
+    assert compartment_at(st, 2, 0.0) == "S"
 
 
 def test_seed_unknown_person():
@@ -86,7 +85,7 @@ def test_seed_immune_is_noop():
     st = new_epidemic_state(["a", "b"], _rng(), immune_ids={"a"})
     seed_patient_zero(st, "a", DP)
     assert st.t_infected[0] == math.inf
-    assert compartment_at(st, 0, 0.0) == Compartment.SUSCEPTIBLE
+    assert compartment_at(st, 0, 0.0) == "S"
     assert is_run_complete(st)
 
 
@@ -153,8 +152,8 @@ def test_exposed_becomes_infectious_at_exactly_24h():
     _schedule_infection(st, 1, 0.0, 0, DP)
     progress_offclass(st, DAY)
     assert st.clock == DAY
-    assert compartment_at(st, 1, st.clock) == Compartment.INFECTIOUS
-    assert compartment_at(st, 1, st.clock - 1e-6) == Compartment.EXPOSED
+    assert compartment_at(st, 1, st.clock) == "I"
+    assert compartment_at(st, 1, st.clock - 1e-6) == "E"
 
 
 def test_progress_all_recovered_only_moves_clock():
@@ -236,6 +235,24 @@ def test_absent_infectious_cannot_transmit():
     for t in range(3):
         transmission_step(st, obs, t, kp, DP)
     assert st.t_infected[1] == math.inf
+
+
+@pytest.mark.parametrize("case, k", [("no_infectious", 3), ("infectious", 2),
+                                     ("no_susceptible", 0)])
+def test_step_draws_one_uniform_per_susceptible(case, k):
+    # a step draws random(k) for its k susceptible non-immune people, whether
+    # or not anyone is infectious; the pair is too far apart to infect
+    obs = _stationary_obs([(0, 0), (20, 0), (0, 20)], [(1, 0), (-1, 0), (0, -1)], 2)
+    immune = {"p1", "p2"} if case == "no_susceptible" else set()
+    st = new_epidemic_state(obs.person_ids, _rng(14), immune_ids=immune)
+    if case != "no_infectious":
+        seed_patient_zero(st, "p0", DP)
+    twin = _rng()
+    twin.bit_generator.state = st.rng.bit_generator.state
+    transmission_step(st, obs, 0, KernelParams(beta_max=1e-9), DP)
+    twin.random(k)
+    assert st.rng.bit_generator.state == twin.bit_generator.state
+    assert np.isinf(st.t_infected[1:]).all()
 
 
 def test_roster_mismatch_rejected():
@@ -392,7 +409,7 @@ def test_session_engine_midsession_infectiousness():
     from classim.epidemic import _schedule_infection
     _schedule_infection(st, 0, -DP.latency_s + 50.0, -1, DP)  # infectious at t=50
     st.t_recovered[0] = 1e9
-    assert compartment_at(st, 0, 0.0) == Compartment.EXPOSED
+    assert compartment_at(st, 0, 0.0) == "E"
     simulate_session(st, obs, 0.0, kp, DP)
     assert st.t_infected[1] == 50.0  # p1 infected the second p0 turns infectious
     assert st.t_infected[2] == math.inf  # far corner never reached
@@ -607,7 +624,7 @@ def test_immune_agents_never_exposed():
     seed_patient_zero(st, "p0", DP)
     simulate_session(st, obs, 0.0, kp, DP)
     assert st.t_infected[1] == math.inf
-    assert compartment_at(st, 1, st.clock) == Compartment.SUSCEPTIBLE
+    assert compartment_at(st, 1, st.clock) == "S"
 
 
 def test_counts_before_infection_agree_with_hourly_counts():
@@ -619,7 +636,7 @@ def test_counts_before_infection_agree_with_hourly_counts():
     _schedule_infection(st, 1, 5000.0, 0, DP)
     st.clock = 6000.0
     assert st.counts(at=1000.0) == (1, 0, 1, 0)
-    assert compartment_at(st, 1, 1000.0) == Compartment.SUSCEPTIBLE
+    assert compartment_at(st, 1, 1000.0) == "S"
     assert hourly_compartment_counts(event_log(st, 3600.0), 2, 1)[0].tolist() == [1, 0, 1, 0]
     assert st.counts() == (0, 1, 1, 0)
 

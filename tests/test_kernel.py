@@ -15,7 +15,6 @@ from classim.kernel import (
     KernelParams,
     PairGeometry,
     HAZARD_CAP,
-    airborne_decay,
     calibrate_beta_max,
     cumulative_hazard,
     daily_contact_density,
@@ -159,28 +158,6 @@ def test_rate_monotone_in_each_argument_scalar():
     assert pair_rate(PairGeometry(1.0, 0.3, 0.3), KP) > pair_rate(
         PairGeometry(1.0, 0.8, 0.3), KP
     )
-
-
-# ---------------------------------------------------------------------------
-# airborne decay
-# ---------------------------------------------------------------------------
-
-def test_decay_identity_at_zero():
-    assert airborne_decay(0.42, 0.0, 0.34) == 0.42
-    assert airborne_decay(0.42, 5.0, 0.0) == 0.42
-
-
-def test_decay_one_hour():
-    assert airborne_decay(1.0, 1.0, 0.34) == pytest.approx(math.exp(-0.34), rel=1e-12)
-
-
-def test_decay_long_limit():
-    assert airborne_decay(1.0, 1e6, 0.34) == 0.0
-
-
-def test_decay_rejects_negative_elapsed():
-    with pytest.raises(ValueError):
-        airborne_decay(1.0, -0.1, 0.34)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,14 @@ from classim.epidemic import (
     seed_patient_zero,
     simulate_session,
 )
-from classim.errors import EmptyCollection, MixedCohorts, SinglePerson
-from classim.kernel import KernelParams, pair_rate, relative_geometry
+from classim.errors import EmptyCollection, MixedCohorts
+from classim.kernel import KernelParams, mean_pair_rate, pair_rate, pair_totals, relative_geometry
 from classim.metrics import (
     aggregate_hourly,
     emergence_proportion,
     median_emergence_days,
     saturation,
     summarize_run,
-    transmission_likelihood,
     write_curves_csv,
     write_emergence_csv,
     write_summary_csv,
@@ -100,15 +99,13 @@ def _stationary_obs(coords, facings, t_total, present=None):
 def test_constant_pair_beta_hat_exact():
     obs = _stationary_obs([(0, 0), (1.5, 0)], [(1, 0), (-1, 0)], 50)
     g = relative_geometry((0, 0), (1, 0), (1.5, 0), (-1, 0))
-    beta_hat, t_exp, prod = transmission_likelihood(obs, KP, horizon_sessions=20)
+    beta_hat = mean_pair_rate(*pair_totals(obs.positions, obs.facings, obs.present, KP))
     assert beta_hat == pytest.approx(pair_rate(g, KP), rel=1e-12)
-    assert t_exp == 50.0 * 20
-    assert prod == pytest.approx(beta_hat * t_exp, rel=1e-12)
 
 
 def test_distant_agents_rate_vanishes():
     obs = _stationary_obs([(0, 0), (25, 0)], [(1, 0), (-1, 0)], 10)
-    beta_hat, _, _ = transmission_likelihood(obs, KP, 1)
+    beta_hat = mean_pair_rate(*pair_totals(obs.positions, obs.facings, obs.present, KP))
     assert beta_hat < KP.beta_max * math.exp(-50)
 
 
@@ -125,7 +122,7 @@ def test_three_agent_brute_force():
                       positions=np.where(present[:, :, None], pos, np.nan),
                       facings=np.where(present[:, :, None], fac, np.nan),
                       present=present)
-    beta_hat, _, _ = transmission_likelihood(obs, KP, 1)
+    beta_hat = mean_pair_rate(*pair_totals(obs.positions, obs.facings, obs.present, KP))
     # independent brute force over scalar kernel calls
     total, count = 0.0, 0
     for t in range(t_total):
@@ -138,26 +135,20 @@ def test_three_agent_brute_force():
     assert beta_hat == pytest.approx(total / count, rel=1e-12)
 
 
-def test_single_person_rejected():
-    obs = _stationary_obs([(0, 0)], [(1, 0)], 5)
-    with pytest.raises(SinglePerson):
-        transmission_likelihood(obs, KP, 1)
-
-
 def test_absent_seconds_excluded_from_average():
     present = np.ones((10, 2), dtype=bool)
     present[5:, 1] = False
     obs = _stationary_obs([(0, 0), (1, 0)], [(1, 0), (-1, 0)], 10, present=present)
     obs.positions[5:, 1] = np.nan
     obs.facings[5:, 1] = np.nan
-    beta_hat, _, _ = transmission_likelihood(obs, KP, 1)
+    beta_hat = mean_pair_rate(*pair_totals(obs.positions, obs.facings, obs.present, KP))
     g = relative_geometry((0, 0), (1, 0), (1, 0), (-1, 0))
     assert beta_hat == pytest.approx(pair_rate(g, KP), rel=1e-12)
 
 
-def test_sweep_beta_hat_is_transmission_likelihood_of_run_roster():
+def test_sweep_beta_hat_is_mean_pair_rate_of_run_roster():
     # the sweep reads beta_hat off the full-roster cache; it must equal the
-    # metric recomputed on the run's own roster, bit for bit
+    # rate recomputed from the run's own roster's pair totals, bit for bit
     from classim.scenario import DensityVariant, ScenarioConfig, sweep
 
     rng = np.random.default_rng(11)
@@ -178,7 +169,8 @@ def test_sweep_beta_hat_is_transmission_likelihood_of_run_roster():
     assert {len(o.roster_ids) for o in outs} == {n, 4}
     for o in outs:
         sub = obs.subset([obs.index_of(pid) for pid in o.roster_ids])
-        assert o.beta_hat == transmission_likelihood(sub, KP, 1)[0]
+        assert o.beta_hat == mean_pair_rate(
+            *pair_totals(sub.positions, sub.facings, sub.present, KP))
 
 
 # ---------------------------------------------------------------------------

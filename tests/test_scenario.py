@@ -15,10 +15,11 @@ from classim.kernel import (
     CalibrationInputs,
     KernelParams,
     TransmissionMode,
+    mean_pair_rate,
     pair_rate,
+    pair_totals,
     relative_geometry,
 )
-from classim.metrics import transmission_likelihood
 from classim.scenario import (
     SCENARIO_CELLS,
     DensityVariant,
@@ -510,7 +511,8 @@ def test_airborne_sweep_builds_no_hazard_cache(monkeypatch):
     assert hazards == []
     for o in outs:
         sub = obs.subset([obs.index_of(pid) for pid in o.roster_ids])
-        assert o.beta_hat == transmission_likelihood(sub, kp, 1)[0]
+        assert o.beta_hat == mean_pair_rate(
+            *pair_totals(sub.positions, sub.facings, sub.present, kp))
 
 
 @pytest.mark.parametrize("setting", ["cached", "over_cap", "airborne"])
@@ -534,7 +536,9 @@ def test_single_run_equals_its_sweep_run(monkeypatch, setting):
         cal = build_calendar(sc.horizon_days, obs.session_length_s)
         assert run_simulation(obs, cal, sc, out.patient_zero, out.seed, kp, DP) == out
         sub = obs.subset([obs.index_of(pid) for pid in out.roster_ids])
-        assert (out.beta_hat, out.exposure_t_s) == transmission_likelihood(sub, kp, 5)[:2]
+        assert out.beta_hat == mean_pair_rate(
+            *pair_totals(sub.positions, sub.facings, sub.present, kp))
+        assert out.exposure_t_s == 5 * obs.session_length_s
 
 
 def test_run_sums_its_pair_rates_in_row_major_order():
