@@ -39,7 +39,6 @@ below the resolution of a double-precision uniform.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -374,7 +373,29 @@ def _accrued(cum: np.ndarray, base: np.ndarray) -> np.ndarray:
     result never falls as the second advances: each source's running sum
     only grows, and rounding preserves order.
     """
-    return np.cumsum(cum - base, axis=-1)[..., -1]
+    return (cum - base).cumsum(axis=-1)[..., -1]
+
+
+def _first_crossing(cum, col, since, lo, hi, threshold) -> int:
+    """First second in [lo, hi) whose hazard accrued since ``since`` passes ``threshold``.
+
+    ``cum`` is a (seconds, pairs) running sum and ``col`` the columns of one
+    susceptible's sources.  A two-level search: the accrued hazard at the
+    last second of each block of isqrt(hi - lo) seconds picks the block,
+    then the same search runs over that block's seconds.  Each second's
+    value is the ``_accrued`` of that second alone, and the series never
+    falls, so this returns the second ``bisect.bisect_right`` would, and
+    ``hi`` when no second passes.
+    """
+    width = math.isqrt(hi - lo)
+    ends = np.arange(lo + width - 1, hi + width - 1, width)
+    ends[-1] = hi - 1  # the last block may be short
+    block = int(_accrued(cum[ends[:, None], col], since).searchsorted(threshold, side="right"))
+    if block == len(ends):
+        return hi
+    first = lo + block * width
+    rows = cum[first:min(first + width, hi), col]
+    return first + int(_accrued(rows, since).searchsorted(threshold, side="right"))
 
 
 def simulate_session(
@@ -394,7 +415,12 @@ def simulate_session(
     threshold and is infected at the first second at which its cumulative
     hazard from the infectious people, counted from the segment start,
     exceeds it (see the module docstring for why this is exact).  The
-    infector is the source with the largest hazard at that second.
+    infector is the source with the largest hazard at that second.  A
+    segment's susceptibles, sources and end come from one Python pass over
+    the roster, so an idle segment (no susceptible or no source) costs no
+    numpy call.  An infection's second comes from a two-level search
+    (``_first_crossing``) that reads about 2*sqrt(L) of the segment's L
+    seconds, not all of them.
 
     ``hazard`` may carry the precomputed cumulative hazard of the source
     observation, ``kernel.cumulative_hazard`` of its pair triangle
@@ -439,36 +465,51 @@ def simulate_session(
             pairs = kernel.pair_index(n)
 
     latency_steps = max(1, math.floor(dp.latency_s))
+    # the clock fields as lists, so a segment's sets cost no numpy call;
+    # an infection refreshes its own entries
+    clocks = state.t_infected, state.t_infectious, state.t_recovered
+    t_inf, t_on, t_off = (a.tolist() for a in clocks)
+    immune = state.immune.tolist()
 
     cursor = 0
     while cursor < t_total:
         now = session_start_s + cursor
-        susceptible, exposed, infectious, _ = _compartment_masks(state, now)
-
-        # segment ends at the next infectious-set change (someone turning
-        # infectious or recovering), capped so no one infected inside the
-        # segment could turn infectious before it ends
-        changes = np.concatenate(
-            [state.t_infectious[exposed], state.t_recovered[infectious]]
-        )
-        frames = np.ceil(changes - session_start_s)  # first frame at/after
-        seg_end = int(min(t_total, cursor + latency_steps,
-                          frames[frames > cursor].min(initial=t_total)))
-
-        sus_idx = np.flatnonzero(susceptible & ~state.immune)
-        inf_idx = np.flatnonzero(infectious)
-        if len(sus_idx) == 0 or len(inf_idx) == 0:
+        # one pass over the roster: the susceptibles who are not immune, the
+        # sources, and the next infectious-set change (someone turning
+        # infectious or recovering), by the comparisons of _compartment_masks
+        sus_idx, inf_idx, change = [], [], math.inf
+        for k in range(n):
+            if not now >= t_inf[k]:
+                if not immune[k]:
+                    sus_idx.append(k)
+                continue
+            if not now >= t_on[k]:
+                at = t_on[k] - session_start_s
+            elif not now >= t_off[k]:
+                inf_idx.append(k)
+                at = t_off[k] - session_start_s
+            else:
+                continue
+            if cursor < at < change:
+                change = at
+        # the segment ends at the first second at/after that change, capped
+        # so no one infected inside it could turn infectious before it ends;
+        # the change is compared before rounding, as it may be +inf
+        seg_end = min(t_total, cursor + latency_steps)
+        if change < seg_end:
+            seg_end = math.ceil(change)
+        if not sus_idx or not inf_idx:
             cursor = seg_end
             continue
 
         # cols[s, i]: the hazard column of susceptible s and source i
         if hazard is not None:
-            cum, lo, cols = hazard, cursor, pairs[sus_idx[:, None], inf_idx]
+            cum, lo, cols = hazard, cursor, pairs.take(sus_idx, 0).take(inf_idx, 1)
         else:
             seconds = slice(cursor, seg_end)
             rates = kernel.pair_rates(
                 obs.positions[seconds], obs.facings[seconds], obs.present[seconds], kp,
-                (np.repeat(sus_idx, len(inf_idx)), np.tile(inf_idx, len(sus_idx))),
+                ([s for s in sus_idx for _ in inf_idx], inf_idx * len(sus_idx)),
             )
             cum, lo = kernel.cumulative_hazard(rates), 0
             cols = np.arange(rates.shape[1]).reshape(len(sus_idx), len(inf_idx))
@@ -477,22 +518,18 @@ def simulate_session(
         total = _accrued(cum[hi - 1][cols], base)
         thresholds = state.rng.standard_exponential(len(sus_idx))
         hits = []
-        for pos in np.flatnonzero(thresholds < total):
-            col, since = cols[pos], base[pos]
-            # first second whose accrued hazard passes the threshold; it is
-            # found by bisection, so no (seconds, sources) series is built
-            t = lo + bisect.bisect_right(
-                range(lo, hi), thresholds[pos],
-                key=lambda s: _accrued(cum[s, col], since),
-            )
+        for pos in (thresholds < total).nonzero()[0].tolist():
+            col = cols[pos]
+            t = _first_crossing(cum, col, base[pos], lo, hi, thresholds[pos])
             src = 0
             if len(col) > 1:  # the source with the largest hazard that second
                 step = cum[t, col] - (cum[t - 1, col] if t > 0 else 0.0)
-                src = int(np.argmax(step))
-            hits.append((t - lo, int(pos), int(inf_idx[src])))
+                src = int(step.argmax())
+            hits.append((t - lo, pos, inf_idx[src]))
         for t_rel, pos, j in sorted(hits):
-            t_abs = session_start_s + (cursor + t_rel)
-            _schedule_infection(state, int(sus_idx[pos]), t_abs, j, dp)
+            k = sus_idx[pos]
+            _schedule_infection(state, k, session_start_s + (cursor + t_rel), j, dp)
+            t_inf[k], t_on[k], t_off[k] = (float(a[k]) for a in clocks)
         cursor = seg_end
 
     state.clock = session_start_s + t_total

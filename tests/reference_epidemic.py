@@ -1,4 +1,4 @@
-"""Mask-based references for compartments, the hourly counts and their aggregate.
+"""References for the session engine, compartments, the hourly counts and their aggregate.
 
 ``classim.epidemic.hourly_compartment_counts`` counts a run's event log.
 Runs once counted their run state instead: a (hours, people) mask per
@@ -7,11 +7,91 @@ run's (H+1, 4) array was stacked before the moments were taken.  Both are
 kept here so the tests can compare the event-log counts and the folded
 aggregate against them bit for bit.  ``compartment_at`` reads one person's
 compartment from the same transition times; no run path needs it.
+
+``simulate_session_bisect`` is the droplet session engine as it was before
+its segment bookkeeping moved into one Python pass over the roster: each
+segment's sets come from ``_compartment_masks`` and each infection's second
+from ``first_crossing_bisect``, a bisection over the accrued hazard.  The
+tests compare ``classim.epidemic.simulate_session`` and its two-level
+crossing search against them bit for bit.
 """
+
+import bisect
+import math
 
 import numpy as np
 
-from classim.epidemic import SECONDS_PER_HOUR, EpidemicState
+from classim import kernel
+from classim.epidemic import (
+    SECONDS_PER_HOUR,
+    EpidemicState,
+    _accrued,
+    _compartment_masks,
+    _schedule_infection,
+)
+
+
+def first_crossing_bisect(cum, col, since, lo, hi, threshold) -> int:
+    """First second in [lo, hi) whose hazard accrued since ``since`` passes ``threshold``."""
+    return lo + bisect.bisect_right(
+        range(lo, hi), threshold, key=lambda s: _accrued(cum[s, col], since))
+
+
+def simulate_session_bisect(state, obs, session_start_s, kp, dp, hazard=None, pairs=None):
+    """Replay one droplet session by masks and bisection; see the module docstring."""
+    n = len(state.person_ids)
+    t_total = obs.session_length_s
+    if hazard is not None and pairs is None:
+        pairs = kernel.pair_index(n)
+    latency_steps = max(1, math.floor(dp.latency_s))
+
+    cursor = 0
+    while cursor < t_total:
+        now = session_start_s + cursor
+        susceptible, exposed, infectious, _ = _compartment_masks(state, now)
+        changes = np.concatenate(
+            [state.t_infectious[exposed], state.t_recovered[infectious]]
+        )
+        frames = np.ceil(changes - session_start_s)  # first frame at/after
+        seg_end = int(min(t_total, cursor + latency_steps,
+                          frames[frames > cursor].min(initial=t_total)))
+
+        sus_idx = np.flatnonzero(susceptible & ~state.immune)
+        inf_idx = np.flatnonzero(infectious)
+        if len(sus_idx) == 0 or len(inf_idx) == 0:
+            cursor = seg_end
+            continue
+
+        if hazard is not None:
+            cum, lo, cols = hazard, cursor, pairs[sus_idx[:, None], inf_idx]
+        else:
+            seconds = slice(cursor, seg_end)
+            rates = kernel.pair_rates(
+                obs.positions[seconds], obs.facings[seconds], obs.present[seconds], kp,
+                (np.repeat(sus_idx, len(inf_idx)), np.tile(inf_idx, len(sus_idx))),
+            )
+            cum, lo = kernel.cumulative_hazard(rates), 0
+            cols = np.arange(rates.shape[1]).reshape(len(sus_idx), len(inf_idx))
+        hi = lo + seg_end - cursor
+        base = cum[lo - 1][cols] if lo > 0 else np.zeros(cols.shape)
+        total = _accrued(cum[hi - 1][cols], base)
+        thresholds = state.rng.standard_exponential(len(sus_idx))
+        hits = []
+        for pos in np.flatnonzero(thresholds < total):
+            col, since = cols[pos], base[pos]
+            t = first_crossing_bisect(cum, col, since, lo, hi, thresholds[pos])
+            src = 0
+            if len(col) > 1:
+                step = cum[t, col] - (cum[t - 1, col] if t > 0 else 0.0)
+                src = int(np.argmax(step))
+            hits.append((t - lo, int(pos), int(inf_idx[src])))
+        for t_rel, pos, j in sorted(hits):
+            t_abs = session_start_s + (cursor + t_rel)
+            _schedule_infection(state, int(sus_idx[pos]), t_abs, j, dp)
+        cursor = seg_end
+
+    state.clock = session_start_s + t_total
+    return state
 
 
 def compartment_at(state: EpidemicState, k: int, t: float) -> str:

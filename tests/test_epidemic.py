@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import warnings
@@ -36,7 +37,12 @@ from classim.kernel import (
     relative_geometry,
 )
 from classim.trajectory import Observation, Person, Role
-from reference_epidemic import compartment_at, mask_counts
+from reference_epidemic import (
+    compartment_at,
+    first_crossing_bisect,
+    mask_counts,
+    simulate_session_bisect,
+)
 
 DP = DiseaseParams()
 DAY = 86400.0
@@ -418,10 +424,12 @@ def test_session_engine_midsession_infectiousness():
 @settings(max_examples=150, deadline=None)
 @given(data=hst.data())
 def test_session_engine_infections_are_feasible(data):
-    # small random rooms with presence gaps, people turning infectious or
-    # recovering mid-session (several segments) and rates up to p = 1
+    # small random rooms with presence gaps, immune people, people turning
+    # infectious or recovering mid-session (several segments) or never, and
+    # rates up to p = 1; the engine also matches the mask-and-bisection
+    # reference bit for bit, draws included
     from classim.epidemic import _schedule_infection
-    n = data.draw(hst.integers(2, 4), label="n")
+    n = data.draw(hst.integers(2, 6), label="n")
     t_total = data.draw(hst.integers(1, 40), label="t_total")
     beta_max = data.draw(hst.sampled_from([1e-3, 0.1, 2.0, 50.0]), label="beta_max")
     cached = data.draw(hst.booleans(), label="cached")
@@ -441,19 +449,27 @@ def test_session_engine_infections_are_feasible(data):
     st = new_epidemic_state(obs.person_ids, _rng(data.draw(hst.integers(0, 2**32 - 1))))
     for k in range(n):
         role = data.draw(hst.sampled_from(["S", "S", "I", "E"]), label=f"role{k}")
+        st.immune[k] = data.draw(hst.booleans(), label=f"immune{k}")
         if role == "S":
             continue
         t_on = 0 if role == "I" else data.draw(hst.integers(1, t_total), label=f"on{k}")
         _schedule_infection(st, k, t_on - DP.latency_s, -1, DP)
-        st.t_recovered[k] = data.draw(hst.integers(t_on, t_total + 5), label=f"off{k}")
+        st.t_recovered[k] = data.draw(
+            hst.integers(t_on, t_total + 5) | hst.just(math.inf), label=f"off{k}")
     new = np.isinf(st.t_infected)
+    twin = copy.deepcopy(st)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         hazard = (cumulative_hazard(pair_rates(obs.positions, obs.facings, obs.present, kp))
                   if cached else None)
         simulate_session(st, obs, 0.0, kp, DP, hazard=hazard)
-    assert st.clock == t_total
+        simulate_session_bisect(twin, obs, 0.0, kp, DP, hazard=hazard)
+    for field in ("t_infected", "t_infectious", "t_symptomatic", "t_recovered", "source"):
+        assert np.array_equal(getattr(st, field), getattr(twin, field)), field
+    assert st.clock == twin.clock == t_total
+    assert st.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert not (st.immune & np.isfinite(st.t_infected) & new).any()
     for k in np.flatnonzero(new & np.isfinite(st.t_infected)):
         t, j = st.t_infected[k], int(st.source[k])
         assert t == int(t) and 0 <= t < t_total
@@ -471,8 +487,9 @@ def test_session_engine_infections_are_feasible(data):
 def test_accrued_total_is_last_entry_of_series():
     # numpy's pairwise sum over the last axis rounds differently for an
     # (S, I) block than for an (seconds, I) one once I >= 8; the engine's
-    # sum over sources must not, or its bisection could run off a segment.
-    # The bisection reads one second at a time, so that must agree too.
+    # sum over sources must not, or its crossing search could run off a
+    # segment.  The search reads the accrued hazard of single seconds and
+    # of blocks of seconds, so every shape must agree.
     from classim.epidemic import _accrued
     rng = np.random.default_rng(9)
     for _ in range(300):
@@ -491,6 +508,36 @@ def test_accrued_total_is_last_entry_of_series():
             assert (np.diff(series) >= 0).all()
             at = [_accrued(cum[t, row, srcs], base[pos]) for t in range(lo, hi)]
             assert np.array_equal(at, series)
+
+
+@pytest.mark.parametrize("lo", [0, 3])
+@pytest.mark.parametrize("span", [1, 2, 16, 17, 40])
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data())
+def test_first_crossing_equals_bisection(span, lo, data):
+    # non-decreasing columns with plateaus (zero steps) from 1-8 sources;
+    # thresholds on a series value (the total included), one ulp below the
+    # total, or anywhere below it
+    from classim.epidemic import _accrued, _first_crossing
+    m = data.draw(hst.integers(1, 8), label="sources")
+    scale = data.draw(hst.sampled_from([1e-6, 1e-3, 1.0, 40.0]), label="scale")
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1), label="seed"))
+    hi = lo + span
+    steps = rng.random((hi + 2, m + 2)) * scale
+    steps[rng.random(steps.shape) < data.draw(hst.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    cum = np.cumsum(steps, axis=0)
+    col = rng.permutation(m + 2)[:m]
+    since = cum[lo - 1, col] if lo > 0 else np.zeros(m)
+    series = _accrued(cum[lo:hi, col], since)
+    kind = data.draw(hst.sampled_from(["value", "below_total", "uniform"]), label="kind")
+    if kind == "value":
+        threshold = series[data.draw(hst.integers(0, span - 1), label="at")]
+    elif kind == "below_total":
+        threshold = np.nextafter(series[-1], -math.inf)
+    else:
+        threshold = rng.uniform(0.0, series[-1])
+    assert (_first_crossing(cum, col, since, lo, hi, threshold)
+            == first_crossing_bisect(cum, col, since, lo, hi, threshold))
 
 
 @pytest.mark.parametrize("cached", [True, False], ids=["cache", "on_the_fly"])
