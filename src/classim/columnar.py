@@ -9,6 +9,7 @@ line, so a file is never walked row by row in Python.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from itertools import repeat
 from pathlib import Path
@@ -25,9 +26,9 @@ from .errors import ParseError, SchemaError
 #: found it.  Pool workers forked after the load inherit that size.
 _BLOCK_ROWS = 1 << 10
 
-#: Initial rows of a Column: large enough to be mapped on its own, so that
-#: growing it remaps it instead of copying it around the heap.
-_COLUMN_ROWS = 1 << 16
+#: Most rows a Column reserves on the reader's estimate of a file's records
+#: (see ``read_columns``); a longer file grows its columns as rows arrive.
+_COLUMN_ROWS = 1 << 22
 
 
 def _tee(lines, taken: list[str]):
@@ -55,13 +56,17 @@ def _split_fields(lines) -> np.ndarray | None:
 def read_columns(csv_path: Path, expected_header: list[str]):
     """Yield a CSV's data records as blocks of columns.
 
-    Each block is ``(lines, cols)``: the line number of each record and one
-    object array of field strings per column.  Line numbers count csv
-    records, the header and blank records included, so a record whose quoted
-    field spans several lines takes one number.  Blank records are skipped.
-    A record with the wrong number of fields raises ParseError after the
-    records before it have been yielded, so a caller that checks each block
-    as it arrives reports the fault on the lowest line.
+    Each block is ``(lines, cols, expected)``: the line number of each
+    record, one object array of field strings per column, and an estimate of
+    the file's data records (the records so far, scaled by the file's size
+    over the bytes read so far, plus an eighth; 0 when the size is unknown),
+    for a caller to reserve its columns before the rows arrive.  Line
+    numbers count csv records, the header and blank records included, so a
+    record whose quoted field spans several lines takes one number.  Blank
+    records are skipped.  A record with the wrong number of fields raises
+    ParseError after the records before it have been yielded, so a caller
+    that checks each block as it arrives reports the fault on the lowest
+    line.
 
     ``np.loadtxt`` splits the fields (quotes as ``csv`` reads them).  Where a
     block's lines and records do not pair one to one (blank lines, quoted
@@ -94,7 +99,9 @@ def _read_blocks(fh, csv_path: Path, expected_header: list[str]):
             f"{csv_path} header {header} does not match {expected_header}"
             + (f" (missing columns: {sorted(missing)})" if missing else "")
         )
+    size = os.fstat(fh.fileno()).st_size if fh.seekable() else 0
     last_line = 1
+    rows = 0  # data records yielded
     while True:
         taken: list[str] = []
         block = _split_fields(_tee(fh, taken))
@@ -103,7 +110,8 @@ def _read_blocks(fh, csv_path: Path, expected_header: list[str]):
         if block is not None and block.shape == (len(taken), width):
             lines = np.arange(last_line + 1, last_line + 1 + len(taken))
             last_line += len(taken)
-            yield lines, list(block.T)
+            rows += len(taken)
+            yield lines, list(block.T), _expected_records(rows, size, fh)
             continue
         records = list(csv.reader(taken))
         numbered = [(last_line + 1 + i, rec) for i, rec in enumerate(records) if rec]
@@ -112,10 +120,22 @@ def _read_blocks(fh, csv_path: Path, expected_header: list[str]):
         good = numbered if bad is None else numbered[:bad]
         if good:
             cols = np.array([rec for _, rec in good], dtype=object).reshape(len(good), width)
-            yield np.array([line for line, _ in good]), list(cols.T)
+            rows += len(good)
+            yield (np.array([line for line, _ in good]), list(cols.T),
+                   _expected_records(rows, size, fh))
         if bad is not None:
             line, rec = numbered[bad]
             raise ParseError(f"expected {width} fields, found {len(rec)}", line=line)
+
+
+def _expected_records(records: int, size: int, fh) -> int:
+    """``records`` scaled by a file's size over its bytes read so far, plus an
+    eighth.  The text reader reads ahead of the records by at most a chunk,
+    which the eighth covers from the first block of a large file on."""
+    if not size:
+        return 0
+    expected = records * size // max(fh.buffer.tell(), 1)
+    return expected + expected // 8
 
 
 def parse_floats(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,17 +177,27 @@ def raise_first(lines: np.ndarray, checks) -> None:
 
 
 class Column:
-    """An array appended to block by block that grows in place (no per-block copies)."""
+    """An array appended to block by block, in file order.
+
+    The first block reserves the reader's estimate of the file's rows (at
+    most _COLUMN_ROWS), so the rows of a file whose records keep their
+    length are never moved; a column that outgrows its reservation grows to
+    the new estimate, or by a quarter at least.  ``array()`` trims the
+    unused tail in place.  Fused rows already in grid order keep these
+    arrays as the grid; rows in any other order are scattered from them.
+    """
 
     def __init__(self, dtype, width: int | None = None):
-        self._data = np.empty((_COLUMN_ROWS,) if width is None else (_COLUMN_ROWS, width), dtype)
+        self._data = np.empty((0,) if width is None else (0, width), dtype)
         self._size = 0
 
-    def extend(self, values: np.ndarray) -> None:
+    def extend(self, values: np.ndarray, expected: int) -> None:
         end = self._size + len(values)
         if end > len(self._data):
-            self._data.resize((max(end, 2 * len(self._data)),) + self._data.shape[1:],
-                              refcheck=False)
+            rows = max(end, min(expected, _COLUMN_ROWS), len(self._data) * 5 // 4)
+            grown = np.empty((rows,) + self._data.shape[1:], self._data.dtype)  # untouched
+            grown[:self._size] = self._data[:self._size]
+            self._data = grown
         self._data[self._size:end] = values
         self._size = end
 

@@ -59,6 +59,9 @@ MAX_COORD_M = 1e6
 #: resampled onto runs from 0 to its last tag time.
 MAX_T_S = 86400.0
 
+#: (second, person) cells ``Observation.validate`` checks at a time.
+_VALIDATE_CELLS = 1 << 14
+
 FUSED_HEADER = ["t_s", "person_id", "role", "present", "x_m", "y_m", "facing_x", "facing_y"]
 RAW_HEADER = ["t_s", "person_id", "role", "side", "x_m", "y_m"]
 
@@ -133,18 +136,26 @@ class Observation:
     # -- invariants ------------------------------------------------------
 
     def validate(self) -> None:
+        """Check the structure, then every present position, then every
+        present facing, a time chunk at a time so that the temporaries stay
+        small next to the arrays."""
         self._validate_structure()
-        if self.present.any():
-            ids = self.person_ids
-            if not (np.abs(self.positions) <= MAX_COORD_M)[self.present].all():  # NaN fails too
+        if not self.present.any():
+            return
+        step = max(1, _VALIDATE_CELLS // self.n_people)
+        chunks = range(0, self.session_length_s, step)
+        for a in chunks:
+            present = self.present[a:a + step]
+            if not (np.abs(self.positions[a:a + step]) <= MAX_COORD_M)[present].all():  # NaN fails too
                 raise ValidationError(f"a present position is not finite or beyond {MAX_COORD_M:g} m")
+        for a in chunks:
             with np.errstate(over="ignore"):  # a component near 1e308 gives |f| = inf
-                norms = np.linalg.norm(self.facings, axis=2)
-            bad = self.present & ~np.isclose(norms, 1.0, rtol=0, atol=1e-6)
+                norms = np.linalg.norm(self.facings[a:a + step], axis=2)
+            bad = self.present[a:a + step] & ~np.isclose(norms, 1.0, rtol=0, atol=1e-6)
             if bad.any():
                 t_bad, k_bad = np.argwhere(bad)[0]
                 raise ValidationError(
-                    f"facing of {ids[k_bad]} at t={t_bad} is not unit norm "
+                    f"facing of {self.person_ids[k_bad]} at t={a + t_bad} is not unit norm "
                     f"(|f| = {norms[t_bad, k_bad]})"
                 )
 
@@ -504,19 +515,22 @@ class _People:
 
 
 def _fused_rows(csv_path: Path, people: _People):
-    """Check every record of a fused CSV; return t_s, person code, presence and
-    the coordinates of the present rows as arrays."""
-    columns = Column(float), Column(np.intp), Column(bool), Column(float, 4)
-    for lines, cols in read_columns(csv_path, FUSED_HEADER):
+    """Check every record of a fused CSV; return t_s, person code, presence,
+    position and facing as arrays in file order, the coordinates NaN where a
+    row is absent.  Rows in grid order become the grid as they are (see
+    ``_fused_grid``), so the coordinates are kept as two (rows, 2) columns."""
+    columns = Column(float), Column(np.intp), Column(bool), Column(float, 2), Column(float, 2)
+    for lines, cols, expected in read_columns(csv_path, FUSED_HEADER):
         t_txt, pid, role_txt, present_txt, *coord_txt = cols
         t, t_nan = parse_floats(t_txt)
         role = lookup_codes(role_txt, _ROLE_CODES)
         is_present = present_txt == "1"
         who, role_changed = people.codes(pid, role)
-        coords = np.empty((int(is_present.sum()), 4))
+        coords = np.full((len(lines), 4), np.nan)
         coord_bad = []
         for j in range(4):
-            coords[:, j], bad = parse_floats(coord_txt[j][is_present])
+            values, bad = parse_floats(coord_txt[j][is_present])
+            coords[is_present, j] = values
             coord_bad.append(np.zeros(len(lines), bool))
             coord_bad[j][is_present] = bad
         with np.errstate(invalid="ignore"):
@@ -532,14 +546,31 @@ def _fused_rows(csv_path: Path, people: _People):
             *[(coord_bad[j], ParseError, FUSED_HEADER[4 + j] + " is not a number: {!r}",
                coord_txt[j]) for j in range(4)],
         ])
-        for column, values in zip(columns, (t, who, is_present, coords)):
-            column.extend(values)
+        for column, values in zip(columns, (t, who, is_present, coords[:, :2], coords[:, 2:])):
+            column.extend(values, expected)
     return [column.array() for column in columns]
 
 
-def _fused_grid(t, who, is_present, coords, roster, column):
-    """Place checked fused rows on the (T, N) grid: positions, facings, presence."""
+def _fused_cells(t, who, roster, column):
+    """Check that fused rows fill the (T, N) grid once each; return T and
+    each row's flat (second, roster column) cell, or None when the rows are
+    in grid order.
+
+    Rows are in grid order when their cells, counted from the first row's
+    second, run exactly 0, 1, ..., T*N - 1: second by second, each second's
+    rows in roster order, as ``save_observation`` writes them.  Such rows
+    need no further check.
+    """
     n = len(roster)
+    if len(t) and not len(t) % n and len(column) == n:
+        code_at = np.empty(n, np.intp)
+        code_at[column] = np.arange(n)  # the person code of each roster column
+        seconds = t.reshape(-1, n)
+        # integral t_s: a difference equals a small integer only when exact
+        if ((who.reshape(-1, n) == code_at).all()
+                and (seconds[:, 0] - seconds[0, 0] == np.arange(len(seconds))).all()
+                and (seconds == seconds[:, :1]).all()):
+            return len(seconds), None
     seconds = np.unique(t)
     t_total = len(seconds)
     if t_total and seconds[-1] - seconds[0] + 1 != t_total:
@@ -556,14 +587,23 @@ def _fused_grid(t, who, is_present, coords, roster, column):
     if t_total and not filled.all():
         ti, k = divmod(int(np.argmin(filled)), n)
         raise ValidationError(f"missing row for person {roster[k].person_id} at t={ti + int(t0)}")
+    return t_total, cell
 
-    positions = np.full((t_total * n, 2), np.nan)
-    facings = np.full((t_total * n, 2), np.nan)
-    present = np.zeros(t_total * n, dtype=bool)
-    cell = cell[is_present]
-    positions[cell] = coords[:, :2]
-    facings[cell] = coords[:, 2:]
-    present[cell] = True
+
+def _fused_grid(t_total: int, n: int, cell, present, positions, facings):
+    """The (T, N, 2) positions and facings and (T, N) presence of fused rows.
+
+    Rows in grid order (``cell`` None) already are the grid: their columns
+    are returned reshaped, without a copy.  Rows in any other order fill
+    each cell once (``_fused_cells``) and are scattered onto a new grid.
+    """
+    if cell is not None:
+        grid = []
+        for values in (positions, facings, present):
+            placed = np.empty_like(values)
+            placed[cell] = values
+            grid.append(placed)
+        positions, facings, present = grid
     return (positions.reshape(t_total, n, 2), facings.reshape(t_total, n, 2),
             present.reshape(t_total, n))
 
@@ -571,9 +611,11 @@ def _fused_grid(t, who, is_present, coords, roster, column):
 def _read_fused(csv_path: Path, roster: tuple[Person, ...] | None):
     """The roster and the (T, N) positions, facings and presence of a fused CSV."""
     people = _People()
-    rows = _fused_rows(csv_path, people)
+    t, who, present, positions, facings = _fused_rows(csv_path, people)
     roster, column = people.check_roster(roster, "frames")
-    return (roster, *_fused_grid(*rows, roster, column))
+    t_total, cell = _fused_cells(t, who, roster, column)
+    del t, who  # checked; the grid needs neither
+    return (roster, *_fused_grid(t_total, len(roster), cell, present, positions, facings))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +626,7 @@ def _raw_rows(csv_path: Path, people: _People):
     """Check every record of a raw-tag CSV; return t_s, person code, side, x and y
     as arrays."""
     columns = Column(float), Column(np.intp), Column(np.int8), Column(float), Column(float)
-    for lines, cols in read_columns(csv_path, RAW_HEADER):
+    for lines, cols, expected in read_columns(csv_path, RAW_HEADER):
         t_txt, pid, role_txt, side_txt, x_txt, y_txt = cols
         t, t_nan = parse_floats(t_txt)
         role = lookup_codes(role_txt, _ROLE_CODES)
@@ -607,7 +649,7 @@ def _raw_rows(csv_path: Path, people: _People):
                  f"line {{line}}: t_s must be a finite number below {MAX_T_S:g} s, got {{}}", t_txt),
             ])
         for column, values in zip(columns, (t, who, side, x, y)):
-            column.extend(values)
+            column.extend(values, expected)
     return [column.array() for column in columns]
 
 

@@ -1,11 +1,14 @@
 import json
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from classim import columnar, synthgen, trajectory
 from classim.errors import (
     EmptyTrack,
     ParseError,
@@ -859,6 +862,93 @@ def test_loader_matches_rowwise_reference(tmp_path_factory, case):
     assert got_err == want_err
     if want is not None:
         _assert_bitwise_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_csv_files())
+def test_loader_matches_rowwise_reference_across_blocks(tmp_path_factory, case):
+    # blocks of 3 records and columns that reserve at most 4 rows: line
+    # numbers run across blocks, columns grow, and rows in grid order are
+    # told from the rest after growth
+    raw, text, meta = case
+    path = tmp_path_factory.mktemp("blocks") / "obs.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    path.with_suffix(".meta.json").write_text(json.dumps(meta))
+    fmt = TrackFormat.RAW_TAGS if raw else TrackFormat.FUSED
+    with patch.object(columnar, "_BLOCK_ROWS", 3), patch.object(columnar, "_COLUMN_ROWS", 4):
+        got, got_err = _outcome(load_observation, path, fmt)
+    want, want_err = _outcome(load_rowwise, path, fmt)
+    assert got_err == want_err
+    if want is not None:
+        _assert_bitwise_equal(got, want)
+
+
+def test_rows_in_grid_order_and_shuffled_rows_load_alike(tmp_path):
+    rng = np.random.default_rng(23)
+    obs = _obs_two_people(t_total=700)  # 1400 rows: past one 1024-record block
+    obs.present[rng.random(obs.present.shape) < 0.2] = False
+    obs.positions[~obs.present] = np.nan
+    obs.facings[~obs.present] = np.nan
+    save_observation(obs, tmp_path / "saved.csv")
+    header, *rows = (tmp_path / "saved.csv").read_text(encoding="utf-8").splitlines()
+    shuffled = _write_csv(tmp_path, header, [rows[k] for k in rng.permutation(len(rows))],
+                          meta=json.loads((tmp_path / "saved.meta.json").read_text()),
+                          name="shuffled.csv")
+    in_order = []
+    fused_cells = trajectory._fused_cells
+
+    def cells(*args):
+        t_total, cell = fused_cells(*args)
+        in_order.append(cell is None)
+        return t_total, cell
+
+    with patch.object(trajectory, "_fused_cells", cells):
+        saved = load_observation(tmp_path / "saved.csv")
+        back = load_observation(shuffled)
+    assert in_order == [True, False]  # the saved rows become the grid; shuffled ones scatter
+    _assert_bitwise_equal(saved, obs)
+    _assert_bitwise_equal(back, obs)
+
+
+def test_load_holds_a_fused_recording_once(tmp_path):
+    # the criterion-9 class: 15 people x 10,800 s = 162,000 rows, whose
+    # arrays take 5,346,000 B.  Keeping every row's coordinates in row
+    # columns and scattering them into a second grid peaked at 3.43x those
+    # bytes under tracemalloc; rows in grid order kept as the grid peaked at
+    # 2.64x, and with columns reserved before the rows arrive and validation
+    # a time chunk at a time, at 1.87x.
+    obs = synthgen.generate(synthgen.SynthConfig(
+        n_children=13, n_teachers=2, room_w=10.0, room_h=6.0, session_length_s=10_800,
+        schedule=((0, 5400, Activity.STRUCTURED), (5400, 10_800, Activity.UNSTRUCTURED)),
+        seed=5))
+    save_observation(obs, tmp_path / "class.csv")
+    held = obs.positions.nbytes + obs.facings.nbytes + obs.present.nbytes
+    assert held == 5_346_000
+    del obs
+    tracemalloc.start()
+    try:
+        back = load_observation(tmp_path / "class.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.positions.shape == (10_800, 15, 2)
+    assert peak < 2.5 * held
+
+
+def test_validate_checks_positions_before_facings_across_chunks():
+    obs = _obs_two_people(t_total=6)
+    obs.facings[1, 0] = (0.6, 0.6)  # not unit norm, in an earlier chunk
+    obs.positions[4, 1] = (math.inf, 0.0)
+    with patch.object(trajectory, "_VALIDATE_CELLS", 2):  # one second per chunk
+        with pytest.raises(ValidationError, match="present position is not finite"):
+            obs.validate()
+        obs.positions[4, 1] = (0.0, 0.0)
+        obs.facings[3, 1] = (0.0, 2.0)
+        with pytest.raises(ValidationError, match=r"facing of a at t=1 is not unit norm"):
+            obs.validate()
+        obs.facings[1, 0] = (1.0, 0.0)
+        with pytest.raises(ValidationError, match=r"facing of b at t=3 is not unit norm \(\|f\| = 2.0\)"):
+            obs.validate()
 
 
 @settings(max_examples=100, deadline=None)
