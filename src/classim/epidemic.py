@@ -19,9 +19,18 @@ all present infectious neighbours as  p = 1 - prod_j (1 - min(beta_ij, 1)).
 As a hazard,  h = -log(1 - p) = sum_j -log1p(-min(beta_ij, 1)),  so the
 chance of escaping every second a..b is  exp(-(h_a + ... + h_b)).
 
-``transmission_step`` applies the per-second rule to second t of an
+``transmission_step`` applies the per-second rule from second t of an
 observation, read from its own arrays, and draws one uniform per
-susceptible.  ``simulate_session`` replays a whole session of the same
+susceptible per second.  It advances a span of seconds per call: up to
+the next change of the infectious set, the first second that infects
+someone, a cap on the rates held at once, and in airborne mode the next
+60-s emission slot and the next expiry of an emission in use.  Over such
+a span nothing it reads changes, so one vectorized pass rates, draws and
+records all its seconds, bit for bit as one call per second would; when
+a second infects, the generator is set back to its state before the
+span and redraws through that second, so the infections' own draws
+follow it as they would have.  Airborne sessions run as a loop of such
+spans.  ``simulate_session`` replays a whole session of the same
 observation in segments between changes of the infectious set (temporal
 Gillespie: Vestergaard & Genois, PLoS Comput Biol 11:e1004579, 2015).  Each
 susceptible draws one Exp(1) threshold E per segment and is infected at the
@@ -59,6 +68,9 @@ EMISSION_SLOT_S = 60.0
 EMISSION_HORIZON_S = 3.0 * SECONDS_PER_HOUR
 #: Airborne mode: ring rows per person, the horizon's 180 slots plus the current one.
 EMISSION_ROWS = int(EMISSION_HORIZON_S // EMISSION_SLOT_S) + 1
+#: Most rates one ``transmission_step`` span evaluates per rate call:
+#: seconds x susceptibles x the larger of sources and one source's emissions.
+_SPAN_ELEMENTS = 1 << 13
 
 
 class IncubationModel(str, Enum):
@@ -265,81 +277,148 @@ def transmission_step(
     t: int,
     kp: KernelParams,
     dp: DiseaseParams,
+    until: int | None = None,
 ) -> EpidemicState:
-    """Advance second ``t`` of the observation: infect susceptibles, step the clock.
+    """Advance a span of seconds from second ``t``: infect susceptibles, step the clock.
 
     Second ``t`` describes the instant at the current clock (caller aligns
-    times).  One uniform is drawn per susceptible non-immune person in
-    roster order, whether or not they can be infected this second; absent
-    people neither transmit nor receive.
+    times), and each later second of the span the clock one second on.  The
+    span runs to second ``until`` (exclusive; the default ``t + 1`` is one
+    second), but it ends sooner: before the next change of the infectious
+    set, at the end of the first second that infects someone, once it holds
+    ``_SPAN_ELEMENTS`` rates, and in airborne mode before the next 60-s
+    emission slot and before an emission it reads passes the horizon.  It
+    always advances at least one second; the clock tells how far.
+
+    Within a span the susceptibles, the sources and the emissions they read
+    stay fixed, so its seconds are rated, drawn and recorded in one pass, bit
+    for bit as one call per second would.  One uniform is drawn per
+    susceptible non-immune person per second, in roster order, whether or
+    not they can be infected that second; absent people neither transmit
+    nor receive.
     """
     n = len(state.person_ids)
     if obs.n_people != n:
         raise FrameRosterMismatch(f"observation has {obs.n_people} people, roster has {n}")
+    stop = t + 1 if until is None else until
+    if not 0 <= t < stop <= obs.session_length_s:
+        raise ValueError(f"span [{t}, {stop}) is empty or outside the observation's "
+                         f"{obs.session_length_s} s")
     now = state.clock
     susceptible, _, infectious, _ = _compartment_masks(state, now)
     sus_idx = np.flatnonzero(susceptible & ~state.immune)
     inf_idx = np.flatnonzero(infectious)
+    airborne = kp.mode == TransmissionMode.AIRBORNE
+    active = len(sus_idx) > 0 and len(inf_idx) > 0
+    history = _usable_emissions(state, now, inf_idx) if airborne and active else []
 
-    u = state.rng.random(len(sus_idx))  # fixed draw pattern: one per susceptible
-    if len(inf_idx) and len(sus_idx):
-        beta = _frame_source_rates(state, obs, t, kp, now, sus_idx, inf_idx)
+    width = max(1, len(sus_idx)) * max(1, len(inf_idx), *map(len, history))
+    span = min(stop - t, max(1, _SPAN_ELEMENTS // width))
+    # the clock at each second of the span and after it, added one second at
+    # a time as the per-second clock was; each bound below keeps a prefix
+    times = np.ones(span + 1)
+    times[0] = now
+    seconds = np.cumsum(times, out=times)[:span]
+    clocks = np.concatenate((state.t_infected, state.t_infectious, state.t_recovered))
+    keep = seconds < clocks[clocks > now].min(initial=math.inf)
+    if airborne:
+        oldest = min((arr[0, 0] for arr in history if len(arr)), default=math.inf)
+        keep &= seconds // EMISSION_SLOT_S == now // EMISSION_SLOT_S
+        keep &= oldest >= seconds - EMISSION_HORIZON_S
+    span = int(np.count_nonzero(keep))
+
+    before = state.rng.bit_generator.state
+    u = state.rng.random((span, len(sus_idx)))  # one per susceptible per second
+    if active:
+        beta = _frame_source_rates(obs, t, kp, seconds[:span], sus_idx, inf_idx, history)
         p = 1.0 - np.prod(1.0 - np.clip(beta, 0.0, 1.0), axis=-1)  # see module docstring
-        for pos in np.flatnonzero(u < p):
-            j = int(inf_idx[int(np.argmax(beta[pos]))])
-            _schedule_infection(state, int(sus_idx[pos]), now, j, dp)
+        hit = (u < p).any(axis=1)
+        if hit.any():
+            # the span ends with the first second that infects: the generator
+            # goes back to before the span's draws and redraws through that
+            # second, so the infections' own draws follow them as they did
+            span = int(hit.argmax()) + 1
+            state.rng.bit_generator.state = before
+            state.rng.random((span, len(sus_idx)))
+            last = span - 1
+            for pos in np.flatnonzero(u[last] < p[last]):
+                j = int(inf_idx[int(np.argmax(beta[last, pos]))])
+                _schedule_infection(state, int(sus_idx[pos]), float(seconds[last]), j, dp)
 
-    if kp.mode == TransmissionMode.AIRBORNE:
-        _record_emissions(state, obs, t, now, inf_idx)
-    state.clock = now + 1.0
+    if airborne:
+        _record_emissions(state, obs, t, seconds[:span], inf_idx)
+    state.clock = float(times[span])
     return state
 
 
+def _usable_emissions(state: EpidemicState, now: float, inf_idx: np.ndarray) -> list[np.ndarray]:
+    """Each source's emissions that second ``now`` reads, as (k, 5) rows.
+
+    The slots before the current one, oldest first, none older than the
+    3-h horizon; rows of an earlier round of the ring are stale and left
+    out.  No source has any before the first emission is recorded.
+    """
+    if state.emissions is None:
+        return []
+    current_slot = int(now // EMISSION_SLOT_S)
+    rows = np.arange(current_slot - EMISSION_ROWS + 1, current_slot) % EMISSION_ROWS
+    held = state.emissions[inf_idx[:, None], rows]
+    usable = held[:, :, 0] >= now - EMISSION_HORIZON_S
+    return [arr[ok] for arr, ok in zip(held, usable)]
+
+
 def _frame_source_rates(
-    state: EpidemicState,
     obs: Observation,
     t: int,
     kp: KernelParams,
-    now: float,
+    seconds: np.ndarray,
     sus_idx: np.ndarray,
     inf_idx: np.ndarray,
+    history: list[np.ndarray],
 ) -> np.ndarray:
-    """Per-source rates (n_sus, n_inf) at second ``t``, inc. airborne history."""
-    present = obs.present[t]
-    pos = np.where(present[:, None], obs.positions[t], 0.0)
-    fac = np.where(present[:, None], obs.facings[t], 0.0)
-    beta = kernel.rates_between(pos[sus_idx], fac[sus_idx], pos[inf_idx], fac[inf_idx], kp)
-    co_present = present[sus_idx][:, None] & present[inf_idx][None, :]
-    beta[~co_present] = 0.0
+    """Per-source rates (L, n_sus, n_inf) over the L seconds from ``t``.
 
-    if kp.mode == TransmissionMode.AIRBORNE and state.emissions is not None:
-        # Emission weight keeps a stationary pair's integrated airborne hazard
-        # aligned with the droplet hazard: each slot carries lambda * slot.
-        weight = kp.lambda_decay / SECONDS_PER_HOUR * EMISSION_SLOT_S
-        current_slot = int(now // EMISSION_SLOT_S)
-        # the slots before the current one, oldest first (stale rows are masked)
-        rows = np.arange(current_slot - EMISSION_ROWS + 1, current_slot) % EMISSION_ROWS
-        sus_present = present[sus_idx]
-        for col, j in enumerate(inf_idx):
-            arr = state.emissions[j, rows]
-            arr = arr[arr[:, 0] >= now - EMISSION_HORIZON_S]
-            if not len(arr):
-                continue
-            r = kernel.rates_between(pos[sus_idx], fac[sus_idx], arr[:, 1:3], arr[:, 3:5], kp)
-            decay = np.exp(-kp.lambda_decay * (now - arr[:, 0]) / SECONDS_PER_HOUR)
-            extra = (r * decay[None, :]).sum(axis=1) * weight
-            beta[:, col] += np.where(sus_present, extra, 0.0)
+    ``seconds`` holds the clock at each of them.  ``history`` holds each
+    source's emissions (``_usable_emissions``, or empty outside airborne
+    mode), which the caller keeps fixed over the span.
+    """
+    span = slice(t, t + len(seconds))
+    present = obs.present[span]
+    pos = np.where(present[..., None], obs.positions[span], 0.0)
+    fac = np.where(present[..., None], obs.facings[span], 0.0)
+    pos_sus, fac_sus = pos[:, sus_idx], fac[:, sus_idx]
+    beta = kernel.rates_between(pos_sus, fac_sus, pos[:, inf_idx], fac[:, inf_idx], kp)
+    sus_present = present[:, sus_idx]
+    beta[~(sus_present[:, :, None] & present[:, None, inf_idx])] = 0.0
+
+    # Emission weight keeps a stationary pair's integrated airborne hazard
+    # aligned with the droplet hazard: each slot carries lambda * slot.
+    weight = kp.lambda_decay / SECONDS_PER_HOUR * EMISSION_SLOT_S
+    for col, arr in enumerate(history):
+        if not len(arr):
+            continue
+        r = kernel.rates_between(pos_sus, fac_sus, arr[:, 1:3], arr[:, 3:5], kp)
+        decay = np.exp(-kp.lambda_decay * (seconds[:, None] - arr[:, 0]) / SECONDS_PER_HOUR)
+        extra = (r * decay[:, None, :]).sum(axis=-1) * weight
+        beta[:, :, col] += np.where(sus_present, extra, 0.0)
     return beta
 
 
-def _record_emissions(state, obs, t, now, inf_idx) -> None:
+def _record_emissions(state, obs, t, seconds, inf_idx) -> None:
+    """Buffer each source's emission of the slot the span's ``seconds`` lie in.
+
+    A source emits at its first present second of the slot; a row still
+    holding an earlier slot is free.
+    """
     if state.emissions is None:
         state.emissions = np.full((len(state.person_ids), EMISSION_ROWS, 5), -math.inf)
-    slot = int(now // EMISSION_SLOT_S)
+    slot = int(float(seconds[0]) // EMISSION_SLOT_S)
     row = state.emissions[:, slot % EMISSION_ROWS]
-    for j in inf_idx:  # a row still holding an earlier slot is free
-        if obs.present[t, j] and row[j, 0] < slot * EMISSION_SLOT_S:
-            row[j] = now, *obs.positions[t, j], *obs.facings[t, j]
+    present = obs.present[t:t + len(seconds)]
+    for j in inf_idx:
+        if row[j, 0] < slot * EMISSION_SLOT_S and present[:, j].any():
+            i = int(present[:, j].argmax())
+            row[j] = seconds[i], *obs.positions[t + i, j], *obs.facings[t + i, j]
 
 
 def progress_offclass(state: EpidemicState, duration_s: float) -> EpidemicState:
@@ -439,8 +518,8 @@ def simulate_session(
     recording fits one; the uncached path serves recordings past the cap
     and direct calls without a hazard.
 
-    Airborne mode falls back to the per-second step, which maintains the
-    emission buffers.
+    Airborne mode reads no cache: the session is a loop of
+    ``transmission_step`` spans, which keeps the emission ring.
     """
     n = len(state.person_ids)
     if obs.n_people != n:
@@ -452,8 +531,10 @@ def simulate_session(
     t_total = obs.session_length_s
 
     if kp.mode == TransmissionMode.AIRBORNE:
-        for t in range(t_total):
-            transmission_step(state, obs, t, kp, dp)
+        t = 0
+        while t < t_total:
+            transmission_step(state, obs, t, kp, dp, until=t_total)
+            t = round(state.clock - session_start_s)
         return state
 
     if hazard is not None:

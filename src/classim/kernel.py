@@ -7,9 +7,8 @@ line connecting them:
     rate = beta_max * exp(-r^2 / (2 sigma_r^2) - (theta_i^2 + theta_j^2) / (2 sigma_theta^2))
 
 Airborne transmission additionally decays exponentially with the age of the
-emission, exp(-lambda_decay * age), which the per-second stepper in
-``epidemic`` applies; droplet transmission is treated as
-contemporaneous-only.
+emission, exp(-lambda_decay * age), which ``epidemic.transmission_step``
+applies; droplet transmission is treated as contemporaneous-only.
 
 ``beta_max`` is an intrinsic pathogen parameter, independent of the room.  It
 is recovered from population-level quantities (reproduction number, recovery
@@ -26,7 +25,11 @@ every block routine rates each unordered pair once.  ``pair_rates`` rates a
 list of pairs (a, b) over a trajectory block, by default the triangle of
 every pair i < j, one column per pair in ``pair_index`` order.
 ``pairwise_rates`` mirrors that triangle into the full (T, N, N) matrix,
-and ``rates_between`` rates every pair of two point sets.  ``pair_totals``
+and ``rates_between`` rates every pair of two point sets, over any leading
+axes: the airborne span rates its L seconds of susceptibles against their
+sources, or against one source's fixed emissions, in one call.  ``_rate``
+writes its temporaries in place, so a call holds few arrays of its
+output's size.  ``pair_totals``
 walks the recording once, chunk by chunk, for each pair's time sum of rates
 and its co-present seconds, in the same column order; it can also keep the
 rates, which the session engine reads as a cumulative hazard
@@ -232,23 +235,46 @@ def density(n_people: int, area: float) -> float:
 def _rate(dx, dy, fax, fay, fbx, fby, p: KernelParams) -> np.ndarray:
     """The kernel, elementwise, from separation a -> b and both facings.
 
-    The arrays broadcast against each other.  Every vectorized rate comes
-    from here, so two routines that rate the same pair agree to the bit.
-    Distances below ``R_MIN_M`` are clamped in the distance term; the angles
-    use the true direction, and a coincident pair gets theta = pi/2.
+    dx and dy have the result's shape, and the facings broadcast against
+    them.  Every vectorized rate comes from here, so two routines that rate
+    the same pair agree to the bit.  Distances below ``R_MIN_M`` are clamped
+    in the distance term; the angles use the true direction, and a
+    coincident pair gets theta = pi/2.  Each step writes its result in
+    place, by the same operation and in the same order as the expression
+    in the comment below, so the bits are that expression's while a call
+    holds only a few arrays of the result's size.
     """
-    r = np.sqrt(dx * dx + dy * dy)
+    r = dx * dx
+    r += dy * dy
+    np.sqrt(r, out=r)
     r_safe = np.maximum(r, 1e-12)
-    cos_a = (fax * dx + fay * dy) / r_safe
-    cos_b = -(fbx * dx + fby * dy) / r_safe
-    th_a = np.arccos(np.clip(cos_a, -1.0, 1.0))
-    th_b = np.arccos(np.clip(cos_b, -1.0, 1.0))
-    r_eff = np.maximum(r, R_MIN_M)
+    th_a = fax * dx
+    th_a += fay * dy
+    th_a /= r_safe
+    th_b = fbx * dx
+    th_b += fby * dy
+    np.negative(th_b, out=th_b)
+    th_b /= r_safe
+    del r_safe
+    for th in (th_a, th_b):  # cosines to angles
+        np.clip(th, -1.0, 1.0, out=th)
+        np.arccos(th, out=th)
     inv_2sr2 = 1.0 / (2.0 * p.sigma_r * p.sigma_r)
     inv_2st2 = 1.0 / (2.0 * p.sigma_theta * p.sigma_theta)
-    return p.beta_max * np.exp(
-        -(r_eff * r_eff) * inv_2sr2 - (th_a * th_a + th_b * th_b) * inv_2st2
-    )
+    # beta_max * exp(-(r_eff * r_eff) * inv_2sr2 - (th_a * th_a + th_b * th_b) * inv_2st2),
+    # with r_eff = max(r, R_MIN_M)
+    np.maximum(r, R_MIN_M, out=r)
+    np.multiply(r, r, out=r)
+    np.negative(r, out=r)
+    r *= inv_2sr2
+    np.multiply(th_a, th_a, out=th_a)
+    np.multiply(th_b, th_b, out=th_b)
+    th_a += th_b
+    th_a *= inv_2st2
+    r -= th_a
+    np.exp(r, out=r)
+    r *= p.beta_max
+    return r
 
 
 def rates_between(
@@ -260,12 +286,17 @@ def rates_between(
 ) -> np.ndarray:
     """Rate matrix between two point sets: entry [a, b] is the rate from b to a.
 
-    pos_a/fac_a are (A, 2), pos_b/fac_b are (B, 2).  Entry [a, b] is bitwise
-    the rate ``pair_rates`` gives the pair (a, b) at the same positions.
+    pos_a/fac_a are (..., A, 2), pos_b/fac_b are (..., B, 2), and the
+    result is (..., A, B).  Leading axes broadcast, so (L, A, 2) seconds of
+    one set against a fixed (B, 2) set give (L, A, B).  Entry [..., a, b] is
+    bitwise the rate ``pair_rates`` gives the pair (a, b) at the same
+    positions, whatever the leading axes.
     """
     return _rate(
-        pos_b[None, :, 0] - pos_a[:, None, 0], pos_b[None, :, 1] - pos_a[:, None, 1],
-        fac_a[:, None, 0], fac_a[:, None, 1], fac_b[None, :, 0], fac_b[None, :, 1], p,
+        pos_b[..., None, :, 0] - pos_a[..., :, None, 0],
+        pos_b[..., None, :, 1] - pos_a[..., :, None, 1],
+        fac_a[..., :, None, 0], fac_a[..., :, None, 1],
+        fac_b[..., None, :, 0], fac_b[..., None, :, 1], p,
     )
 
 

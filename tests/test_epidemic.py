@@ -268,6 +268,15 @@ def test_roster_mismatch_rejected():
         transmission_step(st, obs, 0, KernelParams(beta_max=1.0), DP)
 
 
+@pytest.mark.parametrize("t, until", [(0, 0), (2, 1), (0, 4), (3, None), (-1, None)])
+def test_span_outside_the_observation_rejected(t, until):
+    obs = _pair_obs(t_total=3)
+    st = new_epidemic_state(obs.person_ids, _rng())
+    with pytest.raises(ValueError, match="span"):
+        transmission_step(st, obs, t, KernelParams(beta_max=1.0), DP, until=until)
+    assert st.clock == 0.0
+
+
 def _two_agent_mc(kp, obs, n_runs, seed0, stepwise):
     hits = 0
     t_total = obs.session_length_s
@@ -805,7 +814,8 @@ def test_emission_ring_matches_list_buffers_past_the_horizon():
     # the current one, oldest first, none older than the 3-h horizon.  The
     # session runs past 181 slots (10,860 s), so rows of an earlier round are
     # read back, and p0 leaves and comes back, so some rows are stale then.
-    from classim.epidemic import _frame_source_rates, _record_emissions
+    # the span helpers are called on one-second spans
+    from classim.epidemic import _frame_source_rates, _record_emissions, _usable_emissions
     from reference_airborne import ListEmissions
     t_total, start = 11_600, 86_400.0
     rng = np.random.default_rng(41)
@@ -827,11 +837,12 @@ def test_emission_ring_matches_list_buffers_past_the_horizon():
     for t in range(t_total):
         now = start + t
         if t % 7 == 0 or t >= 10_700:
-            got = _frame_source_rates(st, obs, t, kp, now, sus_idx, inf_idx)
+            history = _usable_emissions(st, now, inf_idx)
+            got = _frame_source_rates(obs, t, kp, np.array([now]), sus_idx, inf_idx, history)[0]
             want = ref.frame_source_rates(obs, t, kp, now, sus_idx, inf_idx)
             assert np.array_equal(got, want), t
             compared += 1
-        _record_emissions(st, obs, t, now, inf_idx)
+        _record_emissions(st, obs, t, np.array([now]), inf_idx)
         ref.record(obs, t, now, inf_idx)
     assert compared > 2000
     assert len(ref.buffers[0]) < 180  # p0's absence left slots empty at the end
@@ -853,3 +864,136 @@ def test_only_airborne_runs_hold_an_emission_ring():
             assert st.emissions is None
         else:
             assert st.emissions.shape == (2, EMISSION_ROWS, 5)
+
+
+def _random_class(seed, n, t_total, stay=0.85):
+    """Random positions, facings and absences of ``n`` people in a 3 x 3 m room."""
+    rng = np.random.default_rng(seed)
+    present = rng.random((t_total, n)) < stay
+    pos = rng.uniform(0.0, 3.0, size=(t_total, n, 2))
+    ang = rng.uniform(0.0, 2 * math.pi, size=(t_total, n))
+    fac = np.stack([np.cos(ang), np.sin(ang)], axis=2)
+    pos[~present] = fac[~present] = np.nan
+    roster = tuple(Person(f"p{k}", Role.CHILD) for k in range(n))
+    return Observation(class_id="spans", roster=roster, room_area_m2=9.0,
+                       positions=pos, facings=fac, present=present)
+
+
+def _assert_twins_equal(st, twin):
+    for field in ("t_infected", "t_infectious", "t_symptomatic", "t_recovered", "source"):
+        assert np.array_equal(getattr(st, field), getattr(twin, field)), field
+    assert st.clock == twin.clock
+    assert st.rng.bit_generator.state == twin.rng.bit_generator.state
+    if twin.emissions is None:
+        assert st.emissions is None
+    else:
+        assert np.array_equal(st.emissions, twin.emissions)
+
+
+def _spans_against_per_second(obs, st, kp, dp, sessions, chunks=None):
+    """Replay sessions in spans on ``st`` and per second on a twin; compare after each.
+
+    ``sessions`` holds the off-class gap before each session (for the first,
+    its start).  The spans come from ``simulate_session`` in airborne mode, else from the
+    same ``until=T`` loop, or with ``chunks`` from calls whose ``until`` lies
+    that many seconds on.  Returns the twin, which holds the reference.
+    """
+    from reference_airborne import step_per_second
+    twin = copy.deepcopy(st)
+    t_total = obs.session_length_s
+    for gap in sessions:
+        if gap:
+            progress_offclass(st, gap)
+            progress_offclass(twin, gap)
+        start = st.clock
+        if chunks is None and kp.mode == TransmissionMode.AIRBORNE:
+            simulate_session(st, obs, start, kp, dp)
+        else:
+            t, calls = 0, 0
+            while t < t_total:
+                step = chunks[calls % len(chunks)] if chunks else t_total
+                transmission_step(st, obs, t, kp, dp, until=min(t_total, t + step))
+                t, calls = round(st.clock - start), calls + 1
+        for t in range(t_total):
+            step_per_second(twin, obs, t, kp, dp)
+        _assert_twins_equal(st, twin)
+    return twin
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hst.data())
+def test_spans_match_the_per_second_stepper(data):
+    # twin states, one advanced a span at a time and one by the per-second
+    # stepper the spans replaced, end every session bit for bit alike: the
+    # clock fields, the sources, the clock, the generator and the ring.
+    # Sources turn infectious (short latency) and recover (large gamma, or
+    # never: gamma = 1e-308 overflows to +inf) mid-session; a second session
+    # follows at once, or 10,800 - 1.5 T s after the first ends, so emissions
+    # of the first one's first half pass the horizon during it, mid-slot.
+    n = data.draw(hst.sampled_from(range(1, 7)), label="n")
+    t_total = data.draw(hst.sampled_from(range(1, 241)), label="t_total")
+    mode = data.draw(hst.sampled_from(list(TransmissionMode)), label="mode")
+    kp = KernelParams(beta_max=data.draw(hst.sampled_from([1e-3, 0.05, 0.3, 2.0]),
+                                         label="beta_max"), mode=mode)
+    latency_h = data.draw(hst.sampled_from([24.0, 0.01, 1e-4]), label="latency_h")
+    gamma = data.draw(hst.sampled_from([0.1, 500.0, 1e-308]), label="gamma")
+    dp = DiseaseParams(latency_h=latency_h, gamma_per_day=gamma)
+    obs = _random_class(data.draw(hst.integers(0, 2**32 - 1), label="obs"), n, t_total,
+                        stay=data.draw(hst.sampled_from([1.0, 0.85, 0.5]), label="stay"))
+    zero = data.draw(hst.integers(0, n - 1), label="zero")
+    immune = {f"p{k}" for k in range(n)
+              if k != zero and data.draw(hst.integers(0, 3), label=f"immune{k}") == 0}
+    st = new_epidemic_state(obs.person_ids, _rng(data.draw(hst.integers(0, 2**32 - 1))), immune)
+    if data.draw(hst.booleans(), label="buffered"):
+        # PCG64 hands out 32-bit draws in pairs; the spare half it holds
+        # must come through a span as it comes through the per-second draws
+        st.rng.integers(2**32, dtype=np.uint32)
+    seed_patient_zero(st, f"p{zero}", dp)
+    start = data.draw(hst.sampled_from([0.0, 30.0, DAY]), label="start")
+    later = data.draw(hst.sampled_from([None, 0.0, 10_800.0 - 1.5 * t_total]), label="later")
+    chunks = data.draw(hst.none() | hst.lists(hst.integers(1, 90), min_size=1, max_size=4),
+                       label="chunks")
+    sessions = [start] if later is None else [start, later]
+    _spans_against_per_second(obs, st, kp, dp, sessions, chunks)
+
+
+def test_a_long_airborne_session_matches_the_per_second_stepper():
+    # one session past 181 slots: emissions recorded early in it pass the
+    # horizon mid-slot while it runs, and a second source turns infectious
+    # half-way through
+    from classim.epidemic import _schedule_infection
+    obs = _random_class(7, 3, 11_000, stay=0.9)
+    kp = KernelParams(beta_max=1e-4, mode=TransmissionMode.AIRBORNE)
+    dp = DiseaseParams(latency_h=1.5)
+    st = new_epidemic_state(obs.person_ids, _rng(8))
+    seed_patient_zero(st, "p0", dp)
+    _schedule_infection(st, 1, 30.0 + 5_000.0 - dp.latency_s, -1, dp)
+    twin = _spans_against_per_second(obs, st, kp, dp, [30.0])
+    assert st.t_infectious[1] == 5_030.0 < st.t_recovered[1]
+    assert (twin.emissions[:2, :, 0] > 30.0 + 10_800.0).any()  # the ring came round
+
+
+def test_a_quiet_airborne_session_takes_few_spans(monkeypatch):
+    # a 1200-s session that infects no one runs in spans, not one call per
+    # second, and each span still goes through transmission_step and
+    # kernel.rates_between
+    from classim import epidemic, kernel
+    calls = {"transmission_step": 0, "rates_between": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(epidemic, "transmission_step")
+    spy(kernel, "rates_between")
+    obs = _random_class(3, 6, 1200)
+    st = new_epidemic_state(obs.person_ids, _rng(4))
+    seed_patient_zero(st, "p0", DP)
+    simulate_session(st, obs, 0.0, KernelParams(beta_max=1e-12, mode=TransmissionMode.AIRBORNE), DP)
+    assert np.isinf(st.t_infected[1:]).all() and st.clock == 1200.0
+    assert 1 <= calls["transmission_step"] < 1200 / 4
+    assert calls["rates_between"] >= 1

@@ -25,6 +25,13 @@ AIRBORNE_DIGESTS = {
     "curves.csv": "0e4228c91b84f93553876f294fc6fc93948faaa71627be2150c6e303e716776d",
     "emergence.csv": "341a56687ffa93ab34135aa9633d40376fa21aff3987c7e24d4b42fce93d4a19",
 }
+#: The 600-s class over 3 days, 2 reps, every cell: 10 slots a session and
+#: sources turning infectious mid-session.  Recorded with the per-second
+#: airborne stepper, before sessions advanced in spans.
+AIRBORNE_DAYS_DIGESTS = {
+    "curves.csv": "903e992dd9b3957ec3e1008b7f2fc45838b7e7c4d5b00c600a068b16f7e6a933",
+    "emergence.csv": "e7e280d33a275e40abecec44135703ab04120ee614a9c1859ddeba8de7cbe9e5",
+}
 
 
 def _synth(path, length_s):
@@ -50,6 +57,10 @@ def test_simulate_outputs_byte_identical(tmp_path, capsys):
                         {"kernel": {"beta_max_per_s": 2e-3}},
                         "--reps", "2", "--horizon-days", "7")
     assert droplet == DROPLET_DIGESTS
+    airborne = _simulate(tmp_path, obs, "airborne-days",
+                         {"kernel": {"beta_max_per_s": 2e-2, "mode": "airborne"}},
+                         "--reps", "2", "--horizon-days", "3")
+    assert airborne == AIRBORNE_DAYS_DIGESTS
 
     short = tmp_path / "short.csv"
     _synth(short, 120)
