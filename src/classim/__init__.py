@@ -4,62 +4,16 @@ Replays per-second indoor movement (position + body orientation) through a
 distance/orientation infection kernel inside a seeded SEIR state machine,
 then sweeps scenarios (classroom density, teacher vaccination) and reduces
 the runs to policy metrics.
+
+The root exports only the names its callers import from it; every other
+name is imported from its module (``classim.kernel.mean_pair_rate``,
+``classim.epidemic.simulate_session``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .epidemic import (  # noqa: F401
-    DiseaseParams,
-    EpidemicState,
-    is_run_complete,
-    new_epidemic_state,
-    progress_offclass,
-    sample_incubation,
-    seed_patient_zero,
-    simulate_session,
-    transmission_step,
-)
-from .kernel import (  # noqa: F401
-    CalibrationInputs,
-    KernelParams,
-    PairGeometry,
-    TransmissionMode,
-    calibrate_beta_max,
-    default_kernel_params,
-    density,
-    pair_rate,
-    pairwise_rates,
-    relative_geometry,
-)
-from .metrics import (  # noqa: F401
-    OutcomeSummary,
-    aggregate_hourly,
-    emergence_proportion,
-    saturation,
-    summarize_run,
-)
-from .scenario import (  # noqa: F401
-    DensityVariant,
-    RunOutcome,
-    ScenarioConfig,
-    SchoolCalendar,
-    VaccinationVariant,
-    apply_half_class,
-    apply_vaccination,
-    build_calendar,
-    derive_seed,
-    run_simulation,
-    sweep,
-)
+from .epidemic import DiseaseParams  # noqa: F401
+from .kernel import default_kernel_params, pairwise_rates  # noqa: F401
+from .scenario import ScenarioConfig, sweep  # noqa: F401
 from .synthgen import SynthConfig, generate  # noqa: F401
-from .trajectory import (  # noqa: F401
-    Activity,
-    Observation,
-    Person,
-    Role,
-    TrackFormat,
-    fuse_tags,
-    load_observation,
-    resample,
-    save_observation,
-)
+from .trajectory import TrackFormat, load_observation  # noqa: F401

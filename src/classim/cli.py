@@ -348,11 +348,13 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"scenarios must be a list of names, got {cfg['scenarios']!r}")
     if not cfg["scenarios"]:
         raise ConfigError(f"scenarios is empty; pick from {sorted(scenario.SCENARIO_CELLS)}")
-    for name in cfg["scenarios"]:
+    for i, name in enumerate(cfg["scenarios"]):
         if not isinstance(name, str) or name not in scenario.SCENARIO_CELLS:
             raise ConfigError(
                 f"unknown scenario {name!r}; pick from {sorted(scenario.SCENARIO_CELLS)}"
             )
+        if name in cfg["scenarios"][:i]:
+            raise ConfigError(f"scenario {name!r} is listed twice; each cell runs once")
 
     # paths on the command line replace a manifest's inputs and are not checked
     inputs = [(p, None, None) for p in args.observations] or manifest_inputs

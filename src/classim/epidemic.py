@@ -56,11 +56,10 @@ import numpy as np
 
 from . import kernel
 from .errors import FrameRosterMismatch, UnknownPerson, reject_bools
-from .kernel import KernelParams, TransmissionMode
+from .kernel import SECONDS_PER_DAY, KernelParams, TransmissionMode
 from .trajectory import Observation
 
 SECONDS_PER_HOUR = 3600.0
-SECONDS_PER_DAY = 86400.0
 
 #: Airborne mode: one emission is buffered per infectious person per slot.
 EMISSION_SLOT_S = 60.0

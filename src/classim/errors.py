@@ -58,7 +58,7 @@ class UnknownPerson(ClassimError):
 
 
 class FrameRosterMismatch(ClassimError):
-    """A trajectory frame does not line up with the epidemic roster."""
+    """An observation's people do not line up with the epidemic roster."""
 
 
 # --- scenarios ---

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import epidemic
 from .errors import EmptyCollection, MixedCohorts
+from .kernel import SECONDS_PER_DAY
 from .scenario import RunOutcome
-
-SECONDS_PER_DAY = 86400.0
 
 
 @dataclass(frozen=True)

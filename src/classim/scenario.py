@@ -28,10 +28,8 @@ import numpy as np
 from . import epidemic, kernel
 from .epidemic import DiseaseParams, Event
 from .errors import ConfigError, NoTeacher, UnknownPerson
-from .kernel import KernelParams, TransmissionMode
+from .kernel import SECONDS_PER_DAY, KernelParams, TransmissionMode
 from .trajectory import Observation, Role
-
-SECONDS_PER_DAY = 86400.0
 
 
 class DensityVariant(str, Enum):
@@ -262,8 +260,9 @@ class _PairArrays:
     alone: a droplet observation whose T * N(N-1)/2 elements fit under
     ``_RATE_CACHE_MAX_ELEMENTS`` also gets ``hazard``, the rates of that
     pass turned in place into the cumulative hazard the session engine
-    reads.  Past the cap, and in airborne mode, ``hazard`` is None and
-    sessions rate per segment or step second by second.
+    reads.  Past the cap, and in airborne mode, ``hazard`` is None:
+    droplet sessions rate per segment, and airborne sessions advance in
+    spans of seconds (``epidemic.transmission_step``).
     """
 
     def __init__(self, obs: Observation, kp: KernelParams):
@@ -296,7 +295,7 @@ def run_simulation(
     builds and returns the sweep's outcome for the same (cell, patient
     zero, seed).  Under the cap, droplet sessions read the hazard cache;
     past it they rate each segment's own (susceptible, source) pairs, and
-    airborne sessions step second by second.
+    airborne sessions advance in spans of seconds.
 
     The trajectory replays identically for every session in the calendar;
     between sessions the clock jumps with no transmission.  The run stops

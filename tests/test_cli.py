@@ -545,6 +545,24 @@ def test_simulate_unknown_scenario_exit_1(tmp_path, small_obs, capsys):
     assert "unknown scenario" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_repeated_scenario_exit_1(tmp_path, small_obs, capsys, source):
+    # a repeat would run its cell twice and pool both copies into one group
+    out_dir = tmp_path / "o"
+    if source == "flag":
+        given = ("--scenarios", "full-novax,half-vax,full-novax")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenarios": ["full-novax", "half-vax", "full-novax"]}))
+        given = ("--config", str(cfg))
+    code, _, err = _run(capsys, "simulate", str(small_obs), "--out", str(out_dir),
+                        "--reps", "1", "--workers", "1", *given)
+    assert code == 1
+    _one_error_line(err)
+    assert "scenario 'full-novax' is listed twice" in err
+    assert not out_dir.exists()
+
+
 def test_simulate_config_overrides_and_flag_precedence(tmp_path, small_obs, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"reps": 3, "horizon_days": 7, "scenarios": ["full-novax"]}))
