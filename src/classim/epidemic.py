@@ -2,8 +2,10 @@
 
 Each person carries one transmission-clock record: infection, infectiousness,
 symptom onset, recovery and source.  ``EpidemicState`` holds these as one
-array per field (a struct of arrays, ``inf`` = never), so the engine, the
-counts and the event log read them without rebuilding anything.
+array per field (a struct of arrays, ``inf`` = never), so the engine and the
+counts read them without rebuilding anything.  A run's outcome is the four
+clocks themselves, up to its horizon: ``event_log`` stacks them into one
+(4, n) array, and every policy metric is counted from that array.
 
 Compartments flow one way: Susceptible -> Exposed -> Infectious -> Recovered.
 All of a person's future transition times are sampled the moment they are
@@ -617,51 +619,33 @@ def simulate_session(
 
 
 # ---------------------------------------------------------------------------
-# event log and counts
+# a run's clocks and counts
 # ---------------------------------------------------------------------------
 
-EVENT_ORDER = {"infected": 0, "infectious": 1, "symptomatic": 2, "recovered": 3}
+def event_log(state: EpidemicState, horizon_s: float) -> np.ndarray:
+    """Every person's transition times up to the horizon: a (4, n) array.
 
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    kind: str
-    person_id: str
-    t_s: float
-    source_person_id: str | None = None
-
-
-def event_log(state: EpidemicState, horizon_s: float) -> tuple[Event, ...]:
-    """All transition events up to the horizon, time-ordered.
-
-    Symptom onsets scheduled by the disease clocks are reported even when
-    they land after the epidemic has burnt out, as long as they fall inside
-    the horizon (the observation window of every metric).
+    Rows are infection, infectiousness, symptom onset and recovery, columns
+    the roster; a time past the horizon reads ``inf``, like one never set.
+    Symptom onsets scheduled by the disease clocks are kept even when they
+    land after the epidemic has burnt out, as long as they fall inside the
+    horizon (the observation window of every metric).
     """
-    ids = state.person_ids
-    rows = zip(ids, state.source.tolist(), state.t_infected.tolist(),
-               state.t_infectious.tolist(), state.t_symptomatic.tolist(),
-               state.t_recovered.tolist())
-    events = []
-    for pid, source, *times in rows:
-        for kind, t in zip(EVENT_ORDER, times):
-            if t <= horizon_s:
-                infector = ids[source] if kind == "infected" and source >= 0 else None
-                events.append(Event(kind, pid, t, infector))
-    events.sort(key=lambda e: (e.t_s, EVENT_ORDER[e.kind], e.person_id))
-    return tuple(events)
+    times = np.stack([state.t_infected, state.t_infectious, state.t_symptomatic,
+                      state.t_recovered])
+    times[times > horizon_s] = math.inf
+    return times
 
 
-def hourly_compartment_counts(events, roster_size: int, horizon_hours: int) -> np.ndarray:
+def hourly_compartment_counts(times: np.ndarray, horizon_hours: int) -> np.ndarray:
     """(S, E, I, R) counts at each hour boundary 0..horizon_hours inclusive.
 
-    Counted from an event log that holds every transition at or before the
-    last boundary, as ``event_log`` up to the horizon does: a boundary
-    counts the events of each kind at or before it.  Returned array has
-    shape (horizon_hours + 1, 4).
+    Counted from a run's clock array (``event_log``), whose columns are the
+    roster, up to a horizon at or past the last boundary: a boundary
+    counts the transitions of each kind at or before it.  Returned array
+    has shape (horizon_hours + 1, 4).
     """
     bounds = np.arange(horizon_hours + 1, dtype=float) * SECONDS_PER_HOUR
     # people ever infected, ever infectious and recovered at or before each bound
-    e, i, r = (np.searchsorted(np.sort([ev.t_s for ev in events if ev.kind == kind]), bounds, "right")
-               for kind in ("infected", "infectious", "recovered"))
-    return np.stack([roster_size - e, e - i, i - r, r], axis=1).astype(np.int64)
+    e, i, r = (np.searchsorted(np.sort(times[row]), bounds, "right") for row in (0, 1, 3))
+    return np.stack([times.shape[1] - e, e - i, i - r, r], axis=1).astype(np.int64)

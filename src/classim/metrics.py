@@ -54,7 +54,7 @@ class HourlyAggregate:
 
 def ever_infected(outcome: RunOutcome) -> int:
     """Number of people infected at any point, patient zero included."""
-    return len({e.person_id for e in outcome.events if e.kind == "infected"})
+    return int(np.isfinite(outcome.times[0]).sum())
 
 
 def saturation(outcome: RunOutcome) -> float:
@@ -97,8 +97,9 @@ class HourlySums:
     """Integer-exact sums of hourly compartment counts, one run at a time.
 
     Every run must share the first run's roster size and horizon.  Each
-    run's counts come from its event log, so no per-run hourly array is
-    kept, and the sums do not depend on the order runs are added in.
+    run's counts come from its clock array (``RunOutcome.times``), so no
+    per-run hourly array is kept, and the sums do not depend on the order
+    runs are added in.
     """
 
     def __init__(self):
@@ -115,7 +116,7 @@ class HourlySums:
                 f"roster {roster}/horizon {outcome.horizon_days} does not "
                 f"match {self.roster}/{self.horizon}"
             )
-        counts = epidemic.hourly_compartment_counts(outcome.events, roster, self.horizon * 24)
+        counts = epidemic.hourly_compartment_counts(outcome.times, self.horizon * 24)
         x = np.column_stack([counts, roster - counts[:, 0]])
         self.s1, self.s2 = self.s1 + x, self.s2 + x * x
         self.n_runs += 1
@@ -148,10 +149,12 @@ def aggregate_hourly(outcomes) -> HourlyAggregate:
 def summarize_run(outcome: RunOutcome) -> OutcomeSummary:
     """Scalar summary of one run.
 
-    Its first three symptomatic onsets, in days from Day 0 (None past the
-    last), are the only place onsets are read from an event log.
+    Its first three symptomatic onsets are the three smallest finite
+    entries of row 2 of its clock array (``RunOutcome.times``), in days
+    from Day 0, None past the last.  This is the only place onsets are read.
     """
-    onsets = sorted(e.t_s for e in outcome.events if e.kind == "symptomatic")[:3]
+    first = np.sort(outcome.times[2])[:3]
+    onsets = first[np.isfinite(first)].tolist()
     return OutcomeSummary(
         saturation=saturation(outcome),
         beta_hat=outcome.beta_hat,

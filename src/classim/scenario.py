@@ -10,8 +10,13 @@ school day.
 Sweeps iterate patient zero over the whole roster times a replicate count.
 Each task's seed is derived by a stable 64-bit mix of (base_seed, patient
 zero index, replicate), so results are independent of execution order and
-worker count, and the same (patient zero, replicate) pair shares randomness
-across scenario cells for coupled comparisons.
+worker count.  The same (patient zero, replicate) pair gets the same seed in
+every scenario cell, but not the same random stream: one generator serves
+the half-class draw, the vaccination draws, patient zero's clocks and every
+transmission threshold in turn, so two cells' streams part at the first
+draw one makes and the other does not (the half-class roster or the
+vaccination flags).  Runs matched by seed across cells are therefore not
+coupled.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import epidemic, kernel
-from .epidemic import DiseaseParams, Event
+from .epidemic import DiseaseParams
 from .errors import ConfigError, NoTeacher, UnknownPerson
 from .kernel import SECONDS_PER_DAY, KernelParams, TransmissionMode
 from .trajectory import Observation, Role
@@ -225,9 +230,12 @@ def derive_seed(base_seed: int, patient_zero_index: int, rep: int) -> int:
 class RunOutcome:
     """Everything one simulation run produced.
 
-    The event log is the run's whole compartment history: hourly curves and
-    final counts are counted from it (``epidemic.hourly_compartment_counts``).
-    ``beta_hat`` is the mean pair rate over the roster's co-present
+    ``times`` is the run's whole compartment history (``epidemic.event_log``):
+    a (4, n) float64 array whose rows are infection, infectiousness, symptom
+    onset and recovery and whose columns follow ``roster_ids``; a time past
+    the horizon, or never set, reads ``inf``.  Saturation, the hourly curves
+    (``epidemic.hourly_compartment_counts``) and the first onsets are all
+    read from it.  ``beta_hat`` is the mean pair rate over the roster's co-present
     pair-seconds and ``exposure_t_s`` (T) the class time the horizon holds.
     """
 
@@ -237,7 +245,7 @@ class RunOutcome:
     seed: int
     roster_ids: tuple[str, ...]
     immune_ids: frozenset[str]
-    events: tuple[Event, ...]
+    times: np.ndarray
     horizon_days: int
     beta_hat: float
     exposure_t_s: float
@@ -299,7 +307,7 @@ def run_simulation(
 
     The trajectory replays identically for every session in the calendar;
     between sessions the clock jumps with no transmission.  The run stops
-    early once nobody is exposed or infectious; its event log still covers
+    early once nobody is exposed or infectious; its clock array still covers
     the full horizon.
     """
     if patient_zero not in obs.person_ids:
@@ -349,7 +357,7 @@ def run_simulation(
         seed=seed,
         roster_ids=obs_run.person_ids,
         immune_ids=immune,
-        events=epidemic.event_log(state, horizon_s),
+        times=epidemic.event_log(state, horizon_s),
         horizon_days=sc.horizon_days,
         beta_hat=beta_hat,
         exposure_t_s=float(cal.session_length_s * len(sessions)),

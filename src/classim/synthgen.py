@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .trajectory import (
     ACTIVITY_CODES,
+    MAX_COORD_M,
     Activity,
     Observation,
     Person,
@@ -60,14 +61,17 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_children < 0 or self.n_teachers < 0:
             raise ConfigError("roster counts must be >= 0")
-        if not (self.room_w > 0 and self.room_h > 0):
-            raise ConfigError(f"room must be positive, got {self.room_w} x {self.room_h}")
+        if not (0 < self.room_w <= MAX_COORD_M and 0 < self.room_h <= MAX_COORD_M):
+            raise ConfigError(
+                f"room sides must be in (0, {MAX_COORD_M:g}] m, got {self.room_w} x {self.room_h}")
         if self.session_length_s < 0:
             raise ConfigError(f"session_length_s must be >= 0, got {self.session_length_s}")
-        if not 0 < self.speed_min <= self.speed_max:
+        if not 0 < self.speed_min <= self.speed_max < math.inf:
             raise ConfigError(
-                f"need 0 < speed_min <= speed_max, got [{self.speed_min}, {self.speed_max}]"
+                f"need 0 < speed_min <= speed_max < inf, got [{self.speed_min}, {self.speed_max}]"
             )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.schedule is not None:
             self._check_schedule()
 

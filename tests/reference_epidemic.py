@@ -1,10 +1,10 @@
 """References for the session engine, compartments, the hourly counts and their aggregate.
 
-``classim.epidemic.hourly_compartment_counts`` counts a run's event log.
+``classim.epidemic.hourly_compartment_counts`` counts a run's clock array.
 Runs once counted their run state instead: a (hours, people) mask per
 compartment, taken straight from the per-person transition times, and every
 run's (H+1, 4) array was stacked before the moments were taken.  Both are
-kept here so the tests can compare the event-log counts and the folded
+kept here so the tests can compare the array counts and the folded
 aggregate against them bit for bit.  ``compartment_at`` reads one person's
 compartment from the same transition times; no run path needs it.
 

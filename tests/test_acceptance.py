@@ -204,8 +204,8 @@ def test_criterion_5_patient_zero_symptomatic_share():
         outcomes = list(sweep(obs, sc, kp, DP, workers=WORKERS))
         hits = 0
         for o in outcomes:
-            onsets = sorted((e.t_s, e.person_id) for e in o.events
-                            if e.kind == "symptomatic")
+            onsets = sorted((t, pid) for t, pid in zip(o.times[2].tolist(), o.roster_ids)
+                            if t < math.inf)
             if onsets and onsets[0][1] == o.patient_zero:
                 hits += 1
         share = hits / len(outcomes)

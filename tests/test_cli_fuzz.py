@@ -259,3 +259,39 @@ def test_any_coordinates_exit_cleanly(tiny, raw, edits):
         fused.with_suffix(".meta.json").write_text(meta)
     _check(*_simulate(["simulate", str(fused), "--out", str(root / "coords"), "--reps", "1",
                        "--horizon-days", "1", "--scenarios", "full-novax", "--workers", "1"]))
+
+
+#: Flag values at the edges of each synth input: room sides past the 1e6-m
+#: coordinate bound or not finite, speeds that are not finite, negative and
+#: huge seeds, and schedules that do not tile the session.
+SYNTH_FLAGS = {
+    "--room": st.one_of(
+        st.sampled_from(["8x8", "infx5", "1e308x1e308", "2e6x5", "1e6x1e6", "1000000.0000000001x1",
+                         "0x1", "-1x1", "nanx1", "1e-300x1e-300", "5e-324x1", "x", "1x1x1", ""]),
+        st.tuples(st.floats(), st.floats()).map(lambda wh: f"{wh[0]!r}x{wh[1]!r}")),
+    "--speed": st.one_of(
+        st.sampled_from(["0.3:1.2", "1:inf", "inf:inf", "nan:1", "0:1", "2:1", "1e308:1e308",
+                         "1e-300:1e-300", "1", "x:y", ""]),
+        st.tuples(st.floats(), st.floats()).map(lambda s: f"{s[0]!r}:{s[1]!r}")),
+    "--seed": st.sampled_from(["0", "1", "-1", str(2**64), str(10**30), f"-{2**63}", "1.5",
+                               "x", ""]),
+    "--schedule": st.sampled_from(["0-10:structured", "0-5:structured,5-10:unstructured",
+                                   "10-0:structured", "0-10:x", "0-1e3:structured",
+                                   "-5-10:structured", "0-10", "", f"0-{10**20}:unstructured"]),
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_synth_any_flags_exits_cleanly(tiny, data):
+    root, _ = tiny
+    out = root / "synth" / "class.csv"
+    shutil.rmtree(out.parent, ignore_errors=True)
+    argv = ["synth", "--children", str(data.draw(st.integers(0, 3))),
+            "--teachers", str(data.draw(st.integers(0, 2))),
+            "--length", str(data.draw(st.sampled_from([0, 1, 5, 10]))), "--out", str(out)]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(SYNTH_FLAGS)), max_size=4, unique=True)):
+        argv.append(f"{flag}={data.draw(SYNTH_FLAGS[flag])}")
+    code, err = _simulate(argv)
+    _check(code, err)
+    assert out.exists() == (code == 0)

@@ -1,6 +1,5 @@
 import copy
 import math
-import pickle
 import warnings
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import strategies as hst
 from classim.epidemic import (
     EMISSION_ROWS,
     DiseaseParams,
-    Event,
     IncubationModel,
     RecoveryModel,
     event_log,
@@ -348,7 +346,7 @@ def test_session_engine_matches_cache_and_on_the_fly():
     simulate_session(st2, obs, 0.0, kp, DP)
 
     assert st1.t_infected[1] == st2.t_infected[1]
-    assert event_log(st1, 28 * DAY) == event_log(st2, 28 * DAY)
+    assert np.array_equal(event_log(st1, 28 * DAY), event_log(st2, 28 * DAY))
 
 
 def test_session_engine_rejects_full_matrix_cache():
@@ -633,10 +631,11 @@ def test_determinism_bitwise_event_logs():
         simulate_session(st, obs, 0.0, kp, DP)
         return event_log(st, 28 * DAY)
 
-    assert run(42) == run(42)
+    assert np.array_equal(run(42), run(42))
     logs_a = [run(s) for s in range(50)]
     logs_b = [run(s) for s in range(50)]
-    assert logs_a == logs_b
+    assert len(logs_a) == len(logs_b)
+    assert all(np.array_equal(a, b) for a, b in zip(logs_a, logs_b))
 
 
 # ---------------------------------------------------------------------------
@@ -654,19 +653,17 @@ def test_one_way_flow_and_conservation():
     seed_patient_zero(st, "p0", DP)
     simulate_session(st, obs, 0.0, kp, DP)
     horizon = 28 * DAY
-    events = event_log(st, horizon)
+    times = event_log(st, horizon)
     # conservation at every hour
-    counts = hourly_compartment_counts(events, len(obs.roster), 28 * 24)
+    counts = hourly_compartment_counts(times, 28 * 24)
     assert (counts.sum(axis=1) == len(obs.roster)).all()
     assert counts.tobytes() == mask_counts(st, 28 * 24).tobytes()
-    # one-way flow: per person, events appear in S->E->I->R order, once each
-    per_person = {}
-    for e in events:
-        per_person.setdefault(e.person_id, []).append(e.kind)
-    order = {"infected": 0, "infectious": 1, "recovered": 2}
-    for kinds in per_person.values():
-        core = [k for k in kinds if k in order]
-        assert core == sorted(set(core), key=order.__getitem__)
+    # one-way flow: per person, the transitions that happened are a prefix of
+    # S->E->I->R, in time order
+    for core in times[[0, 1, 3]].T.tolist():
+        happened = [t < math.inf for t in core]
+        assert happened == sorted(happened, reverse=True)
+        assert core[:sum(happened)] == sorted(core[:sum(happened)])
     # nobody infectious before infection + latency, exactly
     for t_infected, t_infectious in zip(st.t_infected, st.t_infectious):
         if math.isfinite(t_infected):
@@ -693,7 +690,7 @@ def test_counts_before_infection_agree_with_hourly_counts():
     st.clock = 6000.0
     assert st.counts(at=1000.0) == (1, 0, 1, 0)
     assert compartment_at(st, 1, 1000.0) == "S"
-    assert hourly_compartment_counts(event_log(st, 3600.0), 2, 1)[0].tolist() == [1, 0, 1, 0]
+    assert hourly_compartment_counts(event_log(st, 3600.0), 1)[0].tolist() == [1, 0, 1, 0]
     assert st.counts() == (0, 1, 1, 0)
 
 
@@ -701,12 +698,16 @@ def test_event_log_order_and_horizon_cap():
     st = new_epidemic_state(["a", "b"], _rng(33))
     seed_patient_zero(st, "a", DP)
     st.t_symptomatic[0] = 40 * DAY  # symptomatic, but beyond horizon
-    events = event_log(st, 28 * DAY)
-    kinds = [e.kind for e in events]
-    assert "symptomatic" not in kinds
-    assert kinds[0] == "infected" and events[0].t_s == -DP.latency_s
-    times = [e.t_s for e in events]
-    assert times == sorted(times)
+    times = event_log(st, 28 * DAY)
+    # rows: infection, infectiousness, onset, recovery; columns: the roster
+    assert times.shape == (4, 2) and times.dtype == np.float64
+    clocks = st.t_infected, st.t_infectious, st.t_symptomatic, st.t_recovered
+    want = [t[0] if t[0] <= 28 * DAY else math.inf for t in clocks]
+    assert times[:, 0].tolist() == want
+    assert want[0] == -DP.latency_s and want[2] == math.inf
+    assert (times[:, 1] == math.inf).all()  # never infected
+    times[0, 0] = 0.0
+    assert st.t_infected[0] == -DP.latency_s  # a copy, not a view of the state
 
 
 def _boundary_time(hour: int, ulps: int) -> float:
@@ -738,16 +739,10 @@ def test_event_log_counts_equal_mask_reference(data):
         st.t_infectious[k] = st.t_infected[k] + data.draw(gaps)
         st.t_recovered[k] = st.t_infectious[k] + data.draw(gaps)
         st.t_symptomatic[k] = st.t_infected[k] + data.draw(gaps)
-    events = event_log(st, horizon_hours * 3600.0)
-    counts = hourly_compartment_counts(events, n, horizon_hours)
+    times = event_log(st, horizon_hours * 3600.0)
+    counts = hourly_compartment_counts(times, horizon_hours)
     expected = mask_counts(st, horizon_hours)
     assert counts.dtype == expected.dtype and counts.tobytes() == expected.tobytes()
-
-
-def test_event_pickles_and_holds_no_instance_dict():
-    e = Event("infected", "p1", 12.5, "p0")
-    assert pickle.loads(pickle.dumps(e)) == e
-    assert not hasattr(e, "__dict__")
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from classim.epidemic import (
     DiseaseParams,
-    Event,
     event_log,
+    hourly_compartment_counts,
     new_epidemic_state,
     progress_offclass,
     seed_patient_zero,
@@ -20,6 +22,7 @@ from classim.kernel import KernelParams, mean_pair_rate, pair_rate, pair_totals,
 from classim.metrics import (
     aggregate_hourly,
     emergence_proportion,
+    ever_infected,
     median_emergence_days,
     saturation,
     summarize_run,
@@ -39,7 +42,15 @@ DAY = 86400.0
 KP = KernelParams(beta_max=1.0)
 
 
-def _outcome(events, roster=10, horizon_days=28):
+#: Rows of a run's clock array (``RunOutcome.times``).
+KINDS = ("infected", "infectious", "symptomatic", "recovered")
+
+
+def _outcome(entries=(), roster=10, horizon_days=28):
+    """An outcome whose clocks are inf but for its (kind, roster position, t) entries."""
+    times = np.full((4, roster), math.inf)
+    for kind, k, t in entries:
+        times[KINDS.index(kind), k] = t
     return RunOutcome(
         scenario="full-novax",
         observation_id="obs",
@@ -47,19 +58,19 @@ def _outcome(events, roster=10, horizon_days=28):
         seed=1,
         roster_ids=tuple(f"p{k}" for k in range(roster)),
         immune_ids=frozenset(),
-        events=tuple(events),
+        times=times,
         horizon_days=horizon_days,
         beta_hat=2e-5,
         exposure_t_s=3600.0,
     )
 
 
-def _infected(pid, t, src=None):
-    return Event("infected", pid, t, src)
+def _infected(k, t):
+    return "infected", k, t
 
 
-def _sympt(pid, t):
-    return Event("symptomatic", pid, t)
+def _sympt(k, t):
+    return "symptomatic", k, t
 
 
 # ---------------------------------------------------------------------------
@@ -67,18 +78,18 @@ def _sympt(pid, t):
 # ---------------------------------------------------------------------------
 
 def test_saturation_patient_zero_only():
-    out = _outcome([_infected("p0", -DAY)], roster=10)
+    out = _outcome([_infected(0, -DAY)], roster=10)
     assert saturation(out) == pytest.approx(0.1)
 
 
 def test_saturation_everyone():
-    events = [_infected(f"p{k}", k * 100.0) for k in range(10)]
-    assert saturation(_outcome(events, roster=10)) == 1.0
+    entries = [_infected(k, k * 100.0) for k in range(10)]
+    assert saturation(_outcome(entries, roster=10)) == 1.0
 
 
 def test_saturation_six_of_thirteen():
-    events = [_infected(f"p{k}", k * 100.0) for k in range(6)]
-    assert saturation(_outcome(events, roster=13)) == pytest.approx(6 / 13)
+    entries = [_infected(k, k * 100.0) for k in range(6)]
+    assert saturation(_outcome(entries, roster=13)) == pytest.approx(6 / 13)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +192,7 @@ NEVER = (None, None, None)  # a run's onset days with no symptomatic case
 
 
 def test_nth_symptomatic_lookup():
-    out = _outcome([_sympt("p0", 3.7 * DAY)])
+    out = _outcome([_sympt(0, 3.7 * DAY)])
     assert reference_metrics.nth_symptomatic(out, 1) == pytest.approx(3.7)
     assert reference_metrics.nth_symptomatic(out, 2) is None
     assert summarize_run(out).t_symptomatic_days == (pytest.approx(3.7), None, None)
@@ -194,7 +205,7 @@ def test_nth_symptomatic_empty():
 
 
 def test_nth_symptomatic_ordering():
-    out = _outcome([_sympt("a", 4 * DAY), _sympt("b", 9 * DAY), _sympt("c", 12 * DAY)])
+    out = _outcome([_sympt(0, 12 * DAY), _sympt(1, 4 * DAY), _sympt(2, 9 * DAY)])
     assert reference_metrics.nth_symptomatic(out, 3) == pytest.approx(12.0)
     assert reference_metrics.nth_symptomatic(out, 1) == pytest.approx(4.0)
     assert summarize_run(out).t_symptomatic_days == pytest.approx((4.0, 9.0, 12.0))
@@ -250,11 +261,12 @@ def test_emergence_from_onset_days_equals_event_log_reference():
                                                  session_length_s=300, seed=2))
     outs = list(sweep(obs, ScenarioConfig(horizon_days=14, reps_per_patient_zero=8, base_seed=13),
                       KernelParams(beta_max=3e-3), DiseaseParams(), workers=1))
-    # a copy of each run whose first onset another person shares: a tie
-    tied = [dataclasses.replace(o, events=o.events + (_sympt("tie", first.t_s),))
+    # a copy of each run whose first onset one more person shares: a tie
+    tied = [dataclasses.replace(o, roster_ids=o.roster_ids + ("tie",), times=np.column_stack(
+                [o.times, [math.inf, math.inf, first, math.inf]]))
             for o in outs
-            for first in [next((e for e in o.events if e.kind == "symptomatic"), None)]
-            if first is not None]
+            for first in [o.times[2].min()]
+            if first < math.inf]
     groups = {"all": outs + tied, "early": outs[:6], "tied": tied}
     for n in (1, 2, 3):
         assert [summarize_run(o).t_symptomatic_days[n - 1] for o in outs + tied] == [
@@ -278,14 +290,14 @@ def test_emergence_from_onset_days_equals_event_log_reference():
 # hourly aggregation
 # ---------------------------------------------------------------------------
 
-def _recovered(pids, t):
-    """Events of people who are infected, infectious and recovered at time t."""
-    return [Event(kind, pid, t) for pid in pids for kind in ("infected", "infectious", "recovered")]
+def _recovered(ks, t):
+    """Clock entries of people who are infected, infectious and recovered at time t."""
+    return [(kind, k, t) for k in ks for kind in ("infected", "infectious", "recovered")]
 
 
 def test_aggregate_single_run_zero_std():
     # person k recovers on day k, k = 1..5: R = min(hour // 24, 5)
-    out = _outcome([e for k in range(1, 6) for e in _recovered([f"p{k}"], k * DAY)])
+    out = _outcome([e for k in range(1, 6) for e in _recovered([k], k * DAY)])
     agg = aggregate_hourly([out])
     assert agg.mean_counts[:, 3].tolist() == [min(h // 24, 5) for h in range(28 * 24 + 1)]
     assert (agg.std_counts == 0).all()
@@ -294,8 +306,8 @@ def test_aggregate_single_run_zero_std():
 
 
 def test_aggregate_two_point_moments():
-    a = _outcome(_recovered(["p0", "p1"], -DAY))
-    b = _outcome(_recovered(["p0", "p1", "p2", "p3"], -DAY))
+    a = _outcome(_recovered([0, 1], -DAY))
+    b = _outcome(_recovered([0, 1, 2, 3], -DAY))
     agg = aggregate_hourly([a, b])
     assert np.allclose(agg.mean_counts[:, 3], 3.0)
     assert np.allclose(agg.std_counts[:, 3], 1.0)
@@ -348,22 +360,106 @@ def _simulated_states(seeds, sessions=3):
 @pytest.mark.parametrize("horizon_days", [1, 7])
 def test_aggregate_equals_stacked_mask_counts_bitwise(horizon_days):
     obs, states = _simulated_states(range(24))
-    outs = [dataclasses.replace(_outcome(event_log(st, horizon_days * DAY), roster=5,
-                                         horizon_days=horizon_days), roster_ids=obs.person_ids)
+    outs = [dataclasses.replace(_outcome(roster=5, horizon_days=horizon_days),
+                                roster_ids=obs.person_ids, times=event_log(st, horizon_days * DAY))
             for st in states]
     agg = aggregate_hourly(outs)
     expected = stacked_moments([mask_counts(st, horizon_days * 24) for st in states], 5)
     got = agg.mean_counts, agg.std_counts, agg.mean_infected_prop, agg.std_infected_prop
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and g.shape == e.shape and g.tobytes() == e.tobytes()
-    assert len({o.events for o in outs}) > 5  # the runs differ
+    assert len({o.times.tobytes() for o in outs}) > 5  # the runs differ
     assert agg.hours.tolist() == list(range(horizon_days * 24 + 1))
+
+
+LATENCY_S = DiseaseParams().latency_s
+
+
+def _on_hour(hour: int, ulps: int) -> float:
+    """Hour boundary ``hour``, moved ``ulps`` representable doubles (-1, 0 or 1)."""
+    t = hour * 3600.0
+    return t if ulps == 0 else float(np.nextafter(t, ulps * math.inf))
+
+
+@hst.composite
+def clock_cases(draw):
+    """(horizon days, immune flags, each person's four clocks or None for never infected).
+
+    Times fall on an hour boundary or one ulp either side of it (the horizon
+    and one ulp past it included), anywhere in a wide window, or at patient
+    zero's back-dated -latency; onsets may share a time with another
+    person's, or fall after recovery.
+    """
+    horizon_days = draw(hst.integers(1, 3))
+    n = draw(hst.integers(1, 8))
+    immune = draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
+    times = hst.one_of(
+        hst.builds(_on_hour, hst.integers(-30, horizon_days * 24 + 30), hst.integers(-1, 1)),
+        hst.floats(-2 * DAY, (horizon_days + 2) * DAY),
+        hst.just(-LATENCY_S),
+    )
+    gaps = hst.one_of(hst.just(0.0), hst.just(LATENCY_S), hst.floats(0.0, 10 * DAY))
+    shared_onsets = draw(hst.lists(times, min_size=1, max_size=2))
+    clocks = []
+    for _ in range(n):
+        if draw(hst.booleans()):
+            clocks.append(None)
+            continue
+        t_inf = draw(times)
+        t_infectious = t_inf + draw(gaps)
+        t_rec = t_infectious + draw(gaps)
+        t_sym = draw(hst.one_of(hst.sampled_from(shared_onsets), gaps.map(lambda g: t_inf + g)))
+        clocks.append((t_inf, t_infectious, t_sym, t_rec))
+    return horizon_days, immune, clocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=clock_cases())
+# an immune patient zero: nobody is ever infected
+@example(case=(2, [True, False, False], [None, None, None]))
+# onsets tied on an hour boundary, at the horizon, one ulp past it, and
+# after burn-out but inside the horizon
+@example(case=(1, [False] * 4, [
+    (-LATENCY_S, 0.0, 3600.0, 7200.0),
+    (100.0, 100.0 + LATENCY_S, 3600.0, 200.0 + LATENCY_S),
+    (3600.0, 3600.0 + LATENCY_S, DAY, 4 * 3600.0 + LATENCY_S),
+    (3600.0, DAY, float(np.nextafter(DAY, math.inf)), DAY),
+]))
+def test_array_metrics_equal_event_log_reference(case):
+    horizon_days, immune, clocks = case
+    n = len(clocks)
+    ids = tuple(f"p{k}" for k in range(n))
+    st = new_epidemic_state(ids, np.random.Generator(np.random.PCG64(0)),
+                            {pid for pid, flag in zip(ids, immune) if flag})
+    for k, c in enumerate(clocks):
+        if c is not None and not immune[k]:
+            st.t_infected[k], st.t_infectious[k], st.t_symptomatic[k], st.t_recovered[k] = c
+    horizon_s = horizon_days * DAY
+    times = event_log(st, horizon_s)
+    events = reference_metrics.event_log(st, horizon_s)
+    # the array holds exactly the log's transitions, every clock bit for bit
+    logged = np.full((4, n), math.inf)
+    for e in events:
+        logged[reference_metrics.EVENT_ORDER[e.kind], ids.index(e.person_id)] = e.t_s
+    assert np.array_equal(times, logged)
+    out = dataclasses.replace(_outcome(roster=n, horizon_days=horizon_days),
+                              roster_ids=ids, times=times)
+    summary = summarize_run(out)
+    assert ever_infected(out) == reference_metrics.ever_infected(events)
+    assert repr(summary.saturation) == repr(reference_metrics.ever_infected(events) / n)
+    counts = hourly_compartment_counts(times, horizon_days * 24)
+    want = reference_metrics.hourly_counts(events, n, horizon_days * 24)
+    assert counts.dtype == want.dtype and counts.tobytes() == want.tobytes()
+    assert np.array_equal(aggregate_hourly([out]).mean_counts, want)
+    onsets = reference_metrics.first_onsets(events)
+    assert repr(summary.t_symptomatic_days) == repr(
+        tuple([t / DAY for t in onsets] + [None] * (3 - len(onsets))))
 
 
 def test_outcome_pickle_size_does_not_grow_with_horizon():
     _, (st,) = _simulated_states([1])
-    events = event_log(st, 28 * DAY)
-    size = {h: len(pickle.dumps(dataclasses.replace(_outcome(events, roster=5), horizon_days=h)))
+    times = event_log(st, 28 * DAY)
+    size = {h: len(pickle.dumps(dataclasses.replace(_outcome(roster=5), times=times, horizon_days=h)))
             for h in (28, 280)}
     # only the horizon field itself widens: 28 pickles in one byte, 280 in two
     assert size[280] == size[28] + 1
@@ -411,7 +507,7 @@ def test_emergence_falls_as_symptomaticity_rises():
 # ---------------------------------------------------------------------------
 
 def test_summarize_uses_attached_stats():
-    out = _outcome([_infected("p0", -DAY), _sympt("p0", 2 * DAY)])
+    out = _outcome([_infected(0, -DAY), _sympt(0, 2 * DAY)])
     s = summarize_run(out)
     assert s.saturation == pytest.approx(0.1)
     assert s.beta_hat == 2e-5
@@ -420,7 +516,7 @@ def test_summarize_uses_attached_stats():
 
 
 def test_summary_csv_round_trip(tmp_path):
-    out = _outcome([_infected("p0", -DAY), _sympt("p0", 2 * DAY)])
+    out = _outcome([_infected(0, -DAY), _sympt(0, 2 * DAY)])
     path = tmp_path / "summary.csv"
     write_summary_csv(path, [(out, summarize_run(out))])
     with open(path) as fh:
@@ -432,7 +528,7 @@ def test_summary_csv_round_trip(tmp_path):
 
 
 def test_curves_csv_schema(tmp_path):
-    out = _outcome(_recovered(["p0"], -DAY), horizon_days=1)
+    out = _outcome(_recovered([0], -DAY), horizon_days=1)
     agg = aggregate_hourly([out])
     path = tmp_path / "curves.csv"
     write_curves_csv(path, {"full-novax": agg})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,18 @@ DP = DiseaseParams()
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _same(a, b) -> bool:
+    """Every field of two outcomes is equal, the clock array included."""
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                            for f in dataclasses.fields(a)))
+
+
+def _transitions(out) -> int:
+    """Transitions a run logged up to its horizon: its finite clocks."""
+    return int(np.isfinite(out.times).sum())
 
 
 def _roster_obs(n_children, n_teachers, t_total=10):
@@ -243,8 +256,8 @@ def test_horizon_is_at_most_ten_years():
 
 
 def _hourly(out):
-    """A run's hourly (S, E, I, R) counts, from its event log."""
-    return hourly_compartment_counts(out.events, len(out.roster_ids), out.horizon_days * 24)
+    """A run's hourly (S, E, I, R) counts, from its clock array."""
+    return hourly_compartment_counts(out.times, out.horizon_days * 24)
 
 
 def test_immune_patient_zero_empty_run():
@@ -253,7 +266,7 @@ def test_immune_patient_zero_empty_run():
     sc = ScenarioConfig(vaccination=VaccinationVariant.TEACHERS, vaccine_efficacy=1.0,
                         horizon_days=7, reps_per_patient_zero=1, base_seed=1)
     out = run_simulation(obs, cal, sc, "t0", 123, KernelParams(beta_max=10.0), DP)
-    assert out.events == ()
+    assert out.times.shape == (4, 2) and (out.times == math.inf).all()
     assert _hourly(out)[-1].tolist() == [2, 0, 0, 0]
 
 
@@ -262,7 +275,7 @@ def test_zero_kernel_only_patient_zero():
     cal = build_calendar(7, obs.session_length_s)
     sc = ScenarioConfig(horizon_days=7, reps_per_patient_zero=1, base_seed=1)
     out = run_simulation(obs, cal, sc, "p0", 5, KernelParams(beta_max=1e-300), DP)
-    infected = {e.person_id for e in out.events if e.kind == "infected"}
+    infected = {pid for pid, t in zip(out.roster_ids, out.times[0]) if t < math.inf}
     assert infected == {"p0"}
 
 
@@ -285,7 +298,7 @@ def test_single_session_two_agent_closed_form():
     hits = 0
     for seed in range(runs):
         out = run_simulation(obs, cal, sc, "p0", seed, kp, DP)
-        hits += any(e.kind == "infected" and e.person_id == "t0" for e in out.events)
+        hits += bool(out.times[0, out.roster_ids.index("t0")] < math.inf)
     sigma = math.sqrt(expected * (1 - expected) / runs)
     assert abs(hits / runs - expected) <= 3 * sigma
 
@@ -298,7 +311,7 @@ def test_run_is_deterministic_bitwise():
     kp = KernelParams(beta_max=1e-3)
     a = run_simulation(obs, cal, sc, "c0", 99, kp, DP)
     b = run_simulation(obs, cal, sc, "c0", 99, kp, DP)
-    assert a.events == b.events
+    assert np.array_equal(a.times, b.times)
     assert a.roster_ids == b.roster_ids
     assert a.immune_ids == b.immune_ids
     assert np.array_equal(_hourly(a), _hourly(b))
@@ -341,7 +354,7 @@ def test_sweep_reproducible_and_seed_sensitive():
     sc = ScenarioConfig(horizon_days=5, reps_per_patient_zero=2, base_seed=1)
     a = list(sweep(obs, sc, kp, DP, workers=1))
     b = list(sweep(obs, sc, kp, DP, workers=1))
-    assert [o.events for o in a] == [o.events for o in b]
+    assert len(a) == len(b) and all(np.array_equal(x.times, y.times) for x, y in zip(a, b))
     assert [o.seed for o in a] == [o.seed for o in b]
     sc2 = ScenarioConfig(horizon_days=5, reps_per_patient_zero=2, base_seed=2)
     c = list(sweep(obs, sc2, kp, DP, workers=1))
@@ -358,7 +371,7 @@ def test_sweep_worker_count_invariant():
     for a, b in zip(one, two):
         assert a.patient_zero == b.patient_zero
         assert a.seed == b.seed
-        assert a.events == b.events
+        assert np.array_equal(a.times, b.times)
         assert a.beta_hat == b.beta_hat
         assert np.array_equal(_hourly(a), _hourly(b))
 
@@ -401,7 +414,7 @@ def test_multi_cell_sweep_matches_single_cell_sweeps(workers):
         assert a.seed == b.seed
         assert a.roster_ids == b.roster_ids
         assert a.immune_ids == b.immune_ids
-        assert a.events == b.events
+        assert np.array_equal(a.times, b.times)
         assert a.beta_hat == b.beta_hat
         assert a.exposure_t_s == b.exposure_t_s
         assert np.array_equal(_hourly(a), _hourly(b))
@@ -453,7 +466,7 @@ def test_sweep_rates_a_multi_chunk_recording_once(monkeypatch):
     cells = _four_cells(horizon_days=7, reps_per_patient_zero=1, base_seed=3)
     outs = list(sweep(obs, cells, KernelParams(beta_max=3e-3), DP, workers=1))
     assert len(outs) == 4 * 6
-    assert sum(len(o.events) for o in outs) > 4 * len(outs)  # infections happen
+    assert sum(map(_transitions, outs)) > 4 * len(outs)  # infections happen
     assert len(rated) > 1
     assert sum(t * pairs for t, pairs in rated) == obs.session_length_s * n_pairs
 
@@ -462,7 +475,7 @@ def test_sweep_rates_a_multi_chunk_recording_once(monkeypatch):
 def test_run_without_pair_arrays_builds_the_sweep_cache(monkeypatch, density):
     # a run given no pair arrays builds the whole triangle's hazard cache
     # once, as a sweep process does, and returns the outcome of a run given
-    # a sweep's pair arrays: events, beta_hat and T
+    # a sweep's pair arrays: clocks, beta_hat and T
     obs = _roster_obs(4, 2, t_total=60)
     kp = KernelParams(beta_max=3e-2)
     sc = ScenarioConfig(density=density, horizon_days=7)
@@ -476,8 +489,8 @@ def test_run_without_pair_arrays_builds_the_sweep_cache(monkeypatch, density):
         assert hazards == []
         own = run_simulation(obs, cal, sc, "c1", seed, kp, DP)
         assert hazards == [(obs.session_length_s, 15)]
-        assert own == given  # events, beta_hat and T included
-        spread += len(given.events) > 4  # patient zero has at most 4 events
+        assert _same(own, given)  # clocks, beta_hat and T included
+        spread += _transitions(given) > 4  # patient zero has at most 4 transitions
         hazards.clear()
     assert spread >= 2
 
@@ -494,9 +507,9 @@ def test_sweep_past_cache_cap_matches_cached_sweep(monkeypatch):
     uncached = list(sweep(obs, cells, kp, DP, workers=1))
     # segment blocks only: S x I pairs, never the 15-pair triangle of a cache
     assert hazards and all(shape[1] < 15 for shape in hazards)
-    assert sum(len(o.events) for o in cached) > 2 * len(cached)  # infections happen
+    assert sum(map(_transitions, cached)) > 2 * len(cached)  # infections happen
     for a, b in zip(cached, uncached):
-        assert a.events == b.events
+        assert np.array_equal(a.times, b.times)
         assert a.beta_hat == b.beta_hat
 
 
@@ -529,12 +542,12 @@ def test_single_run_equals_its_sweep_run(monkeypatch, setting):
         monkeypatch.setattr(scenario, "_RATE_CACHE_MAX_ELEMENTS", 0)
     cells = _four_cells(horizon_days=7, reps_per_patient_zero=2, base_seed=4)
     outs = list(sweep(obs, cells, kp, DP, workers=1))
-    assert sum(len(o.events) for o in outs) > 2 * len(outs)  # infections happen
+    assert sum(map(_transitions, outs)) > 2 * len(outs)  # infections happen
     per_cell = obs.n_people * 2
     for k, out in enumerate(outs):
         sc = cells[k // per_cell]
         cal = build_calendar(sc.horizon_days, obs.session_length_s)
-        assert run_simulation(obs, cal, sc, out.patient_zero, out.seed, kp, DP) == out
+        assert _same(run_simulation(obs, cal, sc, out.patient_zero, out.seed, kp, DP), out)
         sub = obs.subset([obs.index_of(pid) for pid in out.roster_ids])
         assert out.beta_hat == mean_pair_rate(
             *pair_totals(sub.positions, sub.facings, sub.present, kp))
@@ -631,7 +644,9 @@ def test_sweep_draws_tasks_lazily(workers):
         tracemalloc.stop()
     first = first_runs(10**12)
     small = ScenarioConfig(horizon_days=1, reps_per_patient_zero=3, base_seed=4)
-    assert first == list(sweep(obs, small, kp, DP, workers=workers))[:3]
+    want = list(sweep(obs, small, kp, DP, workers=workers))[:3]
+    assert len(first) == len(want) == 3
+    assert all(_same(a, b) for a, b in zip(first, want))
 
 
 def test_half_sweep_saturation_below_full_when_transmission_strong():
@@ -654,9 +669,7 @@ def test_half_sweep_saturation_below_full_when_transmission_strong():
     half = list(sweep(obs, ScenarioConfig(density=DensityVariant.HALF, horizon_days=14,
                                           reps_per_patient_zero=reps, base_seed=21),
                       kp, DP, workers=2))
-    sat_full = np.array([len({e.person_id for e in o.events if e.kind == "infected"})
-                         / len(o.roster_ids) for o in full])
-    sat_half = np.array([len({e.person_id for e in o.events if e.kind == "infected"})
-                         / len(o.roster_ids) for o in half])
+    sat_full = np.array([np.isfinite(o.times[0]).sum() / len(o.roster_ids) for o in full])
+    sat_half = np.array([np.isfinite(o.times[0]).sum() / len(o.roster_ids) for o in half])
     se = math.sqrt(sat_full.var() / len(sat_full) + sat_half.var() / len(sat_half))
     assert sat_half.mean() < sat_full.mean() - 3 * se
