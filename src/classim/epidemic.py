@@ -1,7 +1,7 @@
 """SEIR run state held as arrays, and the stochastic transmission engine.
 
 Each person carries one transmission-clock record: infection, infectiousness,
-symptom onset, recovery and source.  ``EpidemicState`` holds these as one
+symptom onset and recovery.  ``EpidemicState`` holds these as one
 array per field (a struct of arrays, ``inf`` = never), so the engine and the
 counts read them without rebuilding anything.  A run's outcome is the four
 clocks themselves, up to its horizon: ``event_log`` stacks them into one
@@ -140,9 +140,9 @@ class EpidemicState:
 
     The per-person fields are arrays in roster order.  All t_* arrays hold
     absolute seconds since Day 0 session start, scheduled when the person
-    is infected; ``inf`` means "never (so far)".  ``source`` is the roster
-    index of the infector, -1 for none.  Immune people stay susceptible and
-    never acquire times.  Airborne mode keeps each infectious person's
+    is infected; ``inf`` means "never (so far)".  Who infected whom is not
+    kept: no output reads it.  Immune people stay susceptible and never
+    acquire times.  Airborne mode keeps each infectious person's
     emissions in ``emissions``, an (n, EMISSION_ROWS, 5) ring of
     (t, x, y, fx, fy): slot s is row s % EMISSION_ROWS, and a row never
     written has t = -inf.  The ring is made when the first emission is
@@ -160,7 +160,6 @@ class EpidemicState:
     t_infectious: np.ndarray
     t_symptomatic: np.ndarray
     t_recovered: np.ndarray
-    source: np.ndarray
     emissions: np.ndarray | None = None
 
     def counts(self, at: float | None = None) -> tuple[int, int, int, int]:
@@ -199,7 +198,6 @@ def new_epidemic_state(
         t_infectious=np.full(n, math.inf),
         t_symptomatic=np.full(n, math.inf),
         t_recovered=np.full(n, math.inf),
-        source=np.full(n, -1),
     )
 
 
@@ -235,14 +233,12 @@ def _schedule_infection(
     state: EpidemicState,
     k: int,
     t_infected: float,
-    source: int,
     dp: DiseaseParams,
 ) -> None:
     """Draw person ``k``'s whole future: symptoms, infectiousness, recovery.
 
     Draw order (symptomaticity, incubation, recovery) is part of the
-    determinism contract.  ``source`` is the infector's roster index, -1
-    for none.
+    determinism contract.
     """
     u = state.rng.random()
     incubation_days = sample_incubation(state.rng, dp)
@@ -254,7 +250,6 @@ def _schedule_infection(
         t_infected + incubation_days * SECONDS_PER_DAY if u < dp.p_symptomatic else math.inf
     )
     state.t_recovered[k] = t_infectious + recovery_days * SECONDS_PER_DAY
-    state.source[k] = source
 
 
 def seed_patient_zero(state: EpidemicState, person_id: str, dp: DiseaseParams) -> EpidemicState:
@@ -268,7 +263,7 @@ def seed_patient_zero(state: EpidemicState, person_id: str, dp: DiseaseParams) -
         raise UnknownPerson(person_id)
     k = state.person_ids.index(person_id)
     if not state.immune[k]:
-        _schedule_infection(state, k, -dp.latency_s, -1, dp)
+        _schedule_infection(state, k, -dp.latency_s, dp)
     return state
 
 
@@ -296,7 +291,8 @@ def transmission_step(
     for bit as one call per second would.  One uniform is drawn per
     susceptible non-immune person per second, in roster order, whether or
     not they can be infected that second; absent people neither transmit
-    nor receive.
+    nor receive.  The people a second infects draw their clocks in roster
+    order; which source infected them is not worked out.
     """
     n = len(state.person_ids)
     if obs.n_people != n:
@@ -342,9 +338,8 @@ def transmission_step(
             state.rng.bit_generator.state = before
             state.rng.random((span, len(sus_idx)))
             last = span - 1
-            for pos in np.flatnonzero(u[last] < p[last]):
-                j = int(inf_idx[int(np.argmax(beta[last, pos]))])
-                _schedule_infection(state, int(sus_idx[pos]), float(seconds[last]), j, dp)
+            for k in sus_idx[u[last] < p[last]].tolist():
+                _schedule_infection(state, k, float(seconds[last]), dp)
 
     if airborne:
         _record_emissions(state, obs, t, seconds[:span], inf_idx)
@@ -494,8 +489,7 @@ def simulate_session(
     set.  Within a segment each present susceptible draws one Exp(1)
     threshold and is infected at the first second at which its cumulative
     hazard from the infectious people, counted from the segment start,
-    exceeds it (see the module docstring for why this is exact).  The
-    infector is the source with the largest hazard at that second.  A
+    exceeds it (see the module docstring for why this is exact).  A
     segment's susceptibles, sources and end come from one Python pass over
     the roster, so an idle segment (no susceptible or no source) costs no
     numpy call.  An infection's second comes from a two-level search
@@ -599,18 +593,13 @@ def simulate_session(
         base = cum[lo - 1][cols] if lo > 0 else np.zeros(cols.shape)
         total = _accrued(cum[hi - 1][cols], base)
         thresholds = state.rng.standard_exponential(len(sus_idx))
-        hits = []
+        hits = []  # (second, index into sus_idx): scheduled in that order
         for pos in (thresholds < total).nonzero()[0].tolist():
-            col = cols[pos]
-            t = _first_crossing(cum, col, base[pos], lo, hi, thresholds[pos])
-            src = 0
-            if len(col) > 1:  # the source with the largest hazard that second
-                step = cum[t, col] - (cum[t - 1, col] if t > 0 else 0.0)
-                src = int(step.argmax())
-            hits.append((t - lo, pos, inf_idx[src]))
-        for t_rel, pos, j in sorted(hits):
+            t = _first_crossing(cum, cols[pos], base[pos], lo, hi, thresholds[pos])
+            hits.append((t - lo, pos))
+        for t_rel, pos in sorted(hits):
             k = sus_idx[pos]
-            _schedule_infection(state, k, session_start_s + (cursor + t_rel), j, dp)
+            _schedule_infection(state, k, session_start_s + (cursor + t_rel), dp)
             t_inf[k], t_on[k], t_off[k] = (float(a[k]) for a in clocks)
         cursor = seg_end
 

@@ -94,10 +94,10 @@ FRIDAY = 4  # weekday index, Monday = 0
 
 @dataclass(frozen=True)
 class SchoolCalendar:
-    """Session start times (absolute seconds) and their common length."""
+    """Session start times (absolute seconds); each session lasts as long
+    as the observation it replays."""
 
     session_starts_s: tuple[float, ...]
-    session_length_s: float
 
     def __post_init__(self):
         starts = self.session_starts_s
@@ -109,7 +109,9 @@ def build_calendar(horizon_days: int, session_length_s: float) -> SchoolCalendar
     """School-day sessions within the horizon, one per weekday, Day 0 first.
 
     Day k starts at k * 86400 s and Day 0 is a Monday; weekends are
-    skipped, giving the 24 h weekday / 72 h Friday-to-Monday gaps.
+    skipped, giving the 24 h weekday / 72 h Friday-to-Monday gaps.  The
+    starts do not depend on ``session_length_s``; it is only checked to fit
+    in one day.
     """
     if horizon_days < 1:
         raise ConfigError(f"horizon_days must be >= 1, got {horizon_days}")
@@ -122,7 +124,7 @@ def build_calendar(horizon_days: int, session_length_s: float) -> SchoolCalendar
         for day in range(horizon_days)
         if day % 7 <= FRIDAY
     ]
-    return SchoolCalendar(session_starts_s=tuple(starts), session_length_s=float(session_length_s))
+    return SchoolCalendar(session_starts_s=tuple(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +307,13 @@ def run_simulation(
     past it they rate each segment's own (susceptible, source) pairs, and
     airborne sessions advance in spans of seconds.
 
-    The trajectory replays identically for every session in the calendar;
-    between sessions the clock jumps with no transmission.  The run stops
-    early once nobody is exposed or infectious; its clock array still covers
-    the full horizon.
+    The trajectory replays identically for every session in the calendar,
+    each as long as the observation; between sessions the clock jumps with
+    no transmission.  The run stops early once nobody is exposed or
+    infectious; its clock array still covers the full horizon.
     """
     if patient_zero not in obs.person_ids:
         raise UnknownPerson(patient_zero)
-    if cal.session_length_s != obs.session_length_s:
-        raise ConfigError(
-            f"calendar session length {cal.session_length_s} != observation "
-            f"length {obs.session_length_s}"
-        )
     if shared is None:
         shared = _PairArrays(obs, kp)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -360,7 +357,7 @@ def run_simulation(
         times=epidemic.event_log(state, horizon_s),
         horizon_days=sc.horizon_days,
         beta_hat=beta_hat,
-        exposure_t_s=float(cal.session_length_s * len(sessions)),
+        exposure_t_s=float(obs.session_length_s * len(sessions)),
     )
 
 
@@ -418,11 +415,12 @@ def sweep(
 
     The plan is checked when ``sweep`` is called: every cell's calendar is
     built, and a half cell needs a teacher.  Runs start at the first read.
-    Each process (the caller itself at ``workers=1``, else each pool
-    worker) builds its pair arrays once per sweep, the cumulative-hazard
-    cache of the pair triangle included when it fits; runs then reduce to
-    array gathers and draws.  The pool lives as long as the returned stream:
-    exhausting or closing it terminates the workers.
+    The pool has at most one worker per task.  Each process (the caller
+    itself at ``workers=1``, else each pool worker) builds its pair arrays
+    once per sweep, the cumulative-hazard cache of the pair triangle
+    included when it fits; runs then reduce to array gathers and draws.
+    The pool lives as long as the returned stream: exhausting or closing it
+    terminates the workers.
     """
     cells = (sc,) if isinstance(sc, ScenarioConfig) else tuple(sc)
     cals = tuple(build_calendar(c.horizon_days, obs.session_length_s) for c in cells)
@@ -441,7 +439,8 @@ def _runs(obs, cells, cals, kp, dp, workers) -> Iterator[RunOutcome]:
         for rep in range(c.reps_per_patient_zero)
     )
     args = (obs, cells, cals, kp, dp)
-    if workers <= 1 or n_tasks <= 1:
+    workers = min(workers, n_tasks)  # an idle worker would still build the cache
+    if workers <= 1:
         yield from map(_task_runner(*args), tasks)
     else:  # the parent never builds the cache: each worker does, in its initializer
         with Pool(processes=workers, initializer=_worker_init, initargs=args) as pool:

@@ -104,8 +104,7 @@ def step_per_second(state, obs: Observation, t: int, kp: KernelParams, dp) -> No
         beta = frame_source_rates(state, obs, t, kp, now, sus_idx, inf_idx)
         p = 1.0 - np.prod(1.0 - np.clip(beta, 0.0, 1.0), axis=-1)
         for pos in np.flatnonzero(u < p):
-            j = int(inf_idx[int(np.argmax(beta[pos]))])
-            _schedule_infection(state, int(sus_idx[pos]), now, j, dp)
+            _schedule_infection(state, int(sus_idx[pos]), now, dp)
 
     if kp.mode == TransmissionMode.AIRBORNE:
         record_emissions(state, obs, t, now, inf_idx)

@@ -80,14 +80,10 @@ def simulate_session_bisect(state, obs, session_start_s, kp, dp, hazard=None, pa
         for pos in np.flatnonzero(thresholds < total):
             col, since = cols[pos], base[pos]
             t = first_crossing_bisect(cum, col, since, lo, hi, thresholds[pos])
-            src = 0
-            if len(col) > 1:
-                step = cum[t, col] - (cum[t - 1, col] if t > 0 else 0.0)
-                src = int(np.argmax(step))
-            hits.append((t - lo, int(pos), int(inf_idx[src])))
-        for t_rel, pos, j in sorted(hits):
+            hits.append((t - lo, int(pos)))
+        for t_rel, pos in sorted(hits):
             t_abs = session_start_s + (cursor + t_rel)
-            _schedule_infection(state, int(sus_idx[pos]), t_abs, j, dp)
+            _schedule_infection(state, int(sus_idx[pos]), t_abs, dp)
         cursor = seg_end
 
     state.clock = session_start_s + t_total

@@ -33,27 +33,24 @@ class Event:
     kind: str
     person_id: str
     t_s: float
-    source_person_id: str | None = None
 
 
 def event_log(state, horizon_s: float) -> tuple[Event, ...]:
     """All transition events up to the horizon, time-ordered.
 
-    ``state`` has ``person_ids``, ``source`` and the four ``t_*`` arrays of
-    an ``EpidemicState``.  Symptom onsets scheduled by the disease clocks
-    are reported even when they land after the epidemic has burnt out, as
-    long as they fall inside the horizon.
+    ``state`` has ``person_ids`` and the four ``t_*`` arrays of an
+    ``EpidemicState``.  No event names an infector.  Symptom onsets
+    scheduled by the disease clocks are reported even when they land after
+    the epidemic has burnt out, as long as they fall inside the horizon.
     """
     ids = state.person_ids
-    rows = zip(ids, state.source.tolist(), state.t_infected.tolist(),
-               state.t_infectious.tolist(), state.t_symptomatic.tolist(),
-               state.t_recovered.tolist())
+    rows = zip(ids, state.t_infected.tolist(), state.t_infectious.tolist(),
+               state.t_symptomatic.tolist(), state.t_recovered.tolist())
     events = []
-    for pid, source, *times in rows:
+    for pid, *times in rows:
         for kind, t in zip(EVENT_ORDER, times):
             if t <= horizon_s:
-                infector = ids[source] if kind == "infected" and source >= 0 else None
-                events.append(Event(kind, pid, t, infector))
+                events.append(Event(kind, pid, t))
     events.sort(key=lambda e: (e.t_s, EVENT_ORDER[e.kind], e.person_id))
     return tuple(events)
 
@@ -62,8 +59,7 @@ def outcome_log(outcome: RunOutcome) -> tuple[Event, ...]:
     """``event_log`` of an outcome's clock array, over its own horizon."""
     t_infected, t_infectious, t_symptomatic, t_recovered = outcome.times
     state = SimpleNamespace(
-        person_ids=outcome.roster_ids, source=np.full(len(outcome.roster_ids), -1),
-        t_infected=t_infected, t_infectious=t_infectious,
+        person_ids=outcome.roster_ids, t_infected=t_infected, t_infectious=t_infectious,
         t_symptomatic=t_symptomatic, t_recovered=t_recovered)
     return event_log(state, outcome.horizon_days * SECONDS_PER_DAY)
 

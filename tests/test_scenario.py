@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -329,12 +330,16 @@ def test_hourly_counts_shape_and_conservation():
     assert tuple(counts[0]) == (1, 0, 1, 0)
 
 
-def test_calendar_session_length_must_match():
-    obs = _pair_obs(t_total=100)
-    cal = build_calendar(3, 999.0)
+def test_calendar_length_does_not_change_a_run():
+    # a calendar holds only session starts; each session lasts as long as
+    # the observation, whatever length the calendar was built for
+    obs = _pair_obs(r=0.5, t_total=100)
     sc = ScenarioConfig(horizon_days=3)
-    with pytest.raises(ConfigError):
-        run_simulation(obs, cal, sc, "p0", 7, KernelParams(beta_max=1e-3), DP)
+    kp = KernelParams(beta_max=1e-2)
+    own, other = (run_simulation(obs, build_calendar(3, length), sc, "p0", 7, kp, DP)
+                  for length in (100.0, 999.0))
+    assert _same(own, other)
+    assert own.exposure_t_s == 3 * 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +379,43 @@ def test_sweep_worker_count_invariant():
         assert np.array_equal(a.times, b.times)
         assert a.beta_hat == b.beta_hat
         assert np.array_equal(_hourly(a), _hourly(b))
+
+
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
+    # a worker with no task would still build the whole hazard cache in its
+    # initializer.  A stand-in Pool records the size asked for and runs the
+    # initializer and the tasks in this process, so no process is started.
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    monkeypatch.setattr(scenario, "Pool", InProcessPool)
+    monkeypatch.setattr(scenario, "_WORKER", {})
+    obs = _roster_obs(3, 1, t_total=60)  # 4 people x 1 rep: 4 tasks
+    kp = KernelParams(beta_max=3e-2)
+    sc = ScenarioConfig(horizon_days=7, reps_per_patient_zero=1, base_seed=4)
+    handler = signal.getsignal(signal.SIGTERM)  # the initializer resets it
+    try:
+        pooled = list(sweep(obs, sc, kp, DP, workers=8))
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+    assert started == [4]
+    alone = list(sweep(obs, sc, kp, DP, workers=1))
+    assert len(pooled) == len(alone) == 4
+    assert all(_same(a, b) for a, b in zip(pooled, alone))
+    assert sum(map(_transitions, alone)) > 4 * len(alone)  # infections happen
 
 
 def _four_cells(**kw):
