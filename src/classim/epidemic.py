@@ -1,11 +1,11 @@
 """SEIR run state held as arrays, and the stochastic transmission engine.
 
 Each person carries one transmission-clock record: infection, infectiousness,
-symptom onset and recovery.  ``EpidemicState`` holds these as one
-array per field (a struct of arrays, ``inf`` = never), so the engine and the
-counts read them without rebuilding anything.  A run's outcome is the four
-clocks themselves, up to its horizon: ``event_log`` stacks them into one
-(4, n) array, and every policy metric is counted from that array.
+symptom onset and recovery.  ``EpidemicState`` holds them as one (4, n)
+array, a row per clock and a column per person (``inf`` = never), so the
+engine and the counts read them without rebuilding anything.  A run's
+outcome is that same array up to its horizon: ``event_log`` returns a copy
+with later times set to ``inf``, and every policy metric is counted from it.
 
 Compartments flow one way: Susceptible -> Exposed -> Infectious -> Recovered.
 All of a person's future transition times are sampled the moment they are
@@ -138,14 +138,16 @@ class DiseaseParams:
 class EpidemicState:
     """Mutable simulation state: clock, generator, one record per person.
 
-    The per-person fields are arrays in roster order.  All t_* arrays hold
-    absolute seconds since Day 0 session start, scheduled when the person
-    is infected; ``inf`` means "never (so far)".  Who infected whom is not
-    kept: no output reads it.  Immune people stay susceptible and never
-    acquire times.  Airborne mode keeps each infectious person's
-    emissions in ``emissions``, an (n, EMISSION_ROWS, 5) ring of
-    (t, x, y, fx, fy): slot s is row s % EMISSION_ROWS, and a row never
-    written has t = -inf.  The ring is made when the first emission is
+    ``times`` is a (4, n) array whose rows are infection, infectiousness,
+    symptom onset and recovery and whose columns follow ``person_ids``, the
+    layout of ``RunOutcome.times``.  It holds absolute seconds since Day 0
+    session start, scheduled when the person is infected; ``inf`` means
+    "never (so far)".  Who infected whom is not kept: no output reads it.
+    ``immune`` is a boolean mask in roster order; immune people stay
+    susceptible and never acquire times.  Airborne mode keeps each
+    infectious person's emissions in ``emissions``, an (n, EMISSION_ROWS, 5)
+    ring of (t, x, y, fx, fy): slot s is row s % EMISSION_ROWS, and a row
+    never written has t = -inf.  The ring is made when the first emission is
     recorded; until then, and in droplet mode, it is None.
 
     Confined to a single worker for the duration of a run; parallelism
@@ -156,10 +158,7 @@ class EpidemicState:
     rng: np.random.Generator
     person_ids: tuple[str, ...]
     immune: np.ndarray
-    t_infected: np.ndarray
-    t_infectious: np.ndarray
-    t_symptomatic: np.ndarray
-    t_recovered: np.ndarray
+    times: np.ndarray
     emissions: np.ndarray | None = None
 
     def counts(self, at: float | None = None) -> tuple[int, int, int, int]:
@@ -172,33 +171,30 @@ def _compartment_masks(state: EpidemicState, t) -> tuple[np.ndarray, ...]:
     """Boolean (S, E, I, R) masks at time ``t``.
 
     ``t`` is a scalar (masks of shape (n,)) or an array that broadcasts
-    against the per-person arrays, e.g. a column of times giving (times, n).
+    against a row of ``state.times``, e.g. a column of times giving (times, n).
     """
-    infected = t >= state.t_infected
-    infectious = t >= state.t_infectious
-    recovered = t >= state.t_recovered
+    infected = t >= state.times[0]
+    infectious = t >= state.times[1]
+    recovered = t >= state.times[3]
     return ~infected, infected & ~infectious, infectious & ~recovered, recovered
 
 
 def new_epidemic_state(
     person_ids,
     rng: np.random.Generator,
-    immune_ids=frozenset(),
+    immune: np.ndarray | None = None,
 ) -> EpidemicState:
-    """Fresh all-susceptible state at clock 0."""
+    """Fresh all-susceptible state at clock 0.
+
+    ``immune`` is a boolean mask in roster order; None means nobody is immune.
+    """
     ids = tuple(person_ids)
     n = len(ids)
-    immune = set(immune_ids)
-    return EpidemicState(
-        clock=0.0,
-        rng=rng,
-        person_ids=ids,
-        immune=np.array([pid in immune for pid in ids], dtype=bool),
-        t_infected=np.full(n, math.inf),
-        t_infectious=np.full(n, math.inf),
-        t_symptomatic=np.full(n, math.inf),
-        t_recovered=np.full(n, math.inf),
-    )
+    immune = np.zeros(n, dtype=bool) if immune is None else np.array(immune, dtype=bool)
+    if immune.shape != (n,):
+        raise ValueError(f"immune mask has shape {immune.shape}, roster has {n} people")
+    return EpidemicState(clock=0.0, rng=rng, person_ids=ids, immune=immune,
+                         times=np.full((4, n), math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def _schedule_infection(
     t_infected: float,
     dp: DiseaseParams,
 ) -> None:
-    """Draw person ``k``'s whole future: symptoms, infectiousness, recovery.
+    """Draw person ``k``'s whole future and write it to column ``k`` of ``state.times``.
 
     Draw order (symptomaticity, incubation, recovery) is part of the
     determinism contract.
@@ -244,12 +240,11 @@ def _schedule_infection(
     incubation_days = sample_incubation(state.rng, dp)
     recovery_days = sample_recovery(state.rng, dp)
     t_infectious = t_infected + dp.latency_s
-    state.t_infected[k] = t_infected
-    state.t_infectious[k] = t_infectious
-    state.t_symptomatic[k] = (
+    t_symptomatic = (
         t_infected + incubation_days * SECONDS_PER_DAY if u < dp.p_symptomatic else math.inf
     )
-    state.t_recovered[k] = t_infectious + recovery_days * SECONDS_PER_DAY
+    state.times[:, k] = (t_infected, t_infectious, t_symptomatic,
+                         t_infectious + recovery_days * SECONDS_PER_DAY)
 
 
 def seed_patient_zero(state: EpidemicState, person_id: str, dp: DiseaseParams) -> EpidemicState:
@@ -316,7 +311,7 @@ def transmission_step(
     times = np.ones(span + 1)
     times[0] = now
     seconds = np.cumsum(times, out=times)[:span]
-    clocks = np.concatenate((state.t_infected, state.t_infectious, state.t_recovered))
+    clocks = state.times[[0, 1, 3]]
     keep = seconds < clocks[clocks > now].min(initial=math.inf)
     if airborne:
         oldest = min((arr[0, 0] for arr in history if len(arr)), default=math.inf)
@@ -541,10 +536,9 @@ def simulate_session(
             pairs = kernel.pair_index(n)
 
     latency_steps = max(1, math.floor(dp.latency_s))
-    # the clock fields as lists, so a segment's sets cost no numpy call;
+    # the clock rows as lists, so a segment's sets cost no numpy call;
     # an infection refreshes its own entries
-    clocks = state.t_infected, state.t_infectious, state.t_recovered
-    t_inf, t_on, t_off = (a.tolist() for a in clocks)
+    t_inf, t_on, _, t_off = state.times.tolist()
     immune = state.immune.tolist()
 
     cursor = 0
@@ -600,7 +594,7 @@ def simulate_session(
         for t_rel, pos in sorted(hits):
             k = sus_idx[pos]
             _schedule_infection(state, k, session_start_s + (cursor + t_rel), dp)
-            t_inf[k], t_on[k], t_off[k] = (float(a[k]) for a in clocks)
+            t_inf[k], t_on[k], _, t_off[k] = state.times[:, k].tolist()
         cursor = seg_end
 
     state.clock = session_start_s + t_total
@@ -614,16 +608,14 @@ def simulate_session(
 def event_log(state: EpidemicState, horizon_s: float) -> np.ndarray:
     """Every person's transition times up to the horizon: a (4, n) array.
 
-    Rows are infection, infectiousness, symptom onset and recovery, columns
-    the roster; a time past the horizon reads ``inf``, like one never set.
-    Symptom onsets scheduled by the disease clocks are kept even when they
-    land after the epidemic has burnt out, as long as they fall inside the
-    horizon (the observation window of every metric).
+    A copy of ``state.times`` (rows infection, infectiousness, symptom onset
+    and recovery, columns the roster) in which a time past the horizon reads
+    ``inf``, like one never set.  Symptom onsets scheduled by the disease
+    clocks are kept even when they land after the epidemic has burnt out, as
+    long as they fall inside the horizon (the observation window of every
+    metric).
     """
-    times = np.stack([state.t_infected, state.t_infectious, state.t_symptomatic,
-                      state.t_recovered])
-    times[times > horizon_s] = math.inf
-    return times
+    return np.where(state.times > horizon_s, math.inf, state.times)
 
 
 def hourly_compartment_counts(times: np.ndarray, horizon_hours: int) -> np.ndarray:

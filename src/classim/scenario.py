@@ -22,6 +22,8 @@ coupled.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import signal
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -190,16 +192,15 @@ def apply_vaccination(
     roster,
     efficacy: float,
     rng: np.random.Generator,
-) -> frozenset[str]:
+) -> np.ndarray:
     """Per-run immunity flags: each teacher effective-vaccinated independently.
 
-    Children are never flagged.  Returns the set of immune person_ids.
+    Returns a boolean mask over the roster.  Each teacher, in roster order,
+    draws one uniform and is flagged when their draw falls below
+    ``efficacy``; children draw nothing and are never flagged.
     """
-    immune = []
-    for p in roster:
-        if p.role == Role.TEACHER and rng.random() < efficacy:
-            immune.append(p.person_id)
-    return frozenset(immune)
+    return np.array([p.role == Role.TEACHER and rng.random() < efficacy for p in roster],
+                    dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +240,7 @@ class RunOutcome:
     (``epidemic.hourly_compartment_counts``) and the first onsets are all
     read from it.  ``beta_hat`` is the mean pair rate over the roster's co-present
     pair-seconds and ``exposure_t_s`` (T) the class time the horizon holds.
+    Who was immune is not kept: no output reads it.
     """
 
     scenario: str
@@ -246,7 +248,6 @@ class RunOutcome:
     patient_zero: str
     seed: int
     roster_ids: tuple[str, ...]
-    immune_ids: frozenset[str]
     times: np.ndarray
     horizon_days: int
     beta_hat: float
@@ -324,10 +325,8 @@ def run_simulation(
     else:
         idx = np.arange(obs.n_people)
         obs_run = obs
-    if sc.vaccination == VaccinationVariant.TEACHERS:
-        immune = apply_vaccination(obs_run.roster, sc.vaccine_efficacy, rng)
-    else:
-        immune = frozenset()
+    immune = (apply_vaccination(obs_run.roster, sc.vaccine_efficacy, rng)
+              if sc.vaccination == VaccinationVariant.TEACHERS else None)
 
     # idx ascends, so the mask keeps the roster's pairs i < j in row-major
     # order: beta_hat adds them in the order of the roster's own triangle
@@ -353,7 +352,6 @@ def run_simulation(
         patient_zero=patient_zero,
         seed=seed,
         roster_ids=obs_run.person_ids,
-        immune_ids=immune,
         times=epidemic.event_log(state, horizon_s),
         horizon_days=sc.horizon_days,
         beta_hat=beta_hat,
@@ -385,6 +383,13 @@ _WORKER: dict = {}
 
 def _worker_init(*args):
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # Pool.terminate ends a worker at once
+    # Each worker leads its own process group, so a signal sent to the job's
+    # group (Ctrl-C, kill -TERM -<pgid>) reaches only the parent, which ends
+    # the pool; a worker it killed could die holding a pool queue's lock and
+    # hang that teardown.  A worker still exits with its parent, as its task
+    # pipe closes.  A caller running this in its own process never moves.
+    if multiprocessing.parent_process() is not None:
+        os.setpgid(0, 0)
     _WORKER["run"] = _task_runner(*args)
 
 

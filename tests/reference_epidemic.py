@@ -50,7 +50,7 @@ def simulate_session_bisect(state, obs, session_start_s, kp, dp, hazard=None, pa
         now = session_start_s + cursor
         susceptible, exposed, infectious, _ = _compartment_masks(state, now)
         changes = np.concatenate(
-            [state.t_infectious[exposed], state.t_recovered[infectious]]
+            [state.times[1, exposed], state.times[3, infectious]]
         )
         frames = np.ceil(changes - session_start_s)  # first frame at/after
         seg_end = int(min(t_total, cursor + latency_steps,
@@ -93,7 +93,7 @@ def simulate_session_bisect(state, obs, session_start_s, kp, dp, hazard=None, pa
 def compartment_at(state: EpidemicState, k: int, t: float) -> str:
     """Compartment letter ("S", "E", "I" or "R") of roster position ``k`` at time ``t``."""
     infected, infectious, recovered = (
-        t >= times[k] for times in (state.t_infected, state.t_infectious, state.t_recovered))
+        t >= state.times[row, k] for row in (0, 1, 3))
     masks = not infected, infected and not infectious, infectious and not recovered, recovered
     return next(c for c, m in zip("SEIR", masks) if m)
 
@@ -101,9 +101,9 @@ def compartment_at(state: EpidemicState, k: int, t: float) -> str:
 def mask_counts(state: EpidemicState, horizon_hours: int) -> np.ndarray:
     """(S, E, I, R) counts at each hour boundary 0..horizon_hours, from the state."""
     times = np.arange(horizon_hours + 1, dtype=float)[:, None] * SECONDS_PER_HOUR
-    infected = times >= state.t_infected
-    infectious = times >= state.t_infectious
-    recovered = times >= state.t_recovered
+    infected = times >= state.times[0]
+    infectious = times >= state.times[1]
+    recovered = times >= state.times[3]
     masks = ~infected, infected & ~infectious, infectious & ~recovered, recovered
     return np.stack([m.sum(axis=1) for m in masks], axis=1).astype(np.int64)
 

@@ -38,14 +38,13 @@ class Event:
 def event_log(state, horizon_s: float) -> tuple[Event, ...]:
     """All transition events up to the horizon, time-ordered.
 
-    ``state`` has ``person_ids`` and the four ``t_*`` arrays of an
+    ``state`` has the ``person_ids`` and the (4, n) ``times`` of an
     ``EpidemicState``.  No event names an infector.  Symptom onsets
     scheduled by the disease clocks are reported even when they land after
     the epidemic has burnt out, as long as they fall inside the horizon.
     """
     ids = state.person_ids
-    rows = zip(ids, state.t_infected.tolist(), state.t_infectious.tolist(),
-               state.t_symptomatic.tolist(), state.t_recovered.tolist())
+    rows = zip(ids, *state.times.tolist())
     events = []
     for pid, *times in rows:
         for kind, t in zip(EVENT_ORDER, times):
@@ -57,10 +56,7 @@ def event_log(state, horizon_s: float) -> tuple[Event, ...]:
 
 def outcome_log(outcome: RunOutcome) -> tuple[Event, ...]:
     """``event_log`` of an outcome's clock array, over its own horizon."""
-    t_infected, t_infectious, t_symptomatic, t_recovered = outcome.times
-    state = SimpleNamespace(
-        person_ids=outcome.roster_ids, t_infected=t_infected, t_infectious=t_infectious,
-        t_symptomatic=t_symptomatic, t_recovered=t_recovered)
+    state = SimpleNamespace(person_ids=outcome.roster_ids, times=outcome.times)
     return event_log(state, outcome.horizon_days * SECONDS_PER_DAY)
 
 

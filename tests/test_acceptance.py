@@ -152,7 +152,7 @@ def test_criterion_3_two_agent_oracle():
                 st = new_epidemic_state(obs.person_ids, _rng(1_000_000 * g_idx + k))
                 seed_patient_zero(st, "p0", DP)
                 simulate_session(st, obs, 0.0, kp, DP)
-                hits += math.isfinite(st.t_infected[1])
+                hits += math.isfinite(st.times[0, 1])
             freq = hits / n_runs
             sigma = math.sqrt(expected * (1.0 - expected) / n_runs)
             pull = abs(freq - expected) / sigma
@@ -174,11 +174,11 @@ def test_criterion_4_disease_clocks():
         for _ in range(n):
             st = new_epidemic_state(["z"], rng)
             seed_patient_zero(st, "z", DP)
-            assert st.t_infectious[0] - st.t_infected[0] == DP.latency_s  # hard, exact
-            durations.append((st.t_recovered[0] - st.t_infectious[0]) / DAY)
-            if math.isfinite(st.t_symptomatic[0]):
+            assert st.times[1, 0] - st.times[0, 0] == DP.latency_s  # hard, exact
+            durations.append((st.times[3, 0] - st.times[1, 0]) / DAY)
+            if math.isfinite(st.times[2, 0]):
                 symptomatic += 1
-                incubations.append((st.t_symptomatic[0] - st.t_infected[0]) / DAY)
+                incubations.append((st.times[2, 0] - st.times[0, 0]) / DAY)
         mean_inc = float(np.mean(incubations))
         mean_dur = float(np.mean(durations))
         frac = symptomatic / n

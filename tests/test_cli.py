@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,18 @@ from classim.kernel import CalibrationInputs
 from classim.synthgen import SynthConfig
 from classim.trajectory import TrackFormat
 from reference_trajectory import load_rowwise, save_rowwise
+
+_STRESS = Path(__file__).resolve().parent.parent / "scripts" / "signal_stress.py"
+_spec = importlib.util.spec_from_file_location("signal_stress", _STRESS)
+signal_stress = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(signal_stress)
+
+#: The source tree a test's ``python -m classim.cli`` child imports.
+_SRC = os.path.dirname(os.path.dirname(cli.__file__))
+#: A sweep a test starts dies with the test runner (prctl), and its workers
+#: are found through /proc: both are Linux-only.
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="needs prctl and /proc/<pid>/task/*/children")
 
 
 def _run(capsys, *argv):
@@ -429,28 +443,32 @@ def test_simulate_plan_fault_leaves_no_output_dir(tmp_path, capsys, synth_flags)
     assert not out_dir.exists()
 
 
+@linux_only
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_simulate_sigterm_removes_outputs_and_ends_workers(tmp_path, small_obs, workers):
     # a scheduler or `timeout` stops a job with SIGTERM: the sweep unwinds as
     # on an interrupt, removes its partial outputs and exits 143
     out_dir = tmp_path / "out"
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "classim.cli", "simulate", str(small_obs), "--out", str(out_dir),
          "--reps", "100000000", "--workers", workers],
-        env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        env={**os.environ, "PYTHONPATH": _SRC}, start_new_session=True,
+        preexec_fn=signal_stress.die_with_parent,  # no sweep outlives a killed test runner
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    pids = set()
     try:
         deadline = time.monotonic() + 60
         while not (out_dir / "summary.csv").exists():
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
         time.sleep(1.0)
+        pids = signal_stress.children(proc.pid)  # the workers, each in its own group
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=60)
     finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+        signal_stress.kill_running([proc.pid, *pids])
+        proc.wait()
+    assert len(pids) == (2 if workers == "2" else 0)
     assert proc.returncode == 143
     assert err == b""
     assert list(out_dir.iterdir()) == []
@@ -460,10 +478,24 @@ def test_simulate_sigterm_removes_outputs_and_ends_workers(tmp_path, small_obs, 
         try:
             os.killpg(proc.pid, 0)
         except ProcessLookupError:
-            break
+            if not any(map(signal_stress.running, pids)):
+                break
         time.sleep(0.05)
     else:
         pytest.fail("a process of the run outlived it")
+
+
+@linux_only
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
+def test_simulate_group_signal_ends_the_sweep(tmp_path, small_obs, sig):
+    # Ctrl-C in a terminal, `kill -TERM -<pgid>` or a scheduler signals every
+    # process of the job's group.  Only the parent may act on it: a worker
+    # killed while it holds a pool queue's lock once hung the parent's
+    # teardown for good.  SIGTERM exits 143 with empty stderr; SIGINT ends
+    # as a parent-only SIGINT does, with no worker traceback.  Within 15 s
+    # no output and no process of the run may remain.
+    ok, what = signal_stress.trial(_SRC, small_obs, tmp_path / "out", sig)
+    assert ok, what
 
 
 def test_simulate_runs_off_the_main_thread(tmp_path, small_obs, capsys):

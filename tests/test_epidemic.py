@@ -73,8 +73,8 @@ def test_seed_patient_zero_basic():
     st = new_epidemic_state(["a", "b", "c"], _rng())
     seed_patient_zero(st, "a", DP)
     assert compartment_at(st, 0, 0.0) == "I"
-    assert st.t_infected[0] == -DP.latency_s
-    assert st.t_infectious[0] == 0.0
+    assert st.times[0, 0] == -DP.latency_s
+    assert st.times[1, 0] == 0.0
     assert compartment_at(st, 1, 0.0) == "S"
     assert compartment_at(st, 2, 0.0) == "S"
 
@@ -86,9 +86,9 @@ def test_seed_unknown_person():
 
 
 def test_seed_immune_is_noop():
-    st = new_epidemic_state(["a", "b"], _rng(), immune_ids={"a"})
+    st = new_epidemic_state(["a", "b"], _rng(), np.array([True, False]))
     seed_patient_zero(st, "a", DP)
-    assert st.t_infected[0] == math.inf
+    assert st.times[0, 0] == math.inf
     assert compartment_at(st, 0, 0.0) == "S"
     assert is_run_complete(st)
 
@@ -100,7 +100,7 @@ def test_seed_symptomatic_share():
     for _ in range(n):
         st = new_epidemic_state(["a"], rng)
         seed_patient_zero(st, "a", DP)
-        hits += math.isfinite(st.t_symptomatic[0])
+        hits += math.isfinite(st.times[2, 0])
     assert abs(hits / n - 0.75) <= 0.013  # 3 sigma binomial
 
 
@@ -163,7 +163,7 @@ def test_exposed_becomes_infectious_at_exactly_24h():
 def test_progress_all_recovered_only_moves_clock():
     st = new_epidemic_state(["a"], _rng(6))
     seed_patient_zero(st, "a", DP)
-    st.t_recovered[0] = 10.0
+    st.times[3, 0] = 10.0
     progress_offclass(st, 100.0)
     assert st.clock == 100.0
     assert is_run_complete(st)
@@ -183,7 +183,7 @@ def test_complete_when_patient_zero_recovered():
     st = new_epidemic_state(["a", "b"], _rng(8))
     seed_patient_zero(st, "a", DP)
     assert not is_run_complete(st)
-    st.clock = st.t_recovered[0]
+    st.clock = st.times[3, 0]
     assert is_run_complete(st)
 
 
@@ -192,13 +192,20 @@ def test_incomplete_with_exposed():
     seed_patient_zero(st, "a", DP)
     from classim.epidemic import _schedule_infection
     _schedule_infection(st, 1, 0.0, DP)
-    st.clock = max(st.t_recovered[0], 1.0)
-    if st.t_recovered[1] > st.clock:
+    st.clock = max(st.times[3, 0], 1.0)
+    if st.times[3, 1] > st.clock:
         assert not is_run_complete(st)
 
 
+def test_immune_mask_must_match_the_roster():
+    # one flag per roster position; a set of ids is not a mask
+    for immune in (np.ones(3, dtype=bool), frozenset({"a"})):
+        with pytest.raises(ValueError, match="immune mask"):
+            new_epidemic_state(["a", "b"], _rng(), immune)
+
+
 def test_immune_only_roster_is_complete():
-    st = new_epidemic_state(["a", "b"], _rng(10), immune_ids={"a", "b"})
+    st = new_epidemic_state(["a", "b"], _rng(10), np.ones(2, dtype=bool))
     assert is_run_complete(st)
 
 
@@ -209,10 +216,10 @@ def test_immune_only_roster_is_complete():
 def test_no_infectious_only_clock_moves():
     obs = _pair_obs(t_total=3)
     st = new_epidemic_state(obs.person_ids, _rng(11))
-    before = st.t_infected.tolist()
+    before = st.times[0].tolist()
     transmission_step(st, obs, 0, KernelParams(beta_max=1.0), DP)
     assert st.clock == 1.0
-    assert st.t_infected.tolist() == before
+    assert st.times[0].tolist() == before
 
 
 def test_absent_susceptible_cannot_be_infected():
@@ -225,7 +232,7 @@ def test_absent_susceptible_cannot_be_infected():
     seed_patient_zero(st, "p0", DP)
     for t in range(3):
         transmission_step(st, obs, t, kp, DP)
-    assert st.t_infected[1] == math.inf
+    assert st.times[0, 1] == math.inf
 
 
 def test_absent_infectious_cannot_transmit():
@@ -238,7 +245,7 @@ def test_absent_infectious_cannot_transmit():
     seed_patient_zero(st, "p0", DP)
     for t in range(3):
         transmission_step(st, obs, t, kp, DP)
-    assert st.t_infected[1] == math.inf
+    assert st.times[0, 1] == math.inf
 
 
 @pytest.mark.parametrize("case, k", [("no_infectious", 3), ("infectious", 2),
@@ -247,8 +254,8 @@ def test_step_draws_one_uniform_per_susceptible(case, k):
     # a step draws random(k) for its k susceptible non-immune people, whether
     # or not anyone is infectious; the pair is too far apart to infect
     obs = _stationary_obs([(0, 0), (20, 0), (0, 20)], [(1, 0), (-1, 0), (0, -1)], 2)
-    immune = {"p1", "p2"} if case == "no_susceptible" else set()
-    st = new_epidemic_state(obs.person_ids, _rng(14), immune_ids=immune)
+    immune = np.array([False, True, True]) if case == "no_susceptible" else None
+    st = new_epidemic_state(obs.person_ids, _rng(14), immune)
     if case != "no_infectious":
         seed_patient_zero(st, "p0", DP)
     twin = _rng()
@@ -256,7 +263,7 @@ def test_step_draws_one_uniform_per_susceptible(case, k):
     transmission_step(st, obs, 0, KernelParams(beta_max=1e-9), DP)
     twin.random(k)
     assert st.rng.bit_generator.state == twin.bit_generator.state
-    assert np.isinf(st.t_infected[1:]).all()
+    assert np.isinf(st.times[0, 1:]).all()
 
 
 def test_roster_mismatch_rejected():
@@ -286,7 +293,7 @@ def _two_agent_mc(kp, obs, n_runs, seed0, stepwise):
                 transmission_step(st, obs, t, kp, DP)
         else:
             simulate_session(st, obs, 0.0, kp, DP)
-        hits += math.isfinite(st.t_infected[1])
+        hits += math.isfinite(st.times[0, 1])
     return hits / n_runs
 
 
@@ -345,7 +352,7 @@ def test_session_engine_matches_cache_and_on_the_fly():
     seed_patient_zero(st2, "p0", DP)
     simulate_session(st2, obs, 0.0, kp, DP)
 
-    assert st1.t_infected[1] == st2.t_infected[1]
+    assert st1.times[0, 1] == st2.times[0, 1]
     assert np.array_equal(event_log(st1, 28 * DAY), event_log(st2, 28 * DAY))
 
 
@@ -390,9 +397,8 @@ def test_half_roster_cache_matches_on_the_fly():
                              pairs=pairs if cache else None)
             states.append(st)
         a, b = states
-        for field in ("t_infected", "t_infectious", "t_symptomatic", "t_recovered"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), (seed, field)
-        infected += int(np.isfinite(a.t_infected).sum()) - 2
+        assert np.array_equal(a.times, b.times), seed
+        infected += int(np.isfinite(a.times[0]).sum()) - 2
     assert infected > 0
 
 
@@ -402,15 +408,15 @@ def test_session_engine_handles_midsession_recovery():
     kp = KernelParams(beta_max=10.0)  # certain infection while infectious
     st = new_epidemic_state(obs.person_ids, _rng(22))
     seed_patient_zero(st, "p0", DP)
-    st.t_recovered[0] = 40.0
+    st.times[3, 0] = 40.0
     simulate_session(st, obs, 0.0, kp, DP)
-    assert st.t_infected[1] == 0.0  # infected at the first opportunity
+    assert st.times[0, 1] == 0.0  # infected at the first opportunity
 
     st2 = new_epidemic_state(obs.person_ids, _rng(23))
     seed_patient_zero(st2, "p0", DP)
-    st2.t_recovered[0] = 0.0  # recovered before the session
+    st2.times[3, 0] = 0.0  # recovered before the session
     simulate_session(st2, obs, 0.0, kp, DP)
-    assert st2.t_infected[1] == math.inf
+    assert st2.times[0, 1] == math.inf
 
 
 def test_session_engine_midsession_infectiousness():
@@ -421,11 +427,11 @@ def test_session_engine_midsession_infectiousness():
     st = new_epidemic_state(obs.person_ids, _rng(24))
     from classim.epidemic import _schedule_infection
     _schedule_infection(st, 0, -DP.latency_s + 50.0, DP)  # infectious at t=50
-    st.t_recovered[0] = 1e9
+    st.times[3, 0] = 1e9
     assert compartment_at(st, 0, 0.0) == "E"
     simulate_session(st, obs, 0.0, kp, DP)
-    assert st.t_infected[1] == 50.0  # p1 infected the second p0 turns infectious
-    assert st.t_infected[2] == math.inf  # far corner never reached
+    assert st.times[0, 1] == 50.0  # p1 infected the second p0 turns infectious
+    assert st.times[0, 2] == math.inf  # far corner never reached
 
 
 @settings(max_examples=150, deadline=None)
@@ -461,9 +467,9 @@ def test_session_engine_infections_are_feasible(data):
             continue
         t_on = 0 if role == "I" else data.draw(hst.integers(1, t_total), label=f"on{k}")
         _schedule_infection(st, k, t_on - DP.latency_s, DP)
-        st.t_recovered[k] = data.draw(
+        st.times[3, k] = data.draw(
             hst.integers(t_on, t_total + 5) | hst.just(math.inf), label=f"off{k}")
-    new = np.isinf(st.t_infected)
+    new = np.isinf(st.times[0])
     twin = copy.deepcopy(st)
 
     with warnings.catch_warnings():
@@ -472,18 +478,17 @@ def test_session_engine_infections_are_feasible(data):
                   if cached else None)
         simulate_session(st, obs, 0.0, kp, DP, hazard=hazard)
         simulate_session_bisect(twin, obs, 0.0, kp, DP, hazard=hazard)
-    for field in ("t_infected", "t_infectious", "t_symptomatic", "t_recovered"):
-        assert np.array_equal(getattr(st, field), getattr(twin, field)), field
+    assert np.array_equal(st.times, twin.times)
     assert st.clock == twin.clock == t_total
     assert st.rng.bit_generator.state == twin.rng.bit_generator.state
-    assert not (st.immune & np.isfinite(st.t_infected) & new).any()
-    for k in np.flatnonzero(new & np.isfinite(st.t_infected)):
-        t = st.t_infected[k]
+    assert not (st.immune & np.isfinite(st.times[0]) & new).any()
+    for k in np.flatnonzero(new & np.isfinite(st.times[0])):
+        t = st.times[0, k]
         assert t == int(t) and 0 <= t < t_total
         t = int(t)
         assert present[t, k]
         # some other person was infectious, present and rated above zero that second
-        live = (st.t_infectious <= t) & (t < st.t_recovered) & present[t]
+        live = (st.times[1] <= t) & (t < st.times[3]) & present[t]
         live[k] = False
         assert (rates[t, k, live] > 0.0).any()
 
@@ -567,8 +572,8 @@ def test_segment_boundary_oracle(cached):
         seed_patient_zero(st, "p0", DP)
         _schedule_infection(st, 2, t_on - DP.latency_s, DP)
         simulate_session(st, obs, 0.0, kp, DP, hazard=hazard)
-        hits += math.isfinite(st.t_infected[1])
-        early += st.t_infected[1] < t_on
+        hits += math.isfinite(st.times[0, 1])
+        early += st.times[0, 1] < t_on
     for count, p in ((hits, 1.0 - (1.0 - b01) ** t_total * (1.0 - b21) ** (t_total - t_on)),
                      (early, 1.0 - (1.0 - b01) ** t_on)):
         z = (count / n_runs - p) / math.sqrt(p * (1.0 - p) / n_runs)
@@ -606,10 +611,10 @@ def test_moving_room_oracle():
     for r in range(n_runs):
         st = new_epidemic_state(obs.person_ids, _rng(7000 + r))
         seed_patient_zero(st, "p0", DP)
-        st.t_recovered[0] = float(t_off)
+        st.times[3, 0] = float(t_off)
         _schedule_infection(st, 1, t_on - DP.latency_s, DP)
         simulate_session(st, obs, 0.0, kp, DP)
-        hits += np.isfinite(st.t_infected)
+        hits += np.isfinite(st.times[0])
     for k in range(2, n):
         p = 1.0 - escape[k]
         z = (hits[k] / n_runs - p) / math.sqrt(p * (1.0 - p) / n_runs)
@@ -660,7 +665,7 @@ def test_one_way_flow_and_conservation():
         assert happened == sorted(happened, reverse=True)
         assert core[:sum(happened)] == sorted(core[:sum(happened)])
     # nobody infectious before infection + latency, exactly
-    for t_infected, t_infectious in zip(st.t_infected, st.t_infectious):
+    for t_infected, t_infectious in zip(st.times[0], st.times[1]):
         if math.isfinite(t_infected):
             assert t_infectious == t_infected + DP.latency_s
 
@@ -668,10 +673,10 @@ def test_one_way_flow_and_conservation():
 def test_immune_agents_never_exposed():
     obs = _pair_obs(r=0.2, t_total=200)
     kp = KernelParams(beta_max=10.0)
-    st = new_epidemic_state(obs.person_ids, _rng(32), immune_ids={"p1"})
+    st = new_epidemic_state(obs.person_ids, _rng(32), np.array([False, True]))
     seed_patient_zero(st, "p0", DP)
     simulate_session(st, obs, 0.0, kp, DP)
-    assert st.t_infected[1] == math.inf
+    assert st.times[0, 1] == math.inf
     assert compartment_at(st, 1, st.clock) == "S"
 
 
@@ -692,17 +697,16 @@ def test_counts_before_infection_agree_with_hourly_counts():
 def test_event_log_order_and_horizon_cap():
     st = new_epidemic_state(["a", "b"], _rng(33))
     seed_patient_zero(st, "a", DP)
-    st.t_symptomatic[0] = 40 * DAY  # symptomatic, but beyond horizon
+    st.times[2, 0] = 40 * DAY  # symptomatic, but beyond horizon
     times = event_log(st, 28 * DAY)
     # rows: infection, infectiousness, onset, recovery; columns: the roster
     assert times.shape == (4, 2) and times.dtype == np.float64
-    clocks = st.t_infected, st.t_infectious, st.t_symptomatic, st.t_recovered
-    want = [t[0] if t[0] <= 28 * DAY else math.inf for t in clocks]
+    want = [t if t <= 28 * DAY else math.inf for t in st.times[:, 0].tolist()]
     assert times[:, 0].tolist() == want
     assert want[0] == -DP.latency_s and want[2] == math.inf
     assert (times[:, 1] == math.inf).all()  # never infected
     times[0, 0] = 0.0
-    assert st.t_infected[0] == -DP.latency_s  # a copy, not a view of the state
+    assert st.times[0, 0] == -DP.latency_s  # a copy, not a view of the state
 
 
 def _boundary_time(hour: int, ulps: int) -> float:
@@ -719,8 +723,7 @@ def test_event_log_counts_equal_mask_reference(data):
     horizon_hours = data.draw(hst.integers(1, 60))
     n = data.draw(hst.integers(1, 8))
     immune = data.draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
-    st = new_epidemic_state([f"p{k}" for k in range(n)], _rng(0),
-                            {f"p{k}" for k in range(n) if immune[k]})
+    st = new_epidemic_state([f"p{k}" for k in range(n)], _rng(0), immune)
     times = hst.one_of(
         hst.builds(_boundary_time, hst.integers(-30, horizon_hours + 30), hst.integers(-1, 1)),
         hst.floats(-2 * DAY, (horizon_hours + 30) * 3600.0),
@@ -730,10 +733,10 @@ def test_event_log_counts_equal_mask_reference(data):
     for k in np.flatnonzero(~st.immune):
         if data.draw(hst.booleans()):
             continue  # never infected
-        st.t_infected[k] = data.draw(times)
-        st.t_infectious[k] = st.t_infected[k] + data.draw(gaps)
-        st.t_recovered[k] = st.t_infectious[k] + data.draw(gaps)
-        st.t_symptomatic[k] = st.t_infected[k] + data.draw(gaps)
+        st.times[0, k] = data.draw(times)
+        st.times[1, k] = st.times[0, k] + data.draw(gaps)
+        st.times[3, k] = st.times[1, k] + data.draw(gaps)
+        st.times[2, k] = st.times[0, k] + data.draw(gaps)
     times = event_log(st, horizon_hours * 3600.0)
     counts = hourly_compartment_counts(times, horizon_hours)
     expected = mask_counts(st, horizon_hours)
@@ -771,7 +774,7 @@ def test_airborne_past_positions_contribute():
             st = new_epidemic_state(obs.person_ids, _rng(4000 + k))
             seed_patient_zero(st, "p0", DP)
             simulate_session(st, obs, 0.0, kp, DP)
-            hits += math.isfinite(st.t_infected[1])
+            hits += math.isfinite(st.times[0, 1])
         return hits / runs
 
     assert infection_prob(TransmissionMode.DROPLET, 30) == 0.0
@@ -792,7 +795,7 @@ def test_airborne_stationary_pair_bounded_by_decay_budget():
         st = new_epidemic_state(obs.person_ids, _rng(9000 + k))
         seed_patient_zero(st, "p0", DP)
         simulate_session(st, obs, 0.0, kp_air, DP)
-        hits += math.isfinite(st.t_infected[1])
+        hits += math.isfinite(st.times[0, 1])
     freq = hits / runs
     lo = 1.0 - (1.0 - beta0) ** t_total
     hi = 1.0 - (1.0 - 2.0 * beta0) ** t_total  # 2x budget is a safe ceiling
@@ -870,8 +873,7 @@ def _random_class(seed, n, t_total, stay=0.85):
 
 
 def _assert_twins_equal(st, twin):
-    for field in ("t_infected", "t_infectious", "t_symptomatic", "t_recovered"):
-        assert np.array_equal(getattr(st, field), getattr(twin, field)), field
+    assert np.array_equal(st.times, twin.times)
     assert st.clock == twin.clock
     assert st.rng.bit_generator.state == twin.rng.bit_generator.state
     if twin.emissions is None:
@@ -931,8 +933,8 @@ def test_spans_match_the_per_second_stepper(data):
     obs = _random_class(data.draw(hst.integers(0, 2**32 - 1), label="obs"), n, t_total,
                         stay=data.draw(hst.sampled_from([1.0, 0.85, 0.5]), label="stay"))
     zero = data.draw(hst.integers(0, n - 1), label="zero")
-    immune = {f"p{k}" for k in range(n)
-              if k != zero and data.draw(hst.integers(0, 3), label=f"immune{k}") == 0}
+    immune = [k != zero and data.draw(hst.integers(0, 3), label=f"immune{k}") == 0
+              for k in range(n)]
     st = new_epidemic_state(obs.person_ids, _rng(data.draw(hst.integers(0, 2**32 - 1))), immune)
     if data.draw(hst.booleans(), label="buffered"):
         # PCG64 hands out 32-bit draws in pairs; the spare half it holds
@@ -959,7 +961,7 @@ def test_a_long_airborne_session_matches_the_per_second_stepper():
     seed_patient_zero(st, "p0", dp)
     _schedule_infection(st, 1, 30.0 + 5_000.0 - dp.latency_s, dp)
     twin = _spans_against_per_second(obs, st, kp, dp, [30.0])
-    assert st.t_infectious[1] == 5_030.0 < st.t_recovered[1]
+    assert st.times[1, 1] == 5_030.0 < st.times[3, 1]
     assert (twin.emissions[:2, :, 0] > 30.0 + 10_800.0).any()  # the ring came round
 
 
@@ -984,6 +986,6 @@ def test_a_quiet_airborne_session_takes_few_spans(monkeypatch):
     st = new_epidemic_state(obs.person_ids, _rng(4))
     seed_patient_zero(st, "p0", DP)
     simulate_session(st, obs, 0.0, KernelParams(beta_max=1e-12, mode=TransmissionMode.AIRBORNE), DP)
-    assert np.isinf(st.t_infected[1:]).all() and st.clock == 1200.0
+    assert np.isinf(st.times[0, 1:]).all() and st.clock == 1200.0
     assert 1 <= calls["transmission_step"] < 1200 / 4
     assert calls["rates_between"] >= 1

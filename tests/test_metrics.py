@@ -57,7 +57,6 @@ def _outcome(entries=(), roster=10, horizon_days=28):
         patient_zero="p0",
         seed=1,
         roster_ids=tuple(f"p{k}" for k in range(roster)),
-        immune_ids=frozenset(),
         times=times,
         horizon_days=horizon_days,
         beta_hat=2e-5,
@@ -347,7 +346,7 @@ def _simulated_states(seeds, sessions=3):
     states = []
     for seed in seeds:
         st = new_epidemic_state(obs.person_ids, np.random.Generator(np.random.PCG64(seed)),
-                                immune_ids={"p4"} if seed % 3 == 0 else ())
+                                np.arange(5) == 4 if seed % 3 == 0 else None)
         seed_patient_zero(st, f"p{seed % 4}", dp)
         for day in range(sessions):
             if st.clock < day * DAY:
@@ -429,11 +428,10 @@ def test_array_metrics_equal_event_log_reference(case):
     horizon_days, immune, clocks = case
     n = len(clocks)
     ids = tuple(f"p{k}" for k in range(n))
-    st = new_epidemic_state(ids, np.random.Generator(np.random.PCG64(0)),
-                            {pid for pid, flag in zip(ids, immune) if flag})
+    st = new_epidemic_state(ids, np.random.Generator(np.random.PCG64(0)), immune)
     for k, c in enumerate(clocks):
         if c is not None and not immune[k]:
-            st.t_infected[k], st.t_infectious[k], st.t_symptomatic[k], st.t_recovered[k] = c
+            st.times[:, k] = c
     horizon_s = horizon_days * DAY
     times = event_log(st, horizon_s)
     events = reference_metrics.event_log(st, horizon_s)

@@ -182,23 +182,45 @@ def test_half_class_subsets_vary_across_seeds():
 
 def test_vaccination_extremes():
     roster = _roster_obs(5, 3).roster
-    assert apply_vaccination(roster, 0.0, _rng(5)) == frozenset()
-    assert apply_vaccination(roster, 1.0, _rng(6)) == {"t0", "t1", "t2"}
+    assert not apply_vaccination(roster, 0.0, _rng(5)).any()
+    assert apply_vaccination(roster, 1.0, _rng(6)).tolist() == [False] * 5 + [True] * 3
 
 
 def test_vaccination_never_flags_children():
     roster = _roster_obs(5, 2).roster
     for seed in range(50):
         immune = apply_vaccination(roster, 0.9, _rng(seed))
-        assert all(pid.startswith("t") for pid in immune)
+        assert all(roster[k].role == Role.TEACHER for k in np.flatnonzero(immune))
 
 
 def test_vaccination_rate_band():
     roster = _roster_obs(0, 1).roster
     rng = _rng(7)
     n = 10_000
-    hits = sum(bool(apply_vaccination(roster, 0.858, rng)) for _ in range(n))
+    hits = sum(bool(apply_vaccination(roster, 0.858, rng).any()) for _ in range(n))
     assert abs(hits / n - 0.858) <= 0.011  # 3 sigma binomial
+
+
+def test_vaccination_draws_one_uniform_per_teacher():
+    # children and teachers interleaved: each teacher, in roster order, draws
+    # one uniform and is flagged when it falls below the efficacy; a child
+    # draws nothing, so the generator ends where one random() per teacher does
+    roles = "CTCCTTC"
+    roster = tuple(Person(f"x{k}", Role.TEACHER if r == "T" else Role.CHILD)
+                   for k, r in enumerate(roles))
+    teachers = [k for k, r in enumerate(roles) if r == "T"]
+    children = [k for k, r in enumerate(roles) if r == "C"]
+    seen = set()
+    for seed in range(20):
+        rng, twin = _rng(seed), _rng(seed)
+        immune = apply_vaccination(roster, 0.6, rng)
+        draws = [twin.random() for _ in teachers]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert immune.dtype == bool and immune.shape == (len(roster),)
+        assert not immune[children].any()
+        assert immune[teachers].tolist() == [u < 0.6 for u in draws]
+        seen.update(immune[teachers].tolist())
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +336,6 @@ def test_run_is_deterministic_bitwise():
     b = run_simulation(obs, cal, sc, "c0", 99, kp, DP)
     assert np.array_equal(a.times, b.times)
     assert a.roster_ids == b.roster_ids
-    assert a.immune_ids == b.immune_ids
     assert np.array_equal(_hourly(a), _hourly(b))
 
 
@@ -455,7 +476,6 @@ def test_multi_cell_sweep_matches_single_cell_sweeps(workers):
         assert a.patient_zero == b.patient_zero
         assert a.seed == b.seed
         assert a.roster_ids == b.roster_ids
-        assert a.immune_ids == b.immune_ids
         assert np.array_equal(a.times, b.times)
         assert a.beta_hat == b.beta_hat
         assert a.exposure_t_s == b.exposure_t_s
