@@ -12,7 +12,8 @@ exists and one second more, records the pids of the sweep's workers, and
 sends the signal to the group.  A trial passes when, within 15 s:
 
 - the sweep has exited: 143 with empty stderr after SIGTERM; after SIGINT,
-  by SIGINT itself with no pool worker's traceback on stderr;
+  by SIGINT itself with at most one line on stderr (`error: interrupted`)
+  and no pool worker's traceback;
 - no output file is left in its --out directory;
 - neither the sweep, nor any recorded worker, nor any other process of
   its group is still running.
@@ -114,6 +115,8 @@ def trial(src: str, obs: Path, out_dir: Path, sig: signal.Signals) -> tuple[bool
             problems.append(f"exit {proc.returncode}, not {want}")
         if sig == signal.SIGTERM and err:
             problems.append(f"stderr {err[-300:]!r}")
+        if sig == signal.SIGINT and len(err.splitlines()) > 1:
+            problems.append(f"stderr has {len(err.splitlines())} lines: {err[-300:]!r}")
         if "ForkPoolWorker" in err:
             problems.append("a pool worker's traceback on stderr")
         left = sorted(p.name for p in out_dir.iterdir())

@@ -7,7 +7,9 @@ metric CSVs, and drops a manifest holding the resolved parameter snapshot
 plus input digests.  Re-running with that manifest as the config reproduces
 the outputs byte for byte, at any worker count.
 
-Exit codes: 0 success, 1 runtime/data error, 2 usage error.
+Exit codes: 0 success, 1 runtime/data error, 2 usage error; ``simulate``
+exits 143 on SIGTERM.  An interrupt prints one ``error:`` line, and the
+command then ends by SIGINT.
 """
 
 from __future__ import annotations
@@ -535,5 +537,20 @@ def main(argv=None) -> int:
         return 1
 
 
+def _entry() -> None:
+    """The ``classim`` command: ``main``, with an interrupt reported as one
+    ``error: interrupted`` line instead of a traceback.  The process still
+    ends by SIGINT, as an uncaught interrupt ends Python, so a calling shell
+    or script sees the interrupt."""
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr, flush=True)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        code = 128 + signal.SIGINT  # should the signal not end the process at once
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

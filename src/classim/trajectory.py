@@ -514,12 +514,86 @@ class _People:
         return roster, np.array([index[pid] for pid, _ in seen], dtype=np.intp)
 
 
+class _FusedOrder:
+    """Where each fused row falls on the (T, N) grid, held as arithmetic
+    while the rows arrive in grid order and as columns once they do not.
+
+    Grid order is second by second, each second's rows in roster order, as
+    ``save_observation`` writes every file classim produces: row r is second
+    ``t0 + r // n`` and person code ``r % n``, with t0 the first row's second
+    and n the people of that second in first-seen order.  Until a row of a
+    later second arrives, n is open and row r must be code r.  The first
+    block that breaks the order starts the ``t_s`` and person-code columns:
+    the rows before it are rebuilt from that arithmetic, which the check has
+    just proved exact, and every later row is appended as it is.
+    """
+
+    def __init__(self):
+        self.t0 = 0.0
+        self.rows = 0
+        self.per_second = 0  # n, once a row of a second past t0 has arrived
+        self.columns: tuple[Column, Column] | None = None
+
+    def extend(self, t: np.ndarray, who: np.ndarray, expected: int) -> None:
+        """Take a block's checked t_s and person codes."""
+        if self.columns is None and not self._continues(t, who):
+            self.columns = Column(float), Column(np.intp)
+            for column, values in zip(self.columns, self._grid_rows()):
+                column.extend(values, expected)
+        if self.columns is not None:
+            for column, values in zip(self.columns, (t, who)):
+                column.extend(values, expected)
+        self.rows += len(t)
+
+    def _continues(self, t: np.ndarray, who: np.ndarray) -> bool:
+        if not self.rows:
+            self.t0 = t[0]
+        r = np.arange(self.rows, self.rows + len(t))
+        n = self.per_second
+        if not n:
+            later = np.flatnonzero(t != self.t0)
+            if not len(later):
+                return bool((who == r).all())
+            n = self.rows + int(later[0])
+        # integral t_s: a difference equals a small integer only when exact
+        if (who == r % n).all() and (t - self.t0 == r // n).all():
+            self.per_second = n
+            return True
+        return False
+
+    def _grid_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """t_s and person code of the rows so far, all in grid order."""
+        r = np.arange(self.rows, dtype=np.intp)
+        n = self.per_second or max(self.rows, 1)
+        return self.t0 + r // n, r % n
+
+    def cells(self, roster: tuple[Person, ...], column: np.ndarray):
+        """T and each row's flat (second, roster column) cell, checked by
+        ``_fused_cells``; the cells are None when the rows are in grid order
+        and the people of their first second are the roster, in its order."""
+        n = len(roster)
+        if self.columns is None:
+            if not self.rows:
+                return 0, None
+            if ((self.per_second or self.rows) == n and not self.rows % n
+                    and (column == np.arange(n)).all()):
+                return self.rows // n, None
+            t, who = self._grid_rows()
+        else:
+            t, who = (c.array() for c in self.columns)
+        return _fused_cells(t, who, roster, column)
+
+
 def _fused_rows(csv_path: Path, people: _People):
-    """Check every record of a fused CSV; return t_s, person code, presence,
-    position and facing as arrays in file order, the coordinates NaN where a
-    row is absent.  Rows in grid order become the grid as they are (see
-    ``_fused_grid``), so the coordinates are kept as two (rows, 2) columns."""
-    columns = Column(float), Column(np.intp), Column(bool), Column(float, 2), Column(float, 2)
+    """Check every record of a fused CSV; return where its rows fall on the
+    grid (a ``_FusedOrder``), and presence, position and facing as arrays in
+    file order, the coordinates NaN where a row is absent.
+
+    No per-row ``t_s`` or person code is kept while the rows arrive in grid
+    order, so such rows become the grid as they are (see ``_fused_grid``):
+    the coordinates are kept as two (rows, 2) columns."""
+    order = _FusedOrder()
+    columns = Column(bool), Column(float, 2), Column(float, 2)
     for lines, cols, expected in read_columns(csv_path, FUSED_HEADER):
         t_txt, pid, role_txt, present_txt, *coord_txt = cols
         t, t_nan = parse_floats(t_txt)
@@ -546,31 +620,16 @@ def _fused_rows(csv_path: Path, people: _People):
             *[(coord_bad[j], ParseError, FUSED_HEADER[4 + j] + " is not a number: {!r}",
                coord_txt[j]) for j in range(4)],
         ])
-        for column, values in zip(columns, (t, who, is_present, coords[:, :2], coords[:, 2:])):
+        order.extend(t, who, expected)
+        for column, values in zip(columns, (is_present, coords[:, :2], coords[:, 2:])):
             column.extend(values, expected)
-    return [column.array() for column in columns]
+    return order, *(column.array() for column in columns)
 
 
 def _fused_cells(t, who, roster, column):
-    """Check that fused rows fill the (T, N) grid once each; return T and
-    each row's flat (second, roster column) cell, or None when the rows are
-    in grid order.
-
-    Rows are in grid order when their cells, counted from the first row's
-    second, run exactly 0, 1, ..., T*N - 1: second by second, each second's
-    rows in roster order, as ``save_observation`` writes them.  Such rows
-    need no further check.
-    """
+    """Check that fused rows out of grid order fill the (T, N) grid once
+    each; return T and each row's flat (second, roster column) cell."""
     n = len(roster)
-    if len(t) and not len(t) % n and len(column) == n:
-        code_at = np.empty(n, np.intp)
-        code_at[column] = np.arange(n)  # the person code of each roster column
-        seconds = t.reshape(-1, n)
-        # integral t_s: a difference equals a small integer only when exact
-        if ((who.reshape(-1, n) == code_at).all()
-                and (seconds[:, 0] - seconds[0, 0] == np.arange(len(seconds))).all()
-                and (seconds == seconds[:, :1]).all()):
-            return len(seconds), None
     seconds = np.unique(t)
     t_total = len(seconds)
     if t_total and seconds[-1] - seconds[0] + 1 != t_total:
@@ -611,10 +670,10 @@ def _fused_grid(t_total: int, n: int, cell, present, positions, facings):
 def _read_fused(csv_path: Path, roster: tuple[Person, ...] | None):
     """The roster and the (T, N) positions, facings and presence of a fused CSV."""
     people = _People()
-    t, who, present, positions, facings = _fused_rows(csv_path, people)
+    order, present, positions, facings = _fused_rows(csv_path, people)
     roster, column = people.check_roster(roster, "frames")
-    t_total, cell = _fused_cells(t, who, roster, column)
-    del t, who  # checked; the grid needs neither
+    t_total, cell = order.cells(roster, column)
+    del order  # checked; the grid needs no t_s or person code
     return (roster, *_fused_grid(t_total, len(roster), cell, present, positions, facings))
 
 
@@ -624,8 +683,9 @@ def _read_fused(csv_path: Path, roster: tuple[Person, ...] | None):
 
 def _raw_rows(csv_path: Path, people: _People):
     """Check every record of a raw-tag CSV; return t_s, person code, side, x and y
-    as arrays."""
+    as arrays, and the rows of each (person, side) stream at person code * 2 + side."""
     columns = Column(float), Column(np.intp), Column(np.int8), Column(float), Column(float)
+    streams = np.zeros(0, np.intp)
     for lines, cols, expected in read_columns(csv_path, RAW_HEADER):
         t_txt, pid, role_txt, side_txt, x_txt, y_txt = cols
         t, t_nan = parse_floats(t_txt)
@@ -650,26 +710,40 @@ def _raw_rows(csv_path: Path, people: _People):
             ])
         for column, values in zip(columns, (t, who, side, x, y)):
             column.extend(values, expected)
-    return [column.array() for column in columns]
+        in_block = np.bincount(who * 2 + side, minlength=2 * len(people.index))
+        in_block[:len(streams)] += streams
+        streams = in_block
+    return [column.array() for column in columns], streams
 
 
 def _read_raw(csv_path: Path, roster: tuple[Person, ...] | None):
     """The roster and the (T, N) positions, facings and presence of a raw-tag
-    CSV: each person's tags fused, then resampled onto the 1 Hz grid."""
+    CSV: each person's tags fused, then resampled onto the 1 Hz grid.
+
+    One sort puts the rows in stream order (person, side, then time; equal
+    times keep file order), and each stream is a slice of the sorted t_s, x
+    and y, as long as the rows counted for it while they arrived.  The sort
+    order and the row columns are freed before resampling, which holds only
+    the fused tracks and the grid.
+    """
     people = _People()
-    t, who, side, x, y = _raw_rows(csv_path, people)
+    (t, who, side, x, y), streams = _raw_rows(csv_path, people)
     roster, column = people.check_roster(roster, "tag rows")
     if not len(t):
         raise EmptyTrack(f"{csv_path} contains no tag samples")
-    # rows of each (person, side) stream in time order; equal times keep file order
     order = np.lexsort((t, side, who))
-    stream = who[order] * 2 + side[order]
-    streams = np.split(order, np.searchsorted(stream, np.arange(1, 2 * len(people.index))))
+    del who, side
+    t = t[order]  # one column at a time: a gather's copy is the only extra one
+    x = x[order]
+    y = y[order]
+    del order
+    bounds = np.concatenate(([0], np.cumsum(streams))).tolist()
     fused: dict[str, FusedTrack] = {}
     for code, pid in enumerate(people.index):
-        left, right = streams[2 * code], streams[2 * code + 1]
-        fused[pid] = fuse_tags(pid, t[left], np.column_stack((x[left], y[left])),
-                               t[right], np.column_stack((x[right], y[right])))
+        lo, mid, hi = bounds[2 * code:2 * code + 3]
+        fused[pid] = fuse_tags(pid, t[lo:mid], np.column_stack((x[lo:mid], y[lo:mid])),
+                               t[mid:hi], np.column_stack((x[mid:hi], y[mid:hi])))
+    del t, x, y
 
     t_max = max(track.t[-1] for track in fused.values())
     grid = np.arange(0, math.floor(t_max) + 1, dtype=float)

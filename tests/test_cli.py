@@ -486,6 +486,36 @@ def test_simulate_sigterm_removes_outputs_and_ends_workers(tmp_path, small_obs, 
 
 
 @linux_only
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_interrupt_prints_one_line(tmp_path, small_obs, workers):
+    # Ctrl-C reports one `error: interrupted` line, not a traceback, and the
+    # command still ends by SIGINT, so a calling shell or script sees it
+    out_dir = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "classim.cli", "simulate", str(small_obs), "--out", str(out_dir),
+         "--reps", "100000000", "--workers", workers],
+        env={**os.environ, "PYTHONPATH": _SRC}, start_new_session=True,
+        preexec_fn=signal_stress.die_with_parent,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    pids = set()
+    try:
+        deadline = time.monotonic() + 60
+        while not (out_dir / "summary.csv").exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(1.0)
+        pids = signal_stress.children(proc.pid)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        signal_stress.kill_running([proc.pid, *pids])
+        proc.wait()
+    assert proc.returncode == -signal.SIGINT
+    assert err == b"error: interrupted\n"
+    assert list(out_dir.iterdir()) == []
+
+
+@linux_only
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
 def test_simulate_group_signal_ends_the_sweep(tmp_path, small_obs, sig):
     # Ctrl-C in a terminal, `kill -TERM -<pgid>` or a scheduler signals every
